@@ -1,15 +1,21 @@
 """Monomial ideals in d variables and their square-zero nilpotent pairs.
 
 Ideals are kept in canonical form (minimal generators, lexicographically
-sorted), so structural equality is mathematical equality.  Colengths are
-computed by recursive last-variable slicing with memoization; a brute-force
-box counter is retained as an independent oracle.
+sorted), so structural equality is mathematical equality.  In d <= 2 the
+canonical generators form a staircase: x strictly increases and y strictly
+decreases along the tuple.  Minimalization there is one sweep after a lex
+sort, and membership is one ``bisect`` on that order.  In d >= 3
+minimalization is the degree-bucketed dominance scan and membership is a
+scan over the generators.  Colengths are computed by recursive
+last-variable slicing with memoization; a brute-force box counter is
+retained as an independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -22,11 +28,23 @@ Exponent = tuple  # ints, one per variable
 def minimal_generators(candidates) -> tuple[Exponent, ...]:
     """Minimal elements of a monomial set under divisibility, lex-sorted.
 
-    Processes candidates by ascending degree (equal degrees never divide);
-    a divisor one degree below is a direct predecessor, found by set lookup,
-    and only deeper degree gaps fall back to a scan.
+    In d <= 2 this is the staircase sweep: after a lex sort a candidate is
+    kept exactly when its last exponent is strictly below that of every
+    candidate before it.  In d >= 3 candidates are processed by ascending
+    degree (equal degrees never divide); a divisor one degree below is a
+    direct predecessor, found by set lookup, and only deeper degree gaps
+    fall back to a scan.
     """
-    uniq = sorted(set(candidates), key=lambda g: (sum(g), g))
+    uniq = set(candidates)
+    if not uniq:
+        return ()
+    if len(next(iter(uniq))) in (1, 2):
+        kept = []
+        for g in sorted(uniq):
+            if not kept or g[-1] < kept[-1][-1]:
+                kept.append(g)
+        return tuple(kept)
+    uniq = sorted(uniq, key=lambda g: (sum(g), g))
     kept: list = []
     by_degree: dict[int, set] = {}
     for g in uniq:
@@ -85,6 +103,12 @@ class MonomialIdeal:
 
     def contains(self, monomial) -> bool:
         m = tuple(monomial)
+        if len(m) != self.num_vars:
+            raise ValueError("monomial has wrong number of variables")
+        if self.num_vars <= 2:
+            # the covering generator is the last one whose first exponent is <= m's
+            i = bisect_right(self.gens, (m[0], math.inf)) - 1
+            return i >= 0 and self.gens[i][-1] <= m[-1]
         return any(all(ge <= me for ge, me in zip(g, m)) for g in self.gens)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
@@ -117,8 +141,12 @@ class MonomialIdeal:
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        prods = {tuple(a + b for a, b in zip(g, h))
-                 for g in self.gens for h in other.gens}
+        if self.num_vars == 2:
+            prods = {(g0 + h0, g1 + h1)
+                     for g0, g1 in self.gens for h0, h1 in other.gens}
+        else:
+            prods = {tuple(a + b for a, b in zip(g, h))
+                     for g in self.gens for h in other.gens}
         return MonomialIdeal(self.num_vars, tuple(prods))
 
     def __pow__(self, n: int) -> "MonomialIdeal":

@@ -10,6 +10,7 @@ with each other (and, in the annihilator model, with everything).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -214,10 +215,12 @@ def closure_violations(series: MonomialLinearSeries, horizon: int,
     """Check L_a * L_b inside L_{a+b} on a deterministic sample of monomial
     pairs (up to pair_cap per level pair; exhaustive when small)."""
     out = []
+    # each level is sorted once; the strided pair order below indexes into it
+    ordered = {n: sorted(series.level(n)) for n in range(1, horizon)}
     for total in range(2, horizon + 1):
         for a in range(1, total // 2 + 1):
             b = total - a
-            la, lb = sorted(series.level(a)), sorted(series.level(b))
+            la, lb = ordered[a], ordered[b]
             if not la or not lb:
                 continue
             target = series.level(total)
@@ -368,7 +371,8 @@ def nil_hyperplane_series(tset, dim: int = 2, horizon: int = 200) -> MonomialLin
                                 natural_exponent=dim - 1)
 
 
-def _exp_floor_table(k_max: int) -> list[int]:
+@functools.cache
+def _exp_floor_table(k_max: int) -> tuple[int, ...]:
     """floor(e^k) for k = 0..k_max, certified by rational series bounds."""
     terms = 40
     lo = Fraction(0)
@@ -383,10 +387,10 @@ def _exp_floor_table(k_max: int) -> list[int]:
         if flo.numerator // flo.denominator != fhi.numerator // fhi.denominator:
             raise ValueError("exponential bounds too loose")
         out.append(flo.numerator // flo.denominator)
-    return out
+    return tuple(out)
 
 
-def ceil_log(n: int, divisor: int = 1, _table_cache={}) -> int:
+def ceil_log(n: int, divisor: int = 1) -> int:
     """ceil(log(n)/divisor) with exact rational threshold comparisons."""
     if n < 1:
         raise ValueError("positive argument required")
@@ -396,9 +400,8 @@ def ceil_log(n: int, divisor: int = 1, _table_cache={}) -> int:
     while True:
         k += 1
         key = k * divisor
-        if key not in _table_cache:
-            _table_cache.update(enumerate(_exp_floor_table(max(key, 16))))
-        if n <= _table_cache[key]:
+        # table sizes are multiples of 16, so few distinct tables are built
+        if n <= _exp_floor_table(16 * (key // 16 + 1))[key]:
             return k
 
 

@@ -12,6 +12,7 @@ from gradedlimits.monomial import (
     madic_order,
     max_ideal_power,
     max_standard_degree,
+    minimal_generators,
     multiplicity,
     multiplicity_limit_sequence,
     newton_region,
@@ -75,6 +76,53 @@ class TestArithmetic:
         in_colon = i.colon_monomial(v).contains(u)
         product = tuple(a + b for a, b in zip(u, v))
         assert in_colon == i.contains(product)
+
+
+def divides(g, m):
+    return all(a <= b for a, b in zip(g, m))
+
+
+def oracle_minimal(candidates):
+    """All-pairs filter: keep a candidate no other candidate divides."""
+    uniq = set(candidates)
+    return tuple(sorted(g for g in uniq
+                        if not any(h != g and divides(h, g) for h in uniq)))
+
+
+def exponent_sets(d, max_size=12):
+    return st.lists(st.tuples(*[st.integers(0, 8)] * d), max_size=max_size)
+
+
+class TestKernelOracles:
+    """Staircase (d <= 2) and degree-bucketed (d = 3) kernels against brute force."""
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_minimal_generators(self, data, d):
+        cands = data.draw(exponent_sets(d, max_size=20))
+        assert minimal_generators(cands) == oracle_minimal(cands)
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_contains(self, data, d):
+        i = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
+        m = data.draw(st.tuples(*[st.integers(0, 10)] * d))
+        assert i.contains(m) == any(divides(g, m) for g in i.gens)
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_product(self, data, d):
+        i = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
+        j = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
+        sums = [tuple(a + b for a, b in zip(g, h)) for g in i.gens for h in j.gens]
+        assert (i * j).gens == oracle_minimal(sums)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_contains_rejects_wrong_length(self, d):
+        i = MonomialIdeal(d, ((1,) * d,))
+        for m in ((5,) * (d - 1), (5,) * (d + 1)):
+            with pytest.raises(ValueError, match="variables"):
+                i.contains(m)
 
 
 class TestSaturation:

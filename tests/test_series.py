@@ -188,7 +188,31 @@ class TestClosure:
             return [((a, n - a), False) for a in range(n + 1)]
 
         broken = MonomialLinearSeries("broken", ambient, 1, provider, 10)
-        assert closure_violations(broken, 4)
+        assert closure_violations(broken, 4) == [
+            (1, 1, "((1, 0), False) * ((1, 0), False) escapes level 2"),
+        ]
+
+    def test_violations_under_stride_sampling(self):
+        # level pairs here exceed the 64-pair cap, so the reported witness
+        # of each (a, b) is the first escaping pair in the strided order
+        ambient = WeightedAmbient((1, 1, 1))
+
+        def provider(n):
+            mons = [((a, b, n - a - b), False)
+                    for a in range(n + 1) for b in range(n - a + 1)]
+            if n == 12:
+                mons = [m for m in mons if m[0][0] < 6]
+            return mons
+
+        broken = MonomialLinearSeries("sampled", ambient, 1, provider, 12)
+        assert closure_violations(broken, 12) == [
+            (1, 11, "((0, 0, 1), False) * ((6, 0, 5), False) escapes level 12"),
+            (2, 10, "((0, 0, 2), False) * ((6, 3, 1), False) escapes level 12"),
+            (3, 9, "((0, 0, 3), False) * ((6, 3, 0), False) escapes level 12"),
+            (4, 8, "((0, 0, 4), False) * ((6, 1, 1), False) escapes level 12"),
+            (5, 7, "((0, 0, 5), False) * ((6, 0, 1), False) escapes level 12"),
+            (6, 6, "((2, 2, 2), False) * ((4, 2, 0), False) escapes level 12"),
+        ]
 
 
 class TestSemigroupView:
