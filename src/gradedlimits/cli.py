@@ -3,7 +3,9 @@
 Subcommands: semigroup, family, series, volmult, eps.  Output is CSV to
 stdout or --out; --golden DIR compares the bytes against a committed golden
 file and --write-golden DIR refreshes it.  Exit codes: 0 all verdicts as
-expected, 1 verdict or golden mismatch, 2 usage error.
+expected, 1 verdict or golden mismatch, 2 usage error, bad input or an
+exceeded point budget (one ``error:`` line on stderr).  An explicit value
+such as ``--tol 0`` is used as given, never replaced by the spec default.
 """
 
 from __future__ import annotations
@@ -121,8 +123,8 @@ def _expected_ok(expect: str | None, report, max_modulus: int) -> bool:
 def _cmd_semigroup(args) -> int:
     spec = load_spec(args.spec)
     s = build_semigroup(spec)
-    horizon = args.horizon or _int(spec, "horizon", 200)
-    tol = args.tol or _fraction(spec, "tol", DEFAULT_TOL)
+    horizon = args.horizon if args.horizon is not None else _int(spec, "horizon", 200)
+    tol = args.tol if args.tol is not None else _fraction(spec, "tol", DEFAULT_TOL)
     truncs = _int_list(args.truncate) if args.truncate else \
         _int_list(_single(spec, "truncate", "1 2 4 8"))
     report = semigroup_limit_report(s, horizon, truncs, tol)
@@ -152,10 +154,10 @@ def _cmd_semigroup(args) -> int:
 
 def _cmd_family(args) -> int:
     spec = load_spec(args.spec)
-    horizon = args.horizon or _int(spec, "horizon", 210)
+    horizon = args.horizon if args.horizon is not None else _int(spec, "horizon", 210)
     family = build_family(spec, Path(args.spec).parent, horizon)
-    moduli = args.moduli or _int(spec, "moduli", 4)
-    tol = args.tol or _fraction(spec, "tol", DEFAULT_TOL)
+    moduli = args.moduli if args.moduli is not None else _int(spec, "moduli", 4)
+    tol = args.tol if args.tol is not None else _fraction(spec, "tol", DEFAULT_TOL)
     seq = length_sequence(family, horizon, threads=args.threads)
     report = convergence_report(seq, moduli, tol)
     rows = _seq_rows(seq) + _verdict_rows(report)
@@ -170,10 +172,10 @@ def _cmd_family(args) -> int:
 
 def _cmd_series(args) -> int:
     spec = load_spec(args.spec)
-    horizon = args.horizon or _int(spec, "horizon", 210)
+    horizon = args.horizon if args.horizon is not None else _int(spec, "horizon", 210)
     series = build_series(spec, horizon)
-    moduli = args.moduli or _int(spec, "moduli", 4)
-    tol = args.tol or _fraction(spec, "tol", DEFAULT_TOL)
+    moduli = args.moduli if args.moduli is not None else _int(spec, "moduli", 4)
+    tol = args.tol if args.tol is not None else _fraction(spec, "tol", DEFAULT_TOL)
     exponent = _int(spec, "exponent", series.natural_exponent)
     seq = dim_sequence(series, horizon, exponent, threads=args.threads)
     report = convergence_report(seq, moduli, tol)
@@ -194,10 +196,10 @@ def _cmd_series(args) -> int:
 
 def _cmd_volmult(args) -> int:
     spec = load_spec(args.spec)
-    horizon = args.horizon or _int(spec, "horizon", 400)
+    horizon = args.horizon if args.horizon is not None else _int(spec, "horizon", 400)
     family = build_family(spec, Path(args.spec).parent, horizon)
     pset = _int_list(args.pset) if args.pset else _int_list(_single(spec, "pset", "1 2 4 8"))
-    tol = args.tol or _fraction(spec, "tol", DEFAULT_TOL)
+    tol = args.tol if args.tol is not None else _fraction(spec, "tol", DEFAULT_TOL)
     report = volume_equals_multiplicity(family, pset, horizon, threads=args.threads)
     rows = [_row(record="meta",
                  detail=f"rhs=multiplicity(I_p)/p^d;lhs=d!*length/n^d at n={report.lhs_at}")]
@@ -219,9 +221,9 @@ def _cmd_volmult(args) -> int:
 
 def _cmd_eps(args) -> int:
     ideal = load_ideal(args.ideal)
-    horizon = args.horizon or 200
-    moduli = args.moduli or 4
-    tol = args.tol or DEFAULT_TOL
+    horizon = args.horizon if args.horizon is not None else 200
+    moduli = args.moduli if args.moduli is not None else 4
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     report = epsilon_multiplicity_report(ideal, horizon, moduli, tol,
                                          threads=args.threads)
     rows = _seq_rows(report.sequence) + _verdict_rows(report.convergence)
@@ -289,6 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_ranges(args) -> None:
+    """Reject out-of-range command-line values instead of running on them."""
+    if args.horizon is not None and args.horizon < 1:
+        raise ValueError(f"--horizon must be at least 1, got {args.horizon}")
+    if args.tol is not None and args.tol < 0:
+        raise ValueError(f"--tol must not be negative, got {args.tol}")
+    moduli = getattr(args, "moduli", None)
+    if moduli is not None and moduli < 1:
+        raise ValueError(f"--moduli must be at least 1, got {moduli}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -296,8 +309,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        _check_ranges(args)
         return args.fn(args)
-    except (SpecError, FileNotFoundError, ValueError) as exc:
+    except (SpecError, FileNotFoundError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -271,6 +271,8 @@ def semigroup_limit_report(s: GradedSemigroup, horizon: int,
     a dimension drop.
     """
     inv = invariants(s)
+    if horizon < inv.m:
+        raise ValueError(f"horizon {horizon} is below the degree index m = {inv.m}")
     emp = empirical_limit(s, horizon)
     entries = tuple((k, int(v * k ** inv.q), v) for k, v in emp)
     predicted = inv.predicted_limit

@@ -10,10 +10,9 @@ only defined in the generated case.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .lattice import (
     IntegerLattice,
@@ -58,8 +57,18 @@ class SemigroupInvariants:
 class GradedSemigroup:
     """Sub-semigroup of Z^d x N, generated or presented by a level oracle.
 
-    Level sets are memoized; the memo is append-only and lock-guarded so the
-    object can be shared between threads.
+    A generated semigroup fills its levels bottom-up, each level once, as
+    the union of S_{n-deg} + v over the generators (v, deg).  Only a window
+    of the last max(deg) levels is kept, with each point packed into one
+    int (see ``_pack``), so counting up to a horizon needs memory for a few
+    levels, not all of them.  ``level(n)`` memoizes the levels it is asked
+    for as frozensets of tuples; a request ahead of the window continues the
+    fill, one below it restarts the fill from level 1.  ``level_sizes``
+    streams the counts without memoizing.  An oracle semigroup memoizes
+    every level it is asked for.
+
+    ``point_budget`` caps the memoized points plus the window points; going
+    over it raises ``MemoryError``.  The object is not thread-safe.
     """
 
     def __init__(self, point_dim: int,
@@ -71,6 +80,9 @@ class GradedSemigroup:
         self.point_dim = point_dim
         self.level_oracle = level_oracle
         self.point_budget = point_budget
+        self._levels: dict[int, frozenset] = {}
+        self._points_stored = 0
+        self._window: list[set] = []
         if generators is not None:
             gens = []
             for vec, deg in generators:
@@ -81,11 +93,17 @@ class GradedSemigroup:
                     raise ValueError("negative degree")
                 gens.append((v, int(deg)))
             self.generators: tuple | None = tuple(sorted(gens))
+            by_degree: dict[int, list[int]] = {}
+            for v, deg in self.generators:
+                by_degree.setdefault(deg, []).append(_pack(v))
+            self._by_degree = sorted(by_degree.items())
+            self._span = max([1, *by_degree])
+            bound = max((abs(x) for v, _ in self.generators for x in v), default=0)
+            # k * bound < 2^63 keeps every level-k coordinate inside its slot
+            self._max_packed_level = (_HALF - 1) // bound if bound else None
+            self._restart_fill()
         else:
             self.generators = None
-        self._levels: dict[int, frozenset] = {}
-        self._points_stored = 0
-        self._lock = threading.Lock()
 
     # -- basic structure ----------------------------------------------------
 
@@ -104,49 +122,91 @@ class GradedSemigroup:
         return zero <= {(0,) * self.point_dim}
 
     def level(self, n: int) -> frozenset:
-        with self._lock:
-            if n in self._levels:
-                return self._levels[n]
-        if self.generators is not None:
-            result = self._generated_level(n)
+        """The level set S_n as a frozenset of integer tuples (memoized)."""
+        if n in self._levels:
+            return self._levels[n]
+        if self.generators is None:
+            result = self._oracle_level(n)
+        elif n <= 0:
+            result = frozenset()
         else:
-            result = frozenset(tuple(int(x) for x in p) for p in self.level_oracle(n))
-        with self._lock:
-            if n not in self._levels:
-                self._levels[n] = result
-                self._points_stored += len(result)
-            if self._points_stored > self.point_budget:
-                raise MemoryError("semigroup level memo exceeds the point budget")
+            d = self.point_dim
+            result = frozenset(_unpack(code, d) for code in self._packed_level(n))
+        self._check_budget(len(result))
+        self._levels[n] = result
+        self._points_stored += len(result)
         return result
 
-    def _generated_level(self, n: int) -> frozenset:
-        if n <= 0:
-            return frozenset()
-        # fill 1..n bottom-up so the recursion never gets deep
-        for k in range(1, n + 1):
-            with self._lock:
-                if k in self._levels:
-                    continue
-            points = set()
-            for vec, deg in self.generators:
-                if deg == 0:
-                    raise ValueError("level enumeration needs strictly positive degrees")
-                if deg == k:
-                    points.add(vec)
-                elif deg < k:
-                    with self._lock:
-                        prev = self._levels.get(k - deg, frozenset())
-                    for p in prev:
-                        points.add(tuple(a + b for a, b in zip(p, vec)))
-            frozen = frozenset(points)
-            with self._lock:
-                if k not in self._levels:
-                    self._levels[k] = frozen
-                    self._points_stored += len(frozen)
-                if self._points_stored > self.point_budget:
-                    raise MemoryError("semigroup level memo exceeds the point budget")
-        with self._lock:
-            return self._levels[n]
+    def level_sizes(self, n_max: int) -> Iterator[tuple[int, int]]:
+        """Yield (n, #S_n) for n = 1 .. n_max without memoizing any level."""
+        for n in range(1, n_max + 1):
+            if self.generators is None:
+                yield n, len(self._oracle_level(n))
+            else:
+                yield n, len(self._packed_level(n))
+
+    def _oracle_level(self, n: int) -> frozenset:
+        return frozenset(tuple(int(x) for x in p) for p in self.level_oracle(n))
+
+    # -- the fill window (generated semigroups) -----------------------------
+
+    def _check_budget(self, extra: int) -> None:
+        window_points = sum(map(len, self._window))
+        if self._points_stored + window_points + extra > self.point_budget:
+            raise MemoryError("semigroup points exceed the point budget")
+
+    def _restart_fill(self) -> None:
+        # slot n % span holds level n for the last span levels; level 0 is
+        # the origin (so a generator of degree n lands in S_n) and the
+        # levels below 0 are empty
+        self._window = [set() for _ in range(self._span)]
+        self._window[0].add(0)
+        self._top = 0
+
+    def _packed_level(self, n: int) -> set:
+        """Level n >= 1 as a set of packed points, filled through the window."""
+        if n <= self._top - self._span:
+            self._restart_fill()
+        if self._by_degree and self._by_degree[0][0] == 0:
+            raise ValueError("level enumeration needs strictly positive degrees")
+        window, span = self._window, self._span
+        while self._top < n:
+            k = self._top + 1
+            if self._max_packed_level is not None and k > self._max_packed_level:
+                raise ValueError(f"level {k}: generator coordinates could reach 2^63, "
+                                 "beyond the packed point range")
+            points: set = set()
+            for deg, codes in self._by_degree:
+                prev = window[(k - deg) % span]
+                for code in codes:
+                    points.update(map(code.__add__, prev))
+            window[k % span] = points
+            self._top = k
+            self._check_budget(0)
+        return window[n % span]
+
+
+_SLOT = 64
+_HALF = 1 << (_SLOT - 1)
+_MASK = (1 << _SLOT) - 1
+
+
+def _pack(vec: tuple) -> int:
+    """Sum of x_i * 2^(64 i): injective on points with every |x_i| < 2^63,
+    and adding two packed points packs the sum of the points."""
+    return sum(x << (_SLOT * i) for i, x in enumerate(vec))
+
+
+def _unpack(code: int, dim: int) -> tuple:
+    """Inverse of ``_pack`` on points with every |x_i| < 2^63."""
+    out = []
+    for _ in range(dim):
+        x = code & _MASK
+        if x >= _HALF:
+            x -= 1 << _SLOT
+        out.append(x)
+        code = (code - x) >> _SLOT
+    return tuple(out)
 
 
 def enumerate_levels(s: GradedSemigroup, n_max: int) -> dict[int, frozenset]:
@@ -223,11 +283,8 @@ def predicted_limit(s: GradedSemigroup) -> Fraction:
 def empirical_limit(s: GradedSemigroup, n_max: int) -> list[tuple[int, Fraction]]:
     """The exact scaled counts (k, #S_{mk} / k^q) for mk <= n_max."""
     inv = invariants(s)
-    out = []
-    for k in range(1, n_max // inv.m + 1):
-        count = len(s.level(inv.m * k))
-        out.append((k, Fraction(count, k ** inv.q)))
-    return out
+    return [(n // inv.m, Fraction(count, (n // inv.m) ** inv.q))
+            for n, count in s.level_sizes(n_max) if n % inv.m == 0]
 
 
 def truncate(s: GradedSemigroup, p: int) -> GradedSemigroup:

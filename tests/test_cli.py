@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from gradedlimits import cli
 from gradedlimits.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -45,6 +46,56 @@ class TestExitCodes:
     def test_volmult(self, tmp_path):
         assert run("volmult", SPECS / "volmult_valuation12.spec",
                    "--out", tmp_path / "o.csv") == 0
+
+
+class TestArgumentEdges:
+    """Explicit values are honoured; out-of-range ones exit 2 in one line."""
+
+    def assert_usage_error(self, capsys, *argv, match):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_zero_tol_is_not_the_default(self, tmp_path):
+        # the horizon-400 gap is 1/200, inside the default tol but not inside 0
+        out = tmp_path / "o.csv"
+        assert run("semigroup", SPECS / "semigroup_halfstep.spec", "--tol", 0,
+                   "--out", out) == 1
+        assert "summary" in out.read_text() and ",mismatch," in out.read_text()
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one(self, capsys, tmp_path, horizon):
+        self.assert_usage_error(capsys, "semigroup", SPECS / "semigroup_halfstep.spec",
+                                "--horizon", horizon, "--out", tmp_path / "o.csv",
+                                match="--horizon")
+
+    def test_negative_tol(self, capsys, tmp_path):
+        self.assert_usage_error(capsys, "family", SPECS / "family_nilpair_sigma.spec",
+                                "--tol=-1/10", "--out", tmp_path / "o.csv",
+                                match="--tol")
+
+    def test_moduli_below_one(self, capsys, tmp_path):
+        self.assert_usage_error(capsys, "eps", IDEALS / "x2_xy.ideal", "--moduli", 0,
+                                "--out", tmp_path / "o.csv", match="--moduli")
+
+    def test_horizon_below_degree_index(self, capsys, tmp_path):
+        spec = tmp_path / "even.spec"
+        spec.write_text("kind: semigroup\ngenerator: 0 2\ngenerator: 2 2\n")
+        self.assert_usage_error(capsys, "semigroup", spec, "--horizon", 1,
+                                "--out", tmp_path / "o.csv", match="degree index")
+
+    def test_point_budget_overflow(self, capsys, monkeypatch, tmp_path):
+        build = cli.build_semigroup
+
+        def small_budget(spec):
+            s = build(spec)
+            s.point_budget = 50
+            return s
+
+        monkeypatch.setattr(cli, "build_semigroup", small_budget)
+        self.assert_usage_error(capsys, "semigroup", SPECS / "semigroup_halfstep.spec",
+                                "--out", tmp_path / "o.csv", match="point budget")
 
 
 class TestGolden:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedlimits.lattice import polytope_contains
 from gradedlimits.semigroup import (
@@ -76,6 +77,67 @@ class TestLevels:
         s = GradedSemigroup(1, generators=[((0,), 1), ((1,), 1)], point_budget=50)
         with pytest.raises(MemoryError):
             enumerate_levels(s, 100)
+
+
+    def test_budget_counts_window_not_horizon(self):
+        # the levels up to 2000 hold about 10^6 points; the fill window holds
+        # at most a few thousand, and only the window counts
+        s = GradedSemigroup(1, generators=[((0,), 1), ((1,), 2)], point_budget=10_000)
+        assert empirical_limit(s, 2000)[-1] == (2000, Fraction(1001, 2000))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_packing_guard(self, sign):
+        # level k has coordinates up to k * 2^62, which reaches 2^63 at k = 2
+        s = GradedSemigroup(2, generators=[((0, sign * 2**62), 1)])
+        assert s.level(1) == {(0, sign * 2**62)}
+        with pytest.raises(ValueError, match="level 2"):
+            s.level(2)
+        with pytest.raises(ValueError, match="level 2"):
+            list(s.level_sizes(3))
+
+
+def brute_levels(dim, gens, horizon):
+    """S_1 .. S_horizon by walking every multiset of generators directly."""
+    levels = {n: set() for n in range(1, horizon + 1)}
+
+    def walk(i, deg, pt):
+        if i == len(gens):
+            if deg >= 1:
+                levels[deg].add(pt)
+            return
+        vec, d = gens[i]
+        copies = 0
+        while deg + copies * d <= horizon:
+            walk(i + 1, deg + copies * d,
+                 tuple(p + copies * v for p, v in zip(pt, vec)))
+            copies += 1
+
+    walk(0, 0, (0,) * dim)
+    return {n: frozenset(pts) for n, pts in levels.items()}
+
+
+class TestFillOracle:
+    """The windowed, packed fill against direct multiset enumeration."""
+
+    HORIZON = 15
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_levels_and_sizes(self, data, dim):
+        gens = data.draw(st.lists(
+            st.tuples(st.tuples(*[st.integers(-3, 3)] * dim), st.integers(1, 3)),
+            min_size=1, max_size=4))
+        expect = brute_levels(dim, gens, self.HORIZON)
+        ns = list(range(1, self.HORIZON + 1))
+        sizes = [(n, len(expect[n])) for n in ns]
+        assert list(GradedSemigroup(dim, generators=gens).level_sizes(self.HORIZON)) == sizes
+        shuffled = data.draw(st.lists(st.sampled_from(ns), max_size=30))
+        for order in (ns, ns[::-1], [n for n in shuffled for _ in range(2)]):
+            s = GradedSemigroup(dim, generators=gens)
+            for n in order:
+                assert s.level(n) == expect[n], (gens, n)
+            # the fill now sits wherever the requests left it
+            assert list(s.level_sizes(self.HORIZON)) == sizes
 
 
 class TestInvariants:
