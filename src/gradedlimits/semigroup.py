@@ -100,7 +100,7 @@ class GradedSemigroup:
             self._span = max([1, *by_degree])
             bound = max((abs(x) for v, _ in self.generators for x in v), default=0)
             # k * bound < 2^63 keeps every level-k coordinate inside its slot
-            self._max_packed_level = (_HALF - 1) // bound if bound else None
+            self._max_packed_level = (_HALF - 1) // max(bound, 1)
             self._restart_fill()
         else:
             self.generators = None
@@ -172,7 +172,7 @@ class GradedSemigroup:
         window, span = self._window, self._span
         while self._top < n:
             k = self._top + 1
-            if self._max_packed_level is not None and k > self._max_packed_level:
+            if k > self._max_packed_level:
                 raise ValueError(f"level {k}: generator coordinates could reach 2^63, "
                                  "beyond the packed point range")
             points: set = set()
