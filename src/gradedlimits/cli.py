@@ -34,6 +34,7 @@ from .specfiles import (
     build_series,
     load_ideal,
     load_spec,
+    rational,
     _single,
     _int,
     _fraction,
@@ -158,7 +159,7 @@ def _cmd_family(args) -> int:
     family = build_family(spec, Path(args.spec).parent, horizon)
     moduli = args.moduli if args.moduli is not None else _int(spec, "moduli", 4)
     tol = args.tol if args.tol is not None else _fraction(spec, "tol", DEFAULT_TOL)
-    seq = length_sequence(family, horizon, threads=args.threads)
+    seq = length_sequence(family, horizon)
     report = convergence_report(seq, moduli, tol)
     rows = _seq_rows(seq) + _verdict_rows(report)
     expect = args.expect or _single(spec, "expect")
@@ -177,7 +178,7 @@ def _cmd_series(args) -> int:
     moduli = args.moduli if args.moduli is not None else _int(spec, "moduli", 4)
     tol = args.tol if args.tol is not None else _fraction(spec, "tol", DEFAULT_TOL)
     exponent = _int(spec, "exponent", series.natural_exponent)
-    seq = dim_sequence(series, horizon, exponent, threads=args.threads)
+    seq = dim_sequence(series, horizon, exponent)
     report = convergence_report(seq, moduli, tol)
     inv = series_invariants(series)
     kappa = "-inf" if inv.kappa == float("-inf") else str(inv.kappa)
@@ -200,7 +201,7 @@ def _cmd_volmult(args) -> int:
     family = build_family(spec, Path(args.spec).parent, horizon)
     pset = _int_list(args.pset) if args.pset else _int_list(_single(spec, "pset", "1 2 4 8"))
     tol = args.tol if args.tol is not None else _fraction(spec, "tol", DEFAULT_TOL)
-    report = volume_equals_multiplicity(family, pset, horizon, threads=args.threads)
+    report = volume_equals_multiplicity(family, pset, horizon)
     rows = [_row(record="meta",
                  detail=f"rhs=multiplicity(I_p)/p^d;lhs=d!*length/n^d at n={report.lhs_at}")]
     rows.append(_row(record="lhs", n=report.lhs_at, scaled=_ff(report.lhs),
@@ -224,8 +225,7 @@ def _cmd_eps(args) -> int:
     horizon = args.horizon if args.horizon is not None else 200
     moduli = args.moduli if args.moduli is not None else 4
     tol = args.tol if args.tol is not None else DEFAULT_TOL
-    report = epsilon_multiplicity_report(ideal, horizon, moduli, tol,
-                                         threads=args.threads)
+    report = epsilon_multiplicity_report(ideal, horizon, moduli, tol)
     rows = _seq_rows(report.sequence) + _verdict_rows(report.convergence)
     ok = _expected_ok(args.expect, report.convergence, moduli)
     rows.append(_row(record="summary", verdict="ok" if ok else "mismatch",
@@ -242,11 +242,12 @@ def _cmd_eps(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--horizon", type=int, default=None)
-    sub.add_argument("--tol", type=Fraction, default=None)
+    sub.add_argument("--tol", type=rational, default=None)
     sub.add_argument("--out", default=None)
     sub.add_argument("--golden", default=None)
     sub.add_argument("--write-golden", dest="write_golden", default=None)
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored; the library is single-threaded")
 
 
 def build_parser() -> argparse.ArgumentParser:

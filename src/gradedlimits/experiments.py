@@ -2,19 +2,18 @@
 verdicts over residue classes, and the volume/multiplicity and saturation
 experiments.
 
-Every report is a pure function of its inputs; parallel evaluation is
-collected in input order so results are bit-identical for any thread count.
+Every report is a pure function of its inputs, computed in one thread in
+input order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .families import GradedFamily, POLYNOMIAL
+from .families import GradedFamily, POLYNOMIAL, _incremental_powers
 from .monomial import (
     MonomialIdeal,
     colength,
@@ -31,14 +30,6 @@ from .semigroup import (
 from .series import MonomialLinearSeries
 
 DEFAULT_TOL = Fraction(1, 50)
-
-
-def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Map with optional thread pool; output order always follows input."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +59,20 @@ class ScaledSequence:
         return max(m for m, _, _ in self.entries)
 
 
-def _scale(raw: int | Fraction, n: int, exponent: int) -> Fraction:
-    return Fraction(raw) / n ** exponent
+def _scaled_sequence(label: str, normalization: str, exponent: int,
+                     ns: Iterable[int],
+                     raw: Callable[[int], int | Fraction]) -> ScaledSequence:
+    """Entries (n, raw(n), raw(n)/n^exponent) for n in ns, in order."""
+    entries = []
+    for n in ns:
+        value = Fraction(raw(n))
+        entries.append((n, value, value / n ** exponent))
+    return ScaledSequence(label=label, exponent=exponent,
+                          normalization=normalization, entries=tuple(entries))
 
 
 def length_sequence(family: GradedFamily, n_max: int | None = None,
-                    ns: Iterable[int] | None = None, threads: int = 1) -> ScaledSequence:
+                    ns: Iterable[int] | None = None) -> ScaledSequence:
     """Exact lengths of R/I_n scaled by n^d (unscaled in the Artin model)."""
     if ns is None:
         ns = range(1, n_max + 1)
@@ -82,51 +81,31 @@ def length_sequence(family: GradedFamily, n_max: int | None = None,
         raise ValueError("indices must be positive")
     exponent = family.length_exponent
 
-    def entry(n: int):
+    def raw(n: int) -> int:
         try:
-            raw = family.length(n)
+            return family.length(n)
         except ValueError as exc:
             raise ValueError(f"level {n}: {exc}") from exc
-        return (n, Fraction(raw), _scale(raw, n, exponent))
 
-    entries = parallel_map(entry, ns, threads)
-    return ScaledSequence(label=f"length[{family.name}]", exponent=exponent,
-                          normalization=f"length/n^{exponent}",
-                          entries=tuple(entries))
+    return _scaled_sequence(f"length[{family.name}]", f"length/n^{exponent}",
+                            exponent, ns, raw)
 
 
-def dim_sequence(series: MonomialLinearSeries, n_max: int, exponent: int,
-                 threads: int = 1) -> ScaledSequence:
+def dim_sequence(series: MonomialLinearSeries, n_max: int,
+                 exponent: int) -> ScaledSequence:
     """Exact series dimensions scaled by n^exponent."""
-
-    def entry(n: int):
-        raw = series.dim(n)
-        return (n, Fraction(raw), _scale(raw, n, exponent))
-
-    entries = parallel_map(entry, range(1, n_max + 1), threads)
-    return ScaledSequence(label=f"dim[{series.name}]", exponent=exponent,
-                          normalization=f"dim/n^{exponent}",
-                          entries=tuple(entries))
+    return _scaled_sequence(f"dim[{series.name}]", f"dim/n^{exponent}",
+                            exponent, range(1, n_max + 1), series.dim)
 
 
-def saturation_gap_sequence(ideal: MonomialIdeal, n_max: int,
-                            threads: int = 1) -> ScaledSequence:
+def saturation_gap_sequence(ideal: MonomialIdeal, n_max: int) -> ScaledSequence:
     """len((I^n)^sat / I^n) * d! / n^d, the local-cohomology length sequence."""
     d = ideal.num_vars
-    powers = [None] * (n_max + 1)
-    acc = MonomialIdeal(d, (((0,) * d),))
-    for n in range(1, n_max + 1):
-        acc = acc * ideal
-        powers[n] = acc
-
-    def entry(n: int):
-        raw = saturation_quotient_colength(powers[n]) * math.factorial(d)
-        return (n, Fraction(raw), _scale(raw, n, d))
-
-    entries = parallel_map(entry, range(1, n_max + 1), threads)
-    return ScaledSequence(label="saturation_gap", exponent=d,
-                          normalization=f"len*{math.factorial(d)}/n^{d}",
-                          entries=tuple(entries))
+    d_fact = math.factorial(d)
+    power = _incremental_powers(ideal)
+    return _scaled_sequence(
+        "saturation_gap", f"len*{d_fact}/n^{d}", d, range(1, n_max + 1),
+        lambda n: saturation_quotient_colength(power(n)) * d_fact)
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +295,21 @@ class VolMultReport:
 
 
 def volume_equals_multiplicity(family: GradedFamily, p_list: Sequence[int],
-                               horizon: int, threads: int = 1) -> VolMultReport:
+                               horizon: int) -> VolMultReport:
     """Compare e(I_p)/p^d for each p in `p_list` with the scaled length tail.
 
     Each row holds the exact e(I_p)/p^d for its own p.  `lhs` is
     d! * len(R/I_n)/n^d at n = `horizon`.  The theorem equates only the
     limits of the two sides, so a row for small p may differ from `lhs`.
+    Every p must be at least 1.
     """
     if family.ring_kind != POLYNOMIAL:
         raise ValueError("multiplicity experiment needs the polynomial model")
+    for p in p_list:
+        if p < 1:
+            raise ValueError(f"powers p must be at least 1, got {p}")
     d = family.dim
-
-    def rhs(p: int) -> Fraction:
-        return multiplicity(family.ideal(p)) / Fraction(p) ** d
-
-    rhs_vals = parallel_map(rhs, list(p_list), threads)
+    rhs_vals = [multiplicity(family.ideal(p)) / Fraction(p) ** d for p in p_list]
     lhs = Fraction(math.factorial(d)) * Fraction(family.length(horizon)) / horizon ** d
     rows = tuple((p, v, abs(v - lhs)) for p, v in zip(p_list, rhs_vals))
     return VolMultReport(lhs_at=horizon, lhs=lhs, rows=rows)
@@ -348,7 +327,6 @@ class EpsilonReport:
 
 def epsilon_multiplicity_report(ideal: MonomialIdeal, horizon: int,
                                 max_modulus: int = 4,
-                                tol: Fraction = DEFAULT_TOL,
-                                threads: int = 1) -> EpsilonReport:
-    seq = saturation_gap_sequence(ideal, horizon, threads)
+                                tol: Fraction = DEFAULT_TOL) -> EpsilonReport:
+    seq = saturation_gap_sequence(ideal, horizon)
     return EpsilonReport(seq, convergence_report(seq, max_modulus, tol))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -124,17 +123,13 @@ class GradedFamily:
     t: int | None = None
     schedule: BlockSchedule | None = None
     _memo: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def ideal(self, n: int):
         if n < 0:
             raise ValueError("negative index")
-        with self._lock:
-            if n in self._memo:
-                return self._memo[n]
-        value = self.provider(n)
-        with self._lock:
-            return self._memo.setdefault(n, value)
+        if n not in self._memo:
+            self._memo[n] = self.provider(n)
+        return self._memo[n]
 
     def length(self, n: int) -> int:
         """Length of R/I_n in the family's ring model."""
@@ -156,16 +151,13 @@ class GradedFamily:
 # ---------------------------------------------------------------------------
 
 def _incremental_powers(ideal: MonomialIdeal):
-    powers = {0: unit_ideal(ideal.num_vars)}
-    lock = threading.Lock()
+    """n -> I^n, each power built once as the previous power times I."""
+    powers = [unit_ideal(ideal.num_vars)]
 
     def power(n: int) -> MonomialIdeal:
-        with lock:
-            top = max(powers)
-            while top < n:
-                powers[top + 1] = powers[top] * ideal
-                top += 1
-            return powers[n]
+        while len(powers) <= n:
+            powers.append(powers[-1] * ideal)
+        return powers[n]
 
     return power
 
@@ -257,6 +249,23 @@ def valuation_family(weights: Sequence) -> GradedFamily:
                         provider=provider, c=c, beta=beta)
 
 
+def _nilpair_family(name: str, dim: int, offset: Callable[[int], int],
+                    schedule: BlockSchedule | None = None) -> GradedFamily:
+    """Pairs (m^n, y*m^{n - offset(n)}) in the square-zero extension of
+    polynomial(dim)."""
+    if dim < 1:
+        raise ValueError(f"nilpotent-pair families need dim >= 1, got {dim}")
+
+    def provider(n: int) -> NilPairIdeal:
+        if n == 0:
+            return unit_nilpair(dim)
+        return NilPairIdeal(max_ideal_power(dim, n),
+                            max_ideal_power(dim, max(0, n - offset(n))))
+
+    return GradedFamily(name=name, ring_kind=NILPAIR, dim=dim,
+                        provider=provider, c=1, schedule=schedule)
+
+
 def nilpair_sigma_family(dim: int, schedule: BlockSchedule | None = None) -> GradedFamily:
     """Pairs (m^n, y*m^{n - sigma(n)}) in the square-zero extension.
 
@@ -264,15 +273,7 @@ def nilpair_sigma_family(dim: int, schedule: BlockSchedule | None = None) -> Gra
     limit along any arithmetic progression.
     """
     schedule = schedule or BlockSchedule.default()
-
-    def provider(n: int) -> NilPairIdeal:
-        if n == 0:
-            return unit_nilpair(dim)
-        return NilPairIdeal(max_ideal_power(dim, n),
-                            max_ideal_power(dim, n - schedule.sigma(n)))
-
-    return GradedFamily(name="nilpair_sigma", ring_kind=NILPAIR, dim=dim,
-                        provider=provider, c=1, schedule=schedule)
+    return _nilpair_family("nilpair_sigma", dim, schedule.sigma, schedule)
 
 
 def perturbed_power_family(dim: int, schedule: BlockSchedule | None = None) -> GradedFamily:
@@ -283,15 +284,7 @@ def perturbed_power_family(dim: int, schedule: BlockSchedule | None = None) -> G
     nilpair_sigma_family.
     """
     schedule = schedule or BlockSchedule.default()
-
-    def provider(n: int) -> NilPairIdeal:
-        if n == 0:
-            return unit_nilpair(dim)
-        socle = n - schedule.sigma(n)
-        return NilPairIdeal(max_ideal_power(dim, n), max_ideal_power(dim, socle))
-
-    return GradedFamily(name="perturbed_power", ring_kind=NILPAIR, dim=dim,
-                        provider=provider, c=1, schedule=schedule)
+    return _nilpair_family("perturbed_power", dim, schedule.sigma, schedule)
 
 
 def artin_tau_family(t: int, schedule: BlockSchedule | None = None) -> GradedFamily:
@@ -314,18 +307,7 @@ def artin_tau_family(t: int, schedule: BlockSchedule | None = None) -> GradedFam
 def corrupted_sigma_family(dim: int = 1) -> GradedFamily:
     """Deliberately broken fixture: the schedule offset decreases with n,
     which violates the graded containment (used to exercise the checker)."""
-
-    def fake_sigma(n: int) -> int:
-        return max(1, 6 - n)
-
-    def provider(n: int) -> NilPairIdeal:
-        if n == 0:
-            return unit_nilpair(dim)
-        socle = max(0, n - fake_sigma(n))
-        return NilPairIdeal(max_ideal_power(dim, n), max_ideal_power(dim, socle))
-
-    return GradedFamily(name="corrupted_sigma", ring_kind=NILPAIR, dim=dim,
-                        provider=provider, c=1)
+    return _nilpair_family("corrupted_sigma", dim, lambda n: max(1, 6 - n))
 
 
 BUILTIN_FAMILY_NAMES = ("power", "valuation", "saturation", "symbolic",

@@ -269,10 +269,6 @@ def symbolic_core_fixpoint(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -
 # colength (staircase complement count)
 # ---------------------------------------------------------------------------
 
-_COLENGTH_CACHE: dict[tuple, int] = {}
-_MAXDEG_CACHE: dict[tuple, int] = {}
-
-
 def colength(ideal: MonomialIdeal) -> int:
     """Number of standard monomials, dim_k of the quotient.
 
@@ -313,13 +309,9 @@ def _colength(num_vars: int, gens: tuple[Exponent, ...]) -> int:
         return 0
     if num_vars == 1:
         return min(g[0] for g in gens)
-    cached = _COLENGTH_CACHE.get(gens)
-    if cached is not None:
-        return cached
     total = 0
     for width, slice_gens in _last_var_sweep(gens):
         total += width * _colength(num_vars - 1, slice_gens)
-    _COLENGTH_CACHE[gens] = total
     return total
 
 
@@ -353,9 +345,6 @@ def _max_standard_degree(num_vars: int, gens: tuple[Exponent, ...]) -> int:
         return -1
     if num_vars == 1:
         return min(g[0] for g in gens) - 1
-    cached = _MAXDEG_CACHE.get(gens)
-    if cached is not None:
-        return cached
     best = -1
     offset = 0
     for width, slice_gens in _last_var_sweep(gens):
@@ -364,7 +353,6 @@ def _max_standard_degree(num_vars: int, gens: tuple[Exponent, ...]) -> int:
             # slice complement monomials gain the last coordinate as degree
             best = max(best, sub + offset + width - 1)
         offset += width
-    _MAXDEG_CACHE[gens] = best
     return best
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, Iterable
@@ -54,7 +53,7 @@ class WeightedAmbient:
 
 
 class MonomialLinearSeries:
-    """Level-indexed monomial bases L_n with lazily memoized levels.
+    """Level-indexed monomial bases L_n; levels are built on each call.
 
     ``expected_dim`` is an optional closed-form level dimension used by
     reports as an independent cross-check; ``dim`` always counts the actual
@@ -67,8 +66,7 @@ class MonomialLinearSeries:
                  expected_dim: Callable[[int], int] | None = None,
                  declared_kappa=None, declared_index: int | None = None,
                  natural_exponent: int = 0,
-                 check_degrees: bool = True,
-                 cache_points: int = 400_000):
+                 check_degrees: bool = True):
         self.name = name
         self.ambient = ambient
         self.twist = twist
@@ -79,28 +77,16 @@ class MonomialLinearSeries:
         self.natural_exponent = natural_exponent
         self.check_degrees = check_degrees
         self._provider = provider
-        self._cache: dict[int, frozenset] = {}
-        self._cache_points = cache_points
-        self._cached_points = 0
-        self._lock = threading.Lock()
 
     def level(self, n: int) -> frozenset:
         if n < 0:
             raise ValueError("negative level")
         if n > self.horizon:
             raise ValueError(f"level {n} beyond series horizon {self.horizon}")
-        with self._lock:
-            if n in self._cache:
-                return self._cache[n]
         result = frozenset((tuple(int(e) for e in exps), bool(nil))
                            for exps, nil in self._provider(n))
         if self.check_degrees:
             self._check_level_degrees(n, result)
-        with self._lock:
-            if self._cached_points + len(result) <= self._cache_points \
-                    and n not in self._cache:
-                self._cache[n] = result
-                self._cached_points += len(result)
         return result
 
     def _check_level_degrees(self, n: int, monomials: frozenset):
@@ -215,15 +201,17 @@ def closure_violations(series: MonomialLinearSeries, horizon: int,
     """Check L_a * L_b inside L_{a+b} on a deterministic sample of monomial
     pairs (up to pair_cap per level pair; exhaustive when small)."""
     out = []
-    # each level is sorted once; the strided pair order below indexes into it
-    ordered = {n: sorted(series.level(n)) for n in range(1, horizon)}
+    # each level is built and sorted once; the strided pair order below
+    # indexes into the sorted lists and tests membership in the sets
+    levels = {n: series.level(n) for n in range(1, horizon + 1)}
+    ordered = {n: sorted(levels[n]) for n in range(1, horizon)}
     for total in range(2, horizon + 1):
         for a in range(1, total // 2 + 1):
             b = total - a
             la, lb = ordered[a], ordered[b]
             if not la or not lb:
                 continue
-            target = series.level(total)
+            target = levels[total]
             pairs = len(la) * len(lb)
             stride = max(1, pairs // pair_cap)
             for k in range(0, pairs, stride):

@@ -120,9 +120,17 @@ def _int(spec: dict, key: str, default=None):
     return default if v is None else int(v)
 
 
+def rational(text: str) -> Fraction:
+    """Parse an exact rational such as ``3/2`` or ``0.02``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecError(f"bad rational {text!r}: {exc}") from None
+
+
 def _fraction(spec: dict, key: str, default=None):
     v = _single(spec, key)
-    return default if v is None else Fraction(v)
+    return default if v is None else rational(v)
 
 
 def _int_list(value: str) -> list[int]:
@@ -165,7 +173,9 @@ def _tset_from_spec(spec: dict):
     if parts[0] == "all":
         return lambda n: True
     if parts[0] == "mod":
-        r = int(parts[1])
+        r = int(parts[1]) if len(parts) > 1 else 0
+        if r < 1:
+            raise SpecError("tset 'mod r a..' needs a modulus r >= 1")
         residues = tuple(int(x) for x in parts[2:])
         return ("mod", r, residues)
     if parts[0] == "set":
@@ -212,7 +222,7 @@ def build_family(spec: dict, base_dir: Path | None = None,
         raw = _single(spec, "lambda")
         if raw is None:
             raise SpecError("valuation family needs 'lambda'")
-        return valuation_family([Fraction(tok) for tok in raw.split()])
+        return valuation_family([rational(tok) for tok in raw.split()])
     schedule = _schedule_from_spec(spec, horizon)
     if kind == "nilpair_sigma":
         return nilpair_sigma_family(_int(spec, "dim", 1), schedule)

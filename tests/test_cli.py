@@ -97,6 +97,37 @@ class TestArgumentEdges:
         self.assert_usage_error(capsys, "semigroup", SPECS / "semigroup_halfstep.spec",
                                 "--out", tmp_path / "o.csv", match="point budget")
 
+    def test_pset_below_one(self, capsys, tmp_path):
+        self.assert_usage_error(capsys, "volmult", SPECS / "volmult_valuation12.spec",
+                                "--pset", "0", "--out", tmp_path / "o.csv",
+                                match="at least 1")
+
+    @pytest.mark.parametrize("cmd, text, match", [
+        ("volmult", "family: valuation\nlambda: 1 2\npset: 2 0\n", "at least 1"),
+        ("family", "family: nilpair_sigma\ndim: 0\n", "dim >= 1"),
+        ("family", "family: perturbed_power\ndim: 0\n", "dim >= 1"),
+        ("family", "family: corrupted_sigma\ndim: 0\n", "dim >= 1"),
+        ("family", "family: valuation\nlambda: 1/0 2\n", "bad rational"),
+        ("family", "family: valuation\nlambda: 1 2\ntol: 1/0\n", "bad rational"),
+        ("series", "series: log_nil\ntset: mod 0 1\n", "modulus"),
+        ("series", "series: log_nil\ntset: mod\n", "modulus"),
+    ], ids=["pset-line", "nilpair-dim0", "perturbed-dim0", "corrupted-dim0",
+            "lambda-1/0", "tol-1/0", "tset-mod-0", "tset-mod-missing"])
+    def test_bad_spec_value(self, capsys, tmp_path, cmd, text, match):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        self.assert_usage_error(capsys, cmd, spec, "--horizon", 10,
+                                "--out", tmp_path / "o.csv", match=match)
+
+    def test_tol_zero_denominator(self, capsys, tmp_path):
+        # rejected by argparse, which prints its usage line first
+        assert run("family", SPECS / "family_nilpair_sigma.spec", "--tol", "1/0",
+                   "--out", tmp_path / "o.csv") == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "gradedlimits family: error: argument --tol: invalid rational value: '1/0'"]
+        assert "Traceback" not in err
+
 
 class TestGolden:
     def test_write_then_compare(self, tmp_path):

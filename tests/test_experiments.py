@@ -12,7 +12,6 @@ from gradedlimits.experiments import (
     dim_sequence,
     epsilon_multiplicity_report,
     length_sequence,
-    parallel_map,
     semigroup_limit_report,
     smallest_converging_modulus,
     volume_equals_multiplicity,
@@ -121,10 +120,6 @@ class TestLengthSequences:
             for n, raw, _ in seq.entries:
                 assert raw <= math.comb(c * n + d - 1, d)
 
-    def test_threads_do_not_change_results(self):
-        f = valuation_family((1, 2))
-        assert length_sequence(f, 40, threads=4) == length_sequence(f, 40)
-
 
 class TestVerdictSoundness:
     def test_convergent_fixtures_never_oscillate(self):
@@ -230,10 +225,3 @@ class TestEps:
     def test_principal_all_zero(self):
         rep = epsilon_multiplicity_report(MonomialIdeal(2, ((1, 0),)), 40)
         assert all(v == 0 for _, _, v in rep.sequence.entries)
-
-
-class TestParallelMap:
-    def test_order_preserved(self):
-        items = list(range(50))
-        assert parallel_map(lambda x: x * x, items, threads=8) == \
-            [x * x for x in items]

@@ -214,6 +214,19 @@ class TestClosure:
             (6, 6, "((2, 2, 2), False) * ((4, 2, 0), False) escapes level 12"),
         ]
 
+    def test_each_level_built_once(self):
+        # levels are not memoized, so the check must hold its own copy
+        calls = []
+
+        def provider(n):
+            calls.append(n)
+            return [((a, n - a), False) for a in range(n + 1)]
+
+        series = MonomialLinearSeries("counted", WeightedAmbient((1, 1)), 1,
+                                      provider, 20)
+        assert closure_violations(series, 20) == []
+        assert sorted(calls) == list(range(1, 21))
+
 
 class TestSemigroupView:
     def test_full_model_counts(self):
