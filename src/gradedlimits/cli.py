@@ -4,8 +4,10 @@ Subcommands: semigroup, family, series, volmult, eps.  Output is CSV to
 stdout or --out; --golden DIR compares the bytes against a committed golden
 file and --write-golden DIR refreshes it.  Exit codes: 0 all verdicts as
 expected, 1 verdict or golden mismatch, 2 usage error, bad input or an
-exceeded point budget (one ``error:`` line on stderr).  An explicit value
-such as ``--tol 0`` is used as given, never replaced by the spec default.
+exceeded point budget (one ``error:`` line on stderr).  Horizon, moduli and
+tol come from the flag, else the spec key, else the default, and are
+range-checked whichever source gave them; an explicit value such as
+``--tol 0`` is used as given, never replaced by the spec default.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import argparse
 import csv
 import io
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .experiments import (
@@ -46,11 +47,7 @@ FIELDS = ("record", "n", "residue_class", "raw", "scaled", "scaled_float",
 
 
 def _ff(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, Fraction):
-        return str(x)
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _fl(x) -> str:
@@ -63,16 +60,13 @@ def _row(**kw) -> dict:
     return row
 
 
-def _seq_rows(seq) -> list[dict]:
+def _convergence_rows(args, spec: dict, seq, report, moduli: int) -> tuple[list[dict], bool]:
+    """Value, verdict and summary rows of a scaled sequence and its report,
+    and whether every verdict up to ``moduli`` matches the expectation."""
     rows = [_row(record="meta", detail=f"scaled={seq.normalization}")]
     for n, raw, scaled in seq.entries:
         rows.append(_row(record="value", n=n, raw=_ff(raw), scaled=_ff(scaled),
                          scaled_float=_fl(scaled)))
-    return rows
-
-
-def _verdict_rows(report) -> list[dict]:
-    rows = []
     for c in report.classes:
         rows.append(_row(record="verdict",
                          residue_class=f"{c.residue} mod {c.modulus}",
@@ -80,27 +74,30 @@ def _verdict_rows(report) -> list[dict]:
                          liminf=_ff(c.liminf_est), limsup=_ff(c.limsup_est),
                          limit=_ff(c.limit_estimate),
                          detail=f"points={c.points}"))
-    return rows
+    expect = args.expect or _single(spec, "expect")
+    ok = expect is None or report.all_verdicts(expect, moduli)
+    rows.append(_row(record="summary", verdict="ok" if ok else "mismatch",
+                     liminf=_ff(report.liminf_est), limsup=_ff(report.limsup_est),
+                     detail=f"expect={expect or 'none'}"))
+    return rows, ok
 
 
-def _render(rows: list[dict]) -> str:
+def _emit(rows: list[dict], ok: bool, args, golden_name: str) -> int:
+    """Write the CSV, compare or refresh the golden; return the exit code."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, FIELDS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _emit(text: str, args, golden_name: str) -> int:
+    text = buf.getvalue()
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    if getattr(args, "write_golden", None):
+    if args.write_golden:
         directory = Path(args.write_golden)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / golden_name).write_text(text)
-    if getattr(args, "golden", None):
+    if args.golden:
         path = Path(args.golden) / golden_name
         if not path.exists():
             sys.stderr.write(f"golden file missing: {path}\n")
@@ -108,13 +105,30 @@ def _emit(text: str, args, golden_name: str) -> int:
         if path.read_text() != text:
             sys.stderr.write(f"golden mismatch: {path}\n")
             return 1
-    return 0
+    return 0 if ok else 1
 
 
-def _expected_ok(expect: str | None, report, max_modulus: int) -> bool:
-    if expect is None:
-        return True
-    return report.all_verdicts(expect, max_modulus)
+# spec-value parser and least allowed value of each range-checked setting
+_SETTINGS = {"horizon": (int, 1), "moduli": (int, 1), "tol": (rational, 0)}
+
+
+def _resolve(args, spec: dict, key: str, default):
+    """The ``--key`` flag if given, else the spec key, else the default.
+
+    The resolved value is range-checked whichever source it came from, so an
+    explicit 0 is used as given and an out-of-range spec value is rejected
+    like a flag.
+    """
+    parse, low = _SETTINGS[key]
+    value, source = getattr(args, key), f"--{key}"
+    if value is None:
+        raw = _single(spec, key)
+        if raw is None:
+            return default
+        value, source = parse(raw), f"spec key '{key}'"
+    if value < low:
+        raise ValueError(f"{source} must be at least {low}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +138,8 @@ def _expected_ok(expect: str | None, report, max_modulus: int) -> bool:
 def _cmd_semigroup(args) -> int:
     spec = load_spec(args.spec)
     s = build_semigroup(spec)
-    horizon = args.horizon if args.horizon is not None else _int(spec, "horizon", 200)
-    tol = args.tol if args.tol is not None else _fraction(spec, "tol", DEFAULT_TOL)
+    horizon = _resolve(args, spec, "horizon", 200)
+    tol = _resolve(args, spec, "tol", DEFAULT_TOL)
     truncs = _int_list(args.truncate) if args.truncate else \
         _int_list(_single(spec, "truncate", "1 2 4 8"))
     report = semigroup_limit_report(s, horizon, truncs, tol)
@@ -149,58 +163,43 @@ def _cmd_semigroup(args) -> int:
     rows.append(_row(record="summary", verdict="ok" if ok else "mismatch",
                      limit=_ff(inv.predicted_limit),
                      detail=f"relative_gap={report.relative_gap}"))
-    code = _emit(_render(rows), args, f"{Path(args.spec).stem}__semigroup.csv")
-    return code if code else (0 if ok else 1)
+    return _emit(rows, ok, args, f"{Path(args.spec).stem}__semigroup.csv")
 
 
 def _cmd_family(args) -> int:
     spec = load_spec(args.spec)
-    horizon = args.horizon if args.horizon is not None else _int(spec, "horizon", 210)
+    horizon = _resolve(args, spec, "horizon", 210)
     family = build_family(spec, Path(args.spec).parent, horizon)
-    moduli = args.moduli if args.moduli is not None else _int(spec, "moduli", 4)
-    tol = args.tol if args.tol is not None else _fraction(spec, "tol", DEFAULT_TOL)
+    moduli = _resolve(args, spec, "moduli", 4)
     seq = length_sequence(family, horizon)
-    report = convergence_report(seq, moduli, tol)
-    rows = _seq_rows(seq) + _verdict_rows(report)
-    expect = args.expect or _single(spec, "expect")
-    ok = _expected_ok(expect, report, moduli)
-    rows.append(_row(record="summary", verdict="ok" if ok else "mismatch",
-                     liminf=_ff(report.liminf_est), limsup=_ff(report.limsup_est),
-                     detail=f"expect={expect or 'none'}"))
-    code = _emit(_render(rows), args, f"{Path(args.spec).stem}__family.csv")
-    return code if code else (0 if ok else 1)
+    report = convergence_report(seq, moduli, _resolve(args, spec, "tol", DEFAULT_TOL))
+    rows, ok = _convergence_rows(args, spec, seq, report, moduli)
+    return _emit(rows, ok, args, f"{Path(args.spec).stem}__family.csv")
 
 
 def _cmd_series(args) -> int:
     spec = load_spec(args.spec)
-    horizon = args.horizon if args.horizon is not None else _int(spec, "horizon", 210)
+    horizon = _resolve(args, spec, "horizon", 210)
     series = build_series(spec, horizon)
-    moduli = args.moduli if args.moduli is not None else _int(spec, "moduli", 4)
-    tol = args.tol if args.tol is not None else _fraction(spec, "tol", DEFAULT_TOL)
+    moduli = _resolve(args, spec, "moduli", 4)
     exponent = _int(spec, "exponent", series.natural_exponent)
     seq = dim_sequence(series, horizon, exponent)
-    report = convergence_report(seq, moduli, tol)
+    report = convergence_report(seq, moduli, _resolve(args, spec, "tol", DEFAULT_TOL))
     inv = series_invariants(series)
     kappa = "-inf" if inv.kappa == float("-inf") else str(inv.kappa)
     rows = [_row(record="invariant",
                  detail=(f"kappa={kappa};index={inv.index_estimate};"
                          f"horizon_dependent={'yes' if inv.horizon_dependent else 'no'}"))]
-    rows += _seq_rows(seq) + _verdict_rows(report)
-    expect = args.expect or _single(spec, "expect")
-    ok = _expected_ok(expect, report, moduli)
-    rows.append(_row(record="summary", verdict="ok" if ok else "mismatch",
-                     liminf=_ff(report.liminf_est), limsup=_ff(report.limsup_est),
-                     detail=f"expect={expect or 'none'}"))
-    code = _emit(_render(rows), args, f"{Path(args.spec).stem}__series.csv")
-    return code if code else (0 if ok else 1)
+    more, ok = _convergence_rows(args, spec, seq, report, moduli)
+    return _emit(rows + more, ok, args, f"{Path(args.spec).stem}__series.csv")
 
 
 def _cmd_volmult(args) -> int:
     spec = load_spec(args.spec)
-    horizon = args.horizon if args.horizon is not None else _int(spec, "horizon", 400)
+    horizon = _resolve(args, spec, "horizon", 400)
     family = build_family(spec, Path(args.spec).parent, horizon)
     pset = _int_list(args.pset) if args.pset else _int_list(_single(spec, "pset", "1 2 4 8"))
-    tol = args.tol if args.tol is not None else _fraction(spec, "tol", DEFAULT_TOL)
+    tol = _resolve(args, spec, "tol", DEFAULT_TOL)
     report = volume_equals_multiplicity(family, pset, horizon)
     rows = [_row(record="meta",
                  detail=f"rhs=multiplicity(I_p)/p^d;lhs=d!*length/n^d at n={report.lhs_at}")]
@@ -216,24 +215,17 @@ def _cmd_volmult(args) -> int:
             abs(report.lhs - expect_value) <= tol
     rows.append(_row(record="summary", verdict="ok" if ok else "mismatch",
                      detail=f"expect_value={expect_value if expect_value is not None else 'none'}"))
-    code = _emit(_render(rows), args, f"{Path(args.spec).stem}__volmult.csv")
-    return code if code else (0 if ok else 1)
+    return _emit(rows, ok, args, f"{Path(args.spec).stem}__volmult.csv")
 
 
 def _cmd_eps(args) -> int:
     ideal = load_ideal(args.ideal)
-    horizon = args.horizon if args.horizon is not None else 200
-    moduli = args.moduli if args.moduli is not None else 4
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
+    horizon = _resolve(args, {}, "horizon", 200)
+    moduli = _resolve(args, {}, "moduli", 4)
+    tol = _resolve(args, {}, "tol", DEFAULT_TOL)
     report = epsilon_multiplicity_report(ideal, horizon, moduli, tol)
-    rows = _seq_rows(report.sequence) + _verdict_rows(report.convergence)
-    ok = _expected_ok(args.expect, report.convergence, moduli)
-    rows.append(_row(record="summary", verdict="ok" if ok else "mismatch",
-                     liminf=_ff(report.convergence.liminf_est),
-                     limsup=_ff(report.convergence.limsup_est),
-                     detail=f"expect={args.expect or 'none'}"))
-    code = _emit(_render(rows), args, f"{Path(args.ideal).stem}__eps.csv")
-    return code if code else (0 if ok else 1)
+    rows, ok = _convergence_rows(args, {}, report.sequence, report.convergence, moduli)
+    return _emit(rows, ok, args, f"{Path(args.ideal).stem}__eps.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_ranges(args) -> None:
-    """Reject out-of-range command-line values instead of running on them."""
-    if args.horizon is not None and args.horizon < 1:
-        raise ValueError(f"--horizon must be at least 1, got {args.horizon}")
-    if args.tol is not None and args.tol < 0:
-        raise ValueError(f"--tol must not be negative, got {args.tol}")
-    moduli = getattr(args, "moduli", None)
-    if moduli is not None and moduli < 1:
-        raise ValueError(f"--moduli must be at least 1, got {moduli}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -310,7 +291,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        _check_ranges(args)
         return args.fn(args)
     except (SpecError, FileNotFoundError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -160,12 +160,6 @@ class ConvergenceReport:
     def limsup_est(self) -> Fraction | None:
         return self.overall.limsup_est
 
-    def verdict_for(self, modulus: int, residue: int) -> str:
-        for c in self.classes:
-            if c.modulus == modulus and c.residue == residue:
-                return c.verdict
-        raise KeyError((modulus, residue))
-
     def all_verdicts(self, expected: str, max_modulus: int | None = None) -> bool:
         return all(c.verdict == expected for c in self.classes
                    if max_modulus is None or c.modulus <= max_modulus)
@@ -206,16 +200,6 @@ def convergence_report(seq: ScaledSequence, max_modulus: int = 4,
             classes.append(ClassVerdict(r, a, verdict, lim_inf, lim_sup,
                                         est, len(union)))
     return ConvergenceReport(tol, n_lo, n_mid, n_hi, tuple(classes))
-
-
-def smallest_converging_modulus(seq: ScaledSequence, max_modulus: int,
-                                tol: Fraction = DEFAULT_TOL) -> int | None:
-    """Least modulus whose every residue class converges, if any."""
-    report = convergence_report(seq, max_modulus, tol)
-    for r in range(1, max_modulus + 1):
-        if all(c.verdict == CONVERGES for c in report.classes if c.modulus == r):
-            return r
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +251,6 @@ def semigroup_limit_report(s: GradedSemigroup, horizon: int,
                                   dimension_drop=sub_inv.q < inv.q,
                                   gap=abs(rescaled - predicted)))
     return SemigroupLimitReport(inv, entries, gap, gap <= rtol, tuple(rows))
-
-
-def semigroup_limit_suite(semigroups: Sequence[GradedSemigroup], horizon: int,
-                          truncation_levels: Sequence[int] = (1, 2, 4, 8),
-                          rtol: Fraction = DEFAULT_TOL) -> list[SemigroupLimitReport]:
-    """The limit experiment over a list of fixtures (ordered, deterministic)."""
-    return [semigroup_limit_report(s, horizon, truncation_levels, rtol)
-            for s in semigroups]
 
 
 # ---------------------------------------------------------------------------

@@ -310,11 +310,6 @@ def corrupted_sigma_family(dim: int = 1) -> GradedFamily:
     return _nilpair_family("corrupted_sigma", dim, lambda n: max(1, 6 - n))
 
 
-BUILTIN_FAMILY_NAMES = ("power", "valuation", "saturation", "symbolic",
-                        "nilpair_sigma", "perturbed_power", "artin_tau",
-                        "corrupted_sigma")
-
-
 # ---------------------------------------------------------------------------
 # the graded axiom checker
 # ---------------------------------------------------------------------------

@@ -319,10 +319,6 @@ class RationalPolytope:
     affine_dim: int
 
 
-def empty_polytope(ambient_dim: int) -> RationalPolytope:
-    return RationalPolytope(ambient_dim, (), -1)
-
-
 def _affine_frame(pts: Sequence[Point]):
     """Base point, frame difference vectors, and their point indices."""
     v0 = pts[0]

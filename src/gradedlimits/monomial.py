@@ -13,7 +13,6 @@ retained as an independent oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -220,17 +219,6 @@ def max_ideal_power(num_vars: int, n: int) -> MonomialIdeal:
     return MonomialIdeal(num_vars, tuple(_degree_tuples(num_vars, n)))
 
 
-def saturate_by_colon_fixpoint(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Reference saturation: iterate I <- I : m until the chain stabilizes."""
-    m = max_ideal_power(ideal.num_vars, 1)
-    current = ideal
-    while True:
-        nxt = current.colon(m)
-        if nxt == current:
-            return current
-        current = nxt
-
-
 def colon_monomial_infinity(ideal: MonomialIdeal, u) -> MonomialIdeal:
     """I : u^infty for a monomial u: zero out the exponents supported on u."""
     support = [i for i, e in enumerate(u) if e > 0]
@@ -252,17 +240,6 @@ def symbolic_core(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> Monomia
         return unit_ideal(ideal.num_vars)
     parts = [colon_monomial_infinity(current, u) for u in other.gens]
     return reduce(lambda a, b: a.intersect(b), parts)
-
-
-def symbolic_core_fixpoint(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:
-    """Reference route: iterate the colon by J until it stabilizes."""
-    ideal._check(other)
-    current = ideal ** n
-    while True:
-        nxt = current.colon(other)
-        if nxt == current:
-            return current
-        current = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +290,6 @@ def _colength(num_vars: int, gens: tuple[Exponent, ...]) -> int:
     for width, slice_gens in _last_var_sweep(gens):
         total += width * _colength(num_vars - 1, slice_gens)
     return total
-
-
-def colength_bruteforce(ideal: MonomialIdeal) -> int:
-    """Independent oracle: enumerate the complement box point by point."""
-    if not ideal.is_m_primary():
-        raise ValueError("infinite colength: ideal is not primary to the maximal ideal")
-    if ideal.is_unit():
-        return 0
-    bounds = []
-    for i in range(ideal.num_vars):
-        pure = min(g[i] for g in ideal.gens
-                   if all(e == 0 for j, e in enumerate(g) if j != i))
-        bounds.append(pure)
-    count = 0
-    for point in itertools.product(*(range(b) for b in bounds)):
-        if not ideal.contains(point):
-            count += 1
-    return count
 
 
 def max_standard_degree(ideal: MonomialIdeal) -> int:

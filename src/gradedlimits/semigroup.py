@@ -9,7 +9,6 @@ only defined in the generated case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -106,9 +105,6 @@ class GradedSemigroup:
             self.generators = None
 
     # -- basic structure ----------------------------------------------------
-
-    def is_generated(self) -> bool:
-        return self.generators is not None
 
     def strongly_nonnegative(self) -> bool:
         """True iff the cone meets the degree-zero boundary only at 0.
@@ -214,34 +210,6 @@ def enumerate_levels(s: GradedSemigroup, n_max: int) -> dict[int, frozenset]:
     return {n: s.level(n) for n in range(1, n_max + 1)}
 
 
-def _degree_zero_part(basis: tuple[tuple, ...], ambient: int) -> IntegerLattice:
-    """The sublattice of integer combinations whose last coordinate vanishes."""
-    if not basis:
-        return IntegerLattice(ambient, ())
-    degrees = [row[-1] for row in basis]
-    r = len(basis)
-    # unimodular reduction of the degree column; rows mapping to 0 span the kernel
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    col = list(degrees)
-    while True:
-        live = [i for i in range(r) if col[i] != 0]
-        if len(live) <= 1:
-            break
-        live.sort(key=lambda i: abs(col[i]))
-        i0 = live[0]
-        for i in live[1:]:
-            q = col[i] // col[i0]
-            col[i] -= q * col[i0]
-            u[i] = [a - q * b for a, b in zip(u[i], u[i0])]
-    kernel_rows = []
-    for i in range(r):
-        if col[i] == 0:
-            vec = tuple(sum(u[i][j] * basis[j][c] for j in range(r)) for c in range(ambient))
-            if any(vec):
-                kernel_rows.append(vec)
-    return hermite_basis(kernel_rows, ambient)
-
-
 def invariants(s: GradedSemigroup) -> SemigroupInvariants:
     """Degree index m, boundary dimension q, boundary index ind, and body.
 
@@ -257,15 +225,12 @@ def invariants(s: GradedSemigroup) -> SemigroupInvariants:
     if not s.strongly_nonnegative():
         raise ValueError("invariants require strictly positive degrees")
     d = s.point_dim
-    rows = [vec + (deg,) for vec, deg in s.generators]
-    group = hermite_basis(rows, d + 1)
+    # degree first: the first Hermite pivot is m = gcd of the degrees, and
+    # the rows below it have degree 0 and span the degree-zero part
+    group = hermite_basis([(deg,) + vec for vec, deg in s.generators], d + 1)
     q = group.rank - 1
-    m = 0
-    for _, deg in s.generators:
-        m = math.gcd(m, deg)
-    deg_zero = _degree_zero_part(group.basis, d + 1)
-    # drop the vanishing degree coordinate; the boundary lives in Z^d
-    proj = hermite_basis([row[:-1] for row in deg_zero.basis], d)
+    m = group.basis[0][0]
+    proj = hermite_basis([row[1:] for row in group.basis[1:]], d)
     boundary, _ = saturate_lattice(proj)
     ind = sublattice_index(boundary, proj)
     slice_points = [tuple(Fraction(m * x, deg) for x in vec) for vec, deg in s.generators]
@@ -298,21 +263,3 @@ def truncate(s: GradedSemigroup, p: int) -> GradedSemigroup:
         raise ValueError(f"level {height} is empty")
     return GradedSemigroup(s.point_dim,
                            generators=[(pt, height) for pt in sorted(points)])
-
-
-def check_level_containments(s: GradedSemigroup, horizon: int) -> list[tuple[int, int, tuple]]:
-    """Violations of S_a + S_b being contained in S_{a+b} up to the horizon."""
-    bad = []
-    for a in range(1, horizon):
-        for b in range(a, horizon - a + 1):
-            target = s.level(a + b)
-            for pa in s.level(a):
-                for pb in s.level(b):
-                    pt = tuple(x + y for x, y in zip(pa, pb))
-                    if pt not in target:
-                        bad.append((a, b, pt))
-                        break
-                else:
-                    continue
-                break
-    return bad

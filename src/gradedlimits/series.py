@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Collection, Iterable
 
 from .families import BlockSchedule
+from .lattice import _rref
 from .semigroup import GradedSemigroup
 
 NEG_INF = float("-inf")
@@ -115,32 +116,6 @@ class SeriesInvariants:
     horizon_dependent: bool
 
 
-class _SpanTracker:
-    """Incremental rational row space: add rows, track the rank."""
-
-    def __init__(self):
-        self.rows: list[list[Fraction]] = []  # reduced, one pivot each
-        self.pivots: list[int] = []
-
-    def add(self, row) -> bool:
-        vec = [Fraction(x) for x in row]
-        for r, p in zip(self.rows, self.pivots):
-            if vec[p] != 0:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, r)]
-        piv = next((i for i, x in enumerate(vec) if x != 0), None)
-        if piv is None:
-            return False
-        pv = vec[piv]
-        self.rows.append([x / pv for x in vec])
-        self.pivots.append(piv)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
     """Kodaira-Iitaka dimension: rank of the lattice of (exponents, level)
     points of the non-nil monomials, minus one; -inf when none occur.
@@ -151,18 +126,20 @@ def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
     set when the rank still grew in the final quarter of the horizon.
     """
     horizon = min(horizon or series.horizon, series.horizon)
-    span = _SpanTracker()
+    basis: list = []
     max_rank = len(series.ambient.weights) + 1
     growth_marks: list[int] = []
     for n in range(1, horizon + 1):
-        for exps, nil in sorted(series.level(n)):
-            if nil:
-                continue
-            if span.add(exps + (n,)):
-                growth_marks.append(n)
-        if span.rank == max_rank:
+        rows = [exps + (n,) for exps, nil in series.level(n) if not nil]
+        if not rows:
+            continue
+        reduced, _ = _rref(basis + rows)
+        if len(reduced) > len(basis):
+            growth_marks.append(n)
+            basis = reduced
+        if len(basis) == max_rank:
             break
-    rank = span.rank
+    rank = len(basis)
     kappa = rank - 1 if rank > 0 else NEG_INF
     dependent = bool(growth_marks) and growth_marks[-1] > (3 * horizon) // 4
     return kappa, dependent

@@ -1,0 +1,155 @@
+"""Reference implementations that the tests compare the library against.
+
+Each is a slow, direct route to a result the library computes another way:
+brute-force enumeration, fixpoint iteration, or the unimodular reduction
+``invariants`` used before it read the degree-zero part off one Hermite basis.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from typing import Sequence
+
+from gradedlimits.experiments import (
+    CONVERGES,
+    DEFAULT_TOL,
+    ScaledSequence,
+    SemigroupLimitReport,
+    convergence_report,
+    semigroup_limit_report,
+)
+from gradedlimits.lattice import (
+    IntegerLattice,
+    convex_hull,
+    hermite_basis,
+    lattice_volume,
+    saturate_lattice,
+    sublattice_index,
+)
+from gradedlimits.monomial import MonomialIdeal, max_ideal_power
+from gradedlimits.semigroup import GradedSemigroup
+
+
+def colength_bruteforce(ideal: MonomialIdeal) -> int:
+    """Independent oracle: enumerate the complement box point by point."""
+    if not ideal.is_m_primary():
+        raise ValueError("infinite colength: ideal is not primary to the maximal ideal")
+    if ideal.is_unit():
+        return 0
+    bounds = []
+    for i in range(ideal.num_vars):
+        pure = min(g[i] for g in ideal.gens
+                   if all(e == 0 for j, e in enumerate(g) if j != i))
+        bounds.append(pure)
+    count = 0
+    for point in itertools.product(*(range(b) for b in bounds)):
+        if not ideal.contains(point):
+            count += 1
+    return count
+
+
+def saturate_by_colon_fixpoint(ideal: MonomialIdeal) -> MonomialIdeal:
+    """Reference saturation: iterate I <- I : m until the chain stabilizes."""
+    m = max_ideal_power(ideal.num_vars, 1)
+    current = ideal
+    while True:
+        nxt = current.colon(m)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def symbolic_core_fixpoint(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:
+    """Reference route: iterate the colon by J until it stabilizes."""
+    ideal._check(other)
+    current = ideal ** n
+    while True:
+        nxt = current.colon(other)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def check_level_containments(s: GradedSemigroup, horizon: int) -> list[tuple[int, int, tuple]]:
+    """Violations of S_a + S_b being contained in S_{a+b} up to the horizon."""
+    bad = []
+    for a in range(1, horizon):
+        for b in range(a, horizon - a + 1):
+            target = s.level(a + b)
+            for pa in s.level(a):
+                for pb in s.level(b):
+                    pt = tuple(x + y for x, y in zip(pa, pb))
+                    if pt not in target:
+                        bad.append((a, b, pt))
+                        break
+                else:
+                    continue
+                break
+    return bad
+
+
+def smallest_converging_modulus(seq: ScaledSequence, max_modulus: int,
+                                tol: Fraction = DEFAULT_TOL) -> int | None:
+    """Least modulus whose every residue class converges, if any."""
+    report = convergence_report(seq, max_modulus, tol)
+    for r in range(1, max_modulus + 1):
+        if all(c.verdict == CONVERGES for c in report.classes if c.modulus == r):
+            return r
+    return None
+
+
+def semigroup_limit_suite(semigroups: Sequence[GradedSemigroup], horizon: int,
+                          truncation_levels: Sequence[int] = (1, 2, 4, 8),
+                          rtol: Fraction = DEFAULT_TOL) -> list[SemigroupLimitReport]:
+    """The limit experiment over a list of fixtures (ordered, deterministic)."""
+    return [semigroup_limit_report(s, horizon, truncation_levels, rtol)
+            for s in semigroups]
+
+
+def _degree_zero_part(basis: tuple[tuple, ...], ambient: int) -> IntegerLattice:
+    """The sublattice of integer combinations whose last coordinate vanishes."""
+    if not basis:
+        return IntegerLattice(ambient, ())
+    degrees = [row[-1] for row in basis]
+    r = len(basis)
+    # unimodular reduction of the degree column; rows mapping to 0 span the kernel
+    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    col = list(degrees)
+    while True:
+        live = [i for i in range(r) if col[i] != 0]
+        if len(live) <= 1:
+            break
+        live.sort(key=lambda i: abs(col[i]))
+        i0 = live[0]
+        for i in live[1:]:
+            q = col[i] // col[i0]
+            col[i] -= q * col[i0]
+            u[i] = [a - q * b for a, b in zip(u[i], u[i0])]
+    kernel_rows = []
+    for i in range(r):
+        if col[i] == 0:
+            vec = tuple(sum(u[i][j] * basis[j][c] for j in range(r)) for c in range(ambient))
+            if any(vec):
+                kernel_rows.append(vec)
+    return hermite_basis(kernel_rows, ambient)
+
+
+def invariants_by_degree_kernel(s: GradedSemigroup) -> tuple[int, int, int, Fraction]:
+    """(m, q, ind, volume) with the degree as the last coordinate, m as a gcd
+    loop, and the degree-zero part from ``_degree_zero_part``."""
+    d = s.point_dim
+    rows = [vec + (deg,) for vec, deg in s.generators]
+    group = hermite_basis(rows, d + 1)
+    q = group.rank - 1
+    m = 0
+    for _, deg in s.generators:
+        m = math.gcd(m, deg)
+    deg_zero = _degree_zero_part(group.basis, d + 1)
+    proj = hermite_basis([row[:-1] for row in deg_zero.basis], d)
+    boundary, _ = saturate_lattice(proj)
+    ind = sublattice_index(boundary, proj)
+    polytope = convex_hull([tuple(Fraction(m * x, deg) for x in vec)
+                            for vec, deg in s.generators])
+    return m, q, ind, lattice_volume(polytope, boundary)

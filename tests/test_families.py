@@ -19,7 +19,7 @@ from gradedlimits.families import (
     valuation_gens,
 )
 from gradedlimits.monomial import MonomialIdeal, max_ideal_power
-from gradedlimits.semigroup import check_level_containments
+from oracles import check_level_containments
 
 
 SCHEDULE = BlockSchedule.default(210)

@@ -8,7 +8,6 @@ from gradedlimits.monomial import (
     MonomialIdeal,
     NilPairIdeal,
     colength,
-    colength_bruteforce,
     madic_order,
     max_ideal_power,
     max_standard_degree,
@@ -16,14 +15,13 @@ from gradedlimits.monomial import (
     multiplicity,
     multiplicity_limit_sequence,
     newton_region,
-    saturate_by_colon_fixpoint,
     saturation_quotient_colength,
     symbolic_core,
-    symbolic_core_fixpoint,
     unit_ideal,
     unit_nilpair,
     zero_ideal,
 )
+from oracles import colength_bruteforce, saturate_by_colon_fixpoint, symbolic_core_fixpoint
 
 
 def ideal(*gens):

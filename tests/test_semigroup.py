@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from gradedlimits.lattice import polytope_contains
 from gradedlimits.semigroup import (
     GradedSemigroup,
-    check_level_containments,
     empirical_limit,
     enumerate_levels,
     invariants,
     predicted_limit,
     truncate,
 )
+from oracles import check_level_containments, invariants_by_degree_kernel
 
 # predicted limits verified against brute-force level counts below
 FIXTURES = {
@@ -178,6 +178,16 @@ class TestInvariants:
             inv = invariants(GradedSemigroup(2, generators=mapped))
             assert (inv.m, inv.q, inv.ind) == (ref.m, ref.q, ref.ind)
             assert inv.predicted_limit == ref.predicted_limit
+
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_degree_kernel_oracle(self, data, dim):
+        gens = data.draw(st.lists(
+            st.tuples(st.tuples(*[st.integers(-4, 4)] * dim), st.integers(1, 6)),
+            min_size=1, max_size=5))
+        s = GradedSemigroup(dim, generators=gens)
+        inv = invariants(s)
+        assert (inv.m, inv.q, inv.ind, inv.body.volume) == invariants_by_degree_kernel(s)
 
     def test_strongly_nonnegative(self):
         assert GradedSemigroup(1, generators=[((0,), 1), ((1,), 1)]).strongly_nonnegative()

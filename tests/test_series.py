@@ -141,6 +141,16 @@ class TestKappa:
         for s in all_builders(60):
             assert kodaira_iitaka(s, 60)[0] == s.declared_kappa
 
+    def test_late_rank_growth_flags_horizon(self):
+        # z_0^n alone up to level 29; z_0^(n-1) z_1 joins from level 30 on
+        def provider(n):
+            return [((n, 0), False)] + ([((n - 1, 1), False)] if n >= 30 else [])
+
+        late = MonomialLinearSeries("late", WeightedAmbient((1, 1)), 1, provider, 40)
+        assert kodaira_iitaka(late, 32) == (1, True)
+        assert kodaira_iitaka(late, 40) == (1, False)
+        assert kodaira_iitaka(late, 29) == (0, False)
+
 
 class TestIndex:
     def test_even_support(self):
