@@ -42,6 +42,7 @@ from .families import (
     valuation_family,
 )
 from .series import (
+    Block,
     MonomialLinearSeries,
     WeightedAmbient,
     count_weighted_monomials,

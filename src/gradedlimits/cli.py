@@ -140,8 +140,8 @@ def _cmd_semigroup(args) -> int:
     s = build_semigroup(spec)
     horizon = _resolve(args, spec, "horizon", 200)
     tol = _resolve(args, spec, "tol", DEFAULT_TOL)
-    truncs = _int_list(args.truncate) if args.truncate else \
-        _int_list(_single(spec, "truncate", "1 2 4 8"))
+    truncs = _int_list(args.truncate, "--truncate") if args.truncate else \
+        _int_list(_single(spec, "truncate", "1 2 4 8"), "spec key 'truncate'")
     report = semigroup_limit_report(s, horizon, truncs, tol)
     inv = report.invariants
     rows = [_row(record="invariant", detail=(f"m={inv.m};q={inv.q};ind={inv.ind};"
@@ -198,7 +198,8 @@ def _cmd_volmult(args) -> int:
     spec = load_spec(args.spec)
     horizon = _resolve(args, spec, "horizon", 400)
     family = build_family(spec, Path(args.spec).parent, horizon)
-    pset = _int_list(args.pset) if args.pset else _int_list(_single(spec, "pset", "1 2 4 8"))
+    pset = _int_list(args.pset, "--pset") if args.pset else \
+        _int_list(_single(spec, "pset", "1 2 4 8"), "spec key 'pset'")
     tol = _resolve(args, spec, "tol", DEFAULT_TOL)
     report = volume_equals_multiplicity(family, pset, horizon)
     rows = [_row(record="meta",

@@ -66,7 +66,7 @@ def _scaled_sequence(label: str, normalization: str, exponent: int,
     entries = []
     for n in ns:
         value = Fraction(raw(n))
-        entries.append((n, value, value / n ** exponent))
+        entries.append((n, value, value / Fraction(n) ** exponent))
     return ScaledSequence(label=label, exponent=exponent,
                           normalization=normalization, entries=tuple(entries))
 

@@ -73,7 +73,9 @@ class MonomialIdeal:
     """A monomial ideal, canonicalized on construction.
 
     The unit ideal is generated by the zero vector; the zero ideal has no
-    generators.  Membership is divisibility by some generator.
+    generators.  Membership is divisibility by some generator.  The
+    constructor checks every generator; arithmetic on checked ideals builds
+    its result through ``_canonical``, which only minimalizes.
     """
 
     num_vars: int
@@ -91,6 +93,15 @@ class MonomialIdeal:
                 raise ValueError("negative exponent")
             canon.append(t)
         object.__setattr__(self, "gens", minimal_generators(canon))
+
+    @classmethod
+    def _canonical(cls, num_vars: int, candidates) -> "MonomialIdeal":
+        """The ideal of candidates built from the generators of checked
+        ideals over ``num_vars`` variables: minimalized, not re-validated."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "num_vars", num_vars)
+        object.__setattr__(ideal, "gens", minimal_generators(candidates))
+        return ideal
 
     # -- predicates ---------------------------------------------------------
 
@@ -136,7 +147,7 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return MonomialIdeal(self.num_vars, self.gens + other.gens)
+        return MonomialIdeal._canonical(self.num_vars, self.gens + other.gens)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
@@ -146,7 +157,7 @@ class MonomialIdeal:
         else:
             prods = {tuple(a + b for a, b in zip(g, h))
                      for g in self.gens for h in other.gens}
-        return MonomialIdeal(self.num_vars, tuple(prods))
+        return MonomialIdeal._canonical(self.num_vars, prods)
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         if n < 0:
@@ -164,7 +175,7 @@ class MonomialIdeal:
         self._check(other)
         joins = {tuple(max(a, b) for a, b in zip(g, h))
                  for g in self.gens for h in other.gens}
-        return MonomialIdeal(self.num_vars, tuple(joins))
+        return MonomialIdeal._canonical(self.num_vars, joins)
 
     def colon_monomial(self, u) -> "MonomialIdeal":
         u = tuple(u)
@@ -191,7 +202,7 @@ class MonomialIdeal:
         parts = []
         for i in range(self.num_vars):
             dropped = {g[:i] + (0,) + g[i + 1:] for g in self.gens}
-            parts.append(MonomialIdeal(self.num_vars, tuple(dropped)))
+            parts.append(MonomialIdeal._canonical(self.num_vars, dropped))
         return reduce(lambda a, b: a.intersect(b), parts)
 
 

@@ -6,6 +6,10 @@ A series stores, per level n, a finite set of basis monomials; each monomial
 is an exponent vector over the weighted variables plus a flag marking a
 factor of the square-zero generator.  Nil-flagged monomials multiply to zero
 with each other (and, in the annihilator model, with everything).
+
+Providers describe a level as a few ``Block``s, each a shifted set of all
+monomials of one weighted degree in the leading variables.  The degree and
+sign of a level are checked once per block, never per monomial.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Iterable
+from itertools import repeat
+from typing import Callable, Collection, Iterable, NamedTuple
 
 from .families import BlockSchedule
 from .lattice import _rref
@@ -23,6 +28,18 @@ from .semigroup import GradedSemigroup
 NEG_INF = float("-inf")
 
 Monomial = tuple  # (exponents tuple, nil flag)
+
+
+class Block(NamedTuple):
+    """The monomials ``shift + (m, 0, ..., 0)`` with the given nil flag, m
+    running over the exponent vectors of weighted degree ``degree`` in the
+    first ``free`` ambient weights.  ``Block(exps, nil)`` is a single point.
+    """
+
+    shift: tuple
+    nil: bool
+    free: int = 0
+    degree: int = 0
 
 
 @dataclass(frozen=True)
@@ -56,18 +73,17 @@ class WeightedAmbient:
 class MonomialLinearSeries:
     """Level-indexed monomial bases L_n; levels are built on each call.
 
-    ``expected_dim`` is an optional closed-form level dimension used by
-    reports as an independent cross-check; ``dim`` always counts the actual
-    monomial set.
+    ``provider(n)`` returns the level's blocks.  ``expected_dim`` is an
+    optional closed-form level dimension used by reports as an independent
+    cross-check; ``dim`` always counts the actual monomial set.
     """
 
     def __init__(self, name: str, ambient: WeightedAmbient, twist: int,
-                 provider: Callable[[int], Iterable[Monomial]],
+                 provider: Callable[[int], Iterable[Block]],
                  horizon: int,
                  expected_dim: Callable[[int], int] | None = None,
                  declared_kappa=None, declared_index: int | None = None,
-                 natural_exponent: int = 0,
-                 check_degrees: bool = True):
+                 natural_exponent: int = 0):
         self.name = name
         self.ambient = ambient
         self.twist = twist
@@ -76,28 +92,45 @@ class MonomialLinearSeries:
         self.declared_kappa = declared_kappa
         self.declared_index = declared_index
         self.natural_exponent = natural_exponent
-        self.check_degrees = check_degrees
         self._provider = provider
 
-    def level(self, n: int) -> frozenset:
+    def blocks(self, n: int) -> list[Block]:
+        """The provider's blocks of level n, each checked for sign and degree."""
         if n < 0:
             raise ValueError("negative level")
         if n > self.horizon:
             raise ValueError(f"level {n} beyond series horizon {self.horizon}")
-        result = frozenset((tuple(int(e) for e in exps), bool(nil))
-                           for exps, nil in self._provider(n))
-        if self.check_degrees:
-            self._check_level_degrees(n, result)
-        return result
-
-    def _check_level_degrees(self, n: int, monomials: frozenset):
-        for exps, nil in monomials:
-            deg = sum(w * e for w, e in zip(self.ambient.weights, exps))
+        weights = self.ambient.weights
+        out = []
+        for shift, nil, free, degree in self._provider(n):
+            shift, nil = tuple(int(e) for e in shift), bool(nil)
+            if len(shift) != len(weights) or not 0 <= free <= len(weights):
+                raise ValueError(f"level {n} block {shift} does not fit the "
+                                 f"{len(weights)} weighted variables")
+            if any(e < 0 for e in shift):
+                raise ValueError(f"level {n} monomial {shift} has a negative exponent")
+            deg = sum(w * e for w, e in zip(weights, shift)) + degree
             if nil:
+                if self.ambient.nil_degree is None:
+                    raise ValueError(f"level {n} has a nil block but the ambient "
+                                     "has no square-zero generator")
                 deg += self.ambient.nil_degree
             if deg != self.twist * n:
-                raise ValueError(f"level {n} monomial {exps} has degree {deg}, "
+                raise ValueError(f"level {n} monomial {shift} has degree {deg}, "
                                  f"expected {self.twist * n}")
+            out.append(Block(shift, nil, free, degree))
+        return out
+
+    def _points(self, n: int) -> list[Monomial]:
+        """Level n expanded block by block; each block is one sorted run."""
+        weights = self.ambient.weights
+        out: list = []
+        for shift, nil, free, degree in self.blocks(n):
+            out.extend(zip(_block_monomials(weights, shift, free, degree), repeat(nil)))
+        return out
+
+    def level(self, n: int) -> frozenset:
+        return frozenset(self._points(n))
 
     def dim(self, n: int) -> int:
         return len(self.level(n))
@@ -178,10 +211,18 @@ def closure_violations(series: MonomialLinearSeries, horizon: int,
     """Check L_a * L_b inside L_{a+b} on a deterministic sample of monomial
     pairs (up to pair_cap per level pair; exhaustive when small)."""
     out = []
-    # each level is built and sorted once; the strided pair order below
+    # each level is expanded and sorted once; the strided pair order below
     # indexes into the sorted lists and tests membership in the sets
-    levels = {n: series.level(n) for n in range(1, horizon + 1)}
-    ordered = {n: sorted(levels[n]) for n in range(1, horizon)}
+    levels, ordered = {}, {}
+    for n in range(1, horizon + 1):
+        points = series._points(n)
+        levels[n] = frozenset(points)
+        if n < horizon:
+            if len(points) == len(levels[n]):
+                points.sort()  # a few sorted runs, one per block
+            else:
+                points = sorted(levels[n])  # overlapping blocks
+            ordered[n] = points
     for total in range(2, horizon + 1):
         for a in range(1, total // 2 + 1):
             b = total - a
@@ -229,12 +270,11 @@ def veronese(series: MonomialLinearSeries, e: int) -> MonomialLinearSeries:
         name=f"{series.name}_veronese{e}",
         ambient=series.ambient,
         twist=series.twist * e,
-        provider=lambda n: series.level(e * n),
+        provider=lambda n: series.blocks(e * n),
         horizon=series.horizon // e,
         expected_dim=(lambda n: series.expected_dim(e * n)) if series.expected_dim else None,
         declared_kappa=series.declared_kappa,
-        natural_exponent=series.natural_exponent,
-        check_degrees=series.check_degrees)
+        natural_exponent=series.natural_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +293,38 @@ def count_weighted_monomials(weights: tuple[int, ...], degree: int) -> int:
 
 
 def weighted_monomials(weights: tuple[int, ...], degree: int):
-    """All exponent vectors of the given weighted degree (recursive)."""
-    if degree < 0:
+    """All exponent vectors of the given weighted degree, in lex order."""
+    return _block_monomials(weights, (0,) * len(weights), len(weights), degree)
+
+
+def _block_monomials(weights, shift, free, degree):
+    """Exponent vectors ``shift + (m, 0, ..., 0)`` with m of weighted degree
+    ``degree`` in ``weights[:free]``, in lex order."""
+    if degree < 0 or free == 0:
+        if degree == 0:
+            yield shift
         return
-    if len(weights) == 1:
-        if degree % weights[0] == 0:
-            yield (degree // weights[0],)
-        return
-    w = weights[0]
-    for a in range(degree // w + 1):
-        for rest in weighted_monomials(weights[1:], degree - a * w):
-            yield (a,) + rest
+    tail = shift[free:]
+    w_last, s_last = weights[free - 1], shift[free - 1]
+
+    def walk(i, prefix, rest):
+        # the last free exponent is fixed by what is left of the degree
+        if i == free - 1:
+            q, r = divmod(rest, w_last)
+            if not r:
+                yield prefix + (s_last + q,) + tail
+            return
+        w, s = weights[i], shift[i]
+        if i == free - 2:
+            for a in range(rest // w + 1):
+                q, r = divmod(rest - a * w, w_last)
+                if not r:
+                    yield prefix + (s + a, s_last + q) + tail
+            return
+        for a in range(rest // w + 1):
+            yield from walk(i + 1, prefix + (s + a,), rest - a * w)
+
+    yield from walk(0, (), degree)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +355,7 @@ def full_weighted_series(weights: Iterable[int], horizon: int = 200) -> Monomial
     ambient = WeightedAmbient(ws)
 
     def provider(n: int):
-        if n == 0:
-            return [((0,) * len(ws), False)]
-        return [(exps, False) for exps in weighted_monomials(ws, n)]
+        return [Block((0,) * len(ws), False, len(ws), n)]
 
     return MonomialLinearSeries("full", ambient, 1, provider, horizon,
                                 expected_dim=lambda n: count_weighted_monomials(ws, n),
@@ -319,14 +378,10 @@ def nil_hyperplane_series(tset, dim: int = 2, horizon: int = 200) -> MonomialLin
 
     def provider(n: int):
         if n == 0:
-            return [((0,) * dim, False)]
+            return [Block((0,) * dim, False)]
         if not member(n):
             return []
-        out = []
-        for exps in weighted_monomials((1,) * dim, n):
-            padded = (exps[0] + n - 1,) + exps[1:]
-            out.append((padded, True))
-        return out
+        return [Block((n - 1,) + (0,) * (dim - 1), True, dim, n)]
 
     def expected(n: int) -> int:
         return math.comb(n + dim - 1, dim - 1) if member(n) else 0
@@ -380,8 +435,8 @@ def log_nil_series(tset, horizon: int = 200) -> MonomialLinearSeries:
 
     def provider(n: int):
         if n == 0:
-            return [((0, 0), False)]
-        return [((n - k, k - 1), True) for k in range(1, lam(n) + 1)]
+            return [Block((0, 0), False)]
+        return [Block((n - k, k - 1), True) for k in range(1, lam(n) + 1)]
 
     return MonomialLinearSeries("log_nil", ambient, 1, provider, horizon,
                                 expected_dim=lam, declared_kappa=NEG_INF,
@@ -414,21 +469,16 @@ def sigma_growth_series(s, r: int, schedule: BlockSchedule | None = None,
     f = math.lcm(*ws, e)
     ambient = WeightedAmbient(ws, nil_degree=e)
     twist = 2 * f
+    zeros = (0,) * (len(ws) - 1)
 
     def provider(n: int):
         if n == 0:
-            return [((0,) * len(ws), False)]
+            return [Block((0,) + zeros, False)]
         sig = schedule.sigma_capped(n)
-        out = []
-        if not nil_only:
-            for mono in weighted_monomials(ws[:s_int + 1], n * f):
-                padded = (mono[0] + n * f,) + mono[1:] + (0,) * (len(ws) - s_int - 1)
-                out.append((padded, False))
-        pad = (n - sig) * f - e
-        for mono in weighted_monomials(ws[:r + 1], (n + sig) * f):
-            padded = (mono[0] + pad,) + mono[1:] + (0,) * (len(ws) - r - 1)
-            out.append((padded, True))
-        return out
+        nil_part = Block(((n - sig) * f - e,) + zeros, True, r + 1, (n + sig) * f)
+        if nil_only:
+            return [nil_part]
+        return [Block((n * f,) + zeros, False, s_int + 1, n * f), nil_part]
 
     def expected(n: int) -> int:
         sig = schedule.sigma_capped(n)
@@ -450,16 +500,18 @@ def tau_pulse_series(schedule: BlockSchedule | None = None, e: int = 1,
     on odd blocks, one nil monomial.  h lies in the annihilator of the
     square-zero generator, so mixed products vanish (annihilator model).
     """
+    if g < 1:
+        raise ValueError("pulse degree g must be positive")
     schedule = schedule or BlockSchedule.default(horizon)
     ambient = WeightedAmbient((1,), nil_degree=e, nil_annihilates_base=True)
     deg = e * g
 
     def provider(n: int):
         if n == 0:
-            return [((0,), False)]
-        out = [((n * deg,), False)]
+            return [Block((0,), False)]
+        out = [Block((n * deg,), False)]
         if schedule.tau(n) == 1:
-            out.append(((n * deg - e,), True))
+            out.append(Block((n * deg - e,), True))
         return out
 
     def expected(n: int) -> int:
@@ -486,12 +538,12 @@ def artin_tau_series(t: int, schedule: BlockSchedule | None = None,
 
     def provider(n: int):
         if n == 0:
-            return [((0,), False)]
+            return [Block((0,), False)]
         out = []
         if with_unit:
-            out.append(((n,), False))
+            out.append(Block((n,), False))
         if schedule.tau(n) == 0:
-            out.append(((n - 1,), True))
+            out.append(Block((n - 1,), True))
         return out
 
     def expected(n: int) -> int:

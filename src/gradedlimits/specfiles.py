@@ -115,9 +115,17 @@ def _single(spec: dict, key: str, default=None):
     return values[0]
 
 
+def _int_value(text: str, source: str) -> int:
+    """``int(text)``; a malformed value names its ``source`` key or flag."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(f"{source}: {text!r} is not an integer") from None
+
+
 def _int(spec: dict, key: str, default=None):
     v = _single(spec, key)
-    return default if v is None else int(v)
+    return default if v is None else _int_value(v, f"spec key '{key}'")
 
 
 def rational(text: str) -> Fraction:
@@ -133,12 +141,14 @@ def _fraction(spec: dict, key: str, default=None):
     return default if v is None else rational(v)
 
 
-def _int_list(value: str) -> list[int]:
-    return [int(tok) for tok in value.replace(",", " ").split()]
+def _int_list(value: str, source: str) -> list[int]:
+    """Space- or comma-separated integers of the ``source`` key or flag."""
+    return [_int_value(tok, source) for tok in value.replace(",", " ").split()]
 
 
-def _parse_inline_ideal(value: str) -> MonomialIdeal:
-    rows = [tuple(int(t) for t in part.split()) for part in value.split(";") if part.strip()]
+def _parse_inline_ideal(value: str, source: str) -> MonomialIdeal:
+    rows = [tuple(_int_value(t, source) for t in part.split())
+            for part in value.split(";") if part.strip()]
     if not rows:
         raise SpecError("empty inline ideal")
     width = len(rows[0])
@@ -150,7 +160,7 @@ def _parse_inline_ideal(value: str) -> MonomialIdeal:
 def _ideal_from_spec(spec: dict, key: str, base_dir: Path | None) -> MonomialIdeal | None:
     inline = _single(spec, key)
     if inline is not None:
-        return _parse_inline_ideal(inline)
+        return _parse_inline_ideal(inline, f"spec key '{key}'")
     ref = _single(spec, key + "_file")
     if ref is not None:
         path = Path(ref)
@@ -164,7 +174,7 @@ def _schedule_from_spec(spec: dict, horizon: int) -> BlockSchedule:
     raw = _single(spec, "schedule")
     if raw is None:
         return BlockSchedule.default(max(horizon, 210))
-    return BlockSchedule(tuple(_int_list(raw)))
+    return BlockSchedule(tuple(_int_list(raw, "spec key 'schedule'")))
 
 
 def _tset_from_spec(spec: dict):
@@ -173,13 +183,12 @@ def _tset_from_spec(spec: dict):
     if parts[0] == "all":
         return lambda n: True
     if parts[0] == "mod":
-        r = int(parts[1]) if len(parts) > 1 else 0
+        r = _int_value(parts[1], "spec key 'tset'") if len(parts) > 1 else 0
         if r < 1:
             raise SpecError("tset 'mod r a..' needs a modulus r >= 1")
-        residues = tuple(int(x) for x in parts[2:])
-        return ("mod", r, residues)
+        return ("mod", r, tuple(_int_value(x, "spec key 'tset'") for x in parts[2:]))
     if parts[0] == "set":
-        return frozenset(int(x) for x in parts[1:])
+        return frozenset(_int_value(x, "spec key 'tset'") for x in parts[1:])
     raise SpecError("tset must be 'all', 'mod r a..', or 'set n..'")
 
 
@@ -190,7 +199,7 @@ def build_semigroup(spec: dict) -> GradedSemigroup:
     gens = []
     dim = None
     for raw in raws:
-        nums = _int_list(raw)
+        nums = _int_list(raw, "spec key 'generator'")
         if len(nums) < 2:
             raise SpecError("generator needs point coordinates plus a degree")
         vec, deg = tuple(nums[:-1]), nums[-1]
@@ -240,7 +249,7 @@ def build_series(spec: dict, horizon: int = 210) -> MonomialLinearSeries:
     if kind is None:
         raise SpecError("series spec needs a 'series' key")
     if kind == "full":
-        weights = tuple(_int_list(_single(spec, "weights", "1 1")))
+        weights = tuple(_int_list(_single(spec, "weights", "1 1"), "spec key 'weights'"))
         return full_weighted_series(weights, horizon)
     if kind == "nil_hyperplane":
         return nil_hyperplane_series(_tset_from_spec(spec), _int(spec, "dim", 2), horizon)
@@ -249,9 +258,9 @@ def build_series(spec: dict, horizon: int = 210) -> MonomialLinearSeries:
     if kind == "sigma_growth":
         schedule = _schedule_from_spec(spec, horizon)
         s_raw = _single(spec, "s", "0")
-        s = None if s_raw in ("-inf", "-infinity", "none") else int(s_raw)
+        s = None if s_raw in ("-inf", "-infinity", "none") else _int_value(s_raw, "spec key 's'")
         weights_raw = _single(spec, "weights")
-        weights = tuple(_int_list(weights_raw)) if weights_raw else None
+        weights = tuple(_int_list(weights_raw, "spec key 'weights'")) if weights_raw else None
         return sigma_growth_series(s, _int(spec, "r", 1), schedule,
                                    weights, _int(spec, "e", 1), horizon)
     if kind == "tau_pulse":

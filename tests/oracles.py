@@ -72,6 +72,18 @@ def symbolic_core_fixpoint(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -
         current = nxt
 
 
+def check_level_degrees(series, n: int, monomials) -> None:
+    """Per-monomial degree check: raise unless every monomial of level n has
+    weighted degree ``twist * n``, a nil factor counting ``nil_degree``."""
+    for exps, nil in monomials:
+        deg = sum(w * e for w, e in zip(series.ambient.weights, exps))
+        if nil:
+            deg += series.ambient.nil_degree
+        if deg != series.twist * n:
+            raise ValueError(f"level {n} monomial {exps} has degree {deg}, "
+                             f"expected {series.twist * n}")
+
+
 def check_level_containments(s: GradedSemigroup, horizon: int) -> list[tuple[int, int, tuple]]:
     """Violations of S_a + S_b being contained in S_{a+b} up to the horizon."""
     bad = []

@@ -121,10 +121,16 @@ class TestArgumentEdges:
         ("volmult", "family: valuation\nlambda: 1 2\nhorizon: 0\n", "spec key 'horizon'"),
         ("family", "family: valuation\nlambda: 1 2\ntol: -1\nexpect: oscillates\n",
          "spec key 'tol'"),
+        ("series", "series: tau_pulse\ng: 0\n", "g must be positive"),
+        ("series", "series: tau_pulse\ng: -2\n", "g must be positive"),
+        ("family", "family: nilpair_sigma\ndim: x\n", "spec key 'dim'"),
+        ("family", "family: nilpair_sigma\nschedule: 2 x\n", "spec key 'schedule'"),
+        ("series", "series: full\nweights: 1 y\n", "spec key 'weights'"),
     ], ids=["pset-line", "nilpair-dim0", "perturbed-dim0", "corrupted-dim0",
             "lambda-1/0", "tol-1/0", "tset-mod-0", "tset-mod-missing",
             "moduli-0", "moduli-negative", "family-horizon-0", "series-horizon-0",
-            "volmult-horizon-0", "tol-negative"])
+            "volmult-horizon-0", "tol-negative", "tau-pulse-g0", "tau-pulse-g-negative",
+            "dim-not-int", "schedule-not-int", "weights-not-int"])
     def test_bad_spec_value(self, capsys, tmp_path, cmd, text, match):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)
@@ -132,6 +138,21 @@ class TestArgumentEdges:
         flags = [] if "horizon:" in text else ["--horizon", 10]
         self.assert_usage_error(capsys, cmd, spec, *flags,
                                 "--out", tmp_path / "o.csv", match=match)
+
+    def test_bad_int_flag_names_flag(self, capsys, tmp_path):
+        self.assert_usage_error(capsys, "volmult", SPECS / "volmult_valuation12.spec",
+                                "--pset", "2,x", "--out", tmp_path / "o.csv",
+                                match="--pset")
+
+    def test_negative_exponent_keeps_scaled_exact(self, tmp_path):
+        # dim/n^-2 = dim * n^2 is an integer; it must print as one, not as 8.0
+        spec = tmp_path / "neg.spec"
+        spec.write_text("series: full\nweights: 1 2\nexponent: -2\n")
+        out = tmp_path / "o.csv"
+        assert run("series", spec, "--horizon", 8, "--out", out) == 0
+        rows = out.read_text().splitlines()
+        assert "value,2,,2,8,8.000000,,,,," in rows
+        assert "value,3,,2,18,18.000000,,,,," in rows
 
     def test_tol_zero_denominator(self, capsys, tmp_path):
         # rejected by argparse, which prints its usage line first

@@ -152,10 +152,10 @@ class TestVerdictSoundness:
                                   nil_annihilates_base=True)
 
         def provider(n):
-            from gradedlimits.series import weighted_monomials
-            out = [(e, False) for e in weighted_monomials((1, 1, 1), n)]
+            from gradedlimits.series import Block, weighted_monomials
+            out = [Block(e, False) for e in weighted_monomials((1, 1, 1), n)]
             if SCHEDULE.tau(n):
-                out.append(((n - 1, 0, 0), True))
+                out.append(Block((n - 1, 0, 0), True))
             return out
 
         series = MonomialLinearSeries("bounded_nil", ambient, 1, provider, 160)

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from math import comb
 
 import pytest
@@ -114,6 +115,24 @@ class TestKernelOracles:
         j = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
         sums = [tuple(a + b for a, b in zip(g, h)) for g in i.gens for h in j.gens]
         assert (i * j).gens == oracle_minimal(sums)
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_matches_checked_constructor(self, data, d):
+        i = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
+        j = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
+
+        def checked_meet(a, b):
+            return MonomialIdeal(d, tuple(tuple(max(x, y) for x, y in zip(g, h))
+                                          for g in a.gens for h in b.gens))
+
+        assert i * j == MonomialIdeal(d, tuple(tuple(x + y for x, y in zip(g, h))
+                                               for g in i.gens for h in j.gens))
+        assert i + j == MonomialIdeal(d, i.gens + j.gens)
+        assert i.intersect(j) == checked_meet(i, j)
+        dropped = [MonomialIdeal(d, tuple(g[:k] + (0,) + g[k + 1:] for g in i.gens))
+                   for k in range(d)]
+        assert i.saturate() == (i if i.is_zero() else reduce(checked_meet, dropped))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_contains_rejects_wrong_length(self, d):

@@ -1,13 +1,17 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedlimits.families import BlockSchedule
 from gradedlimits.series import (
     NEG_INF,
+    Block,
     MonomialLinearSeries,
     WeightedAmbient,
+    _block_monomials,
     artin_tau_series,
     ceil_log,
     closure_violations,
@@ -25,6 +29,8 @@ from gradedlimits.series import (
     veronese,
     weighted_monomials,
 )
+
+from oracles import check_level_degrees
 
 SCHEDULE = BlockSchedule.default(210)
 
@@ -110,9 +116,63 @@ class TestBuilders:
     def test_degree_consistency_is_enforced(self):
         ambient = WeightedAmbient((1, 1))
         bad = MonomialLinearSeries("bad", ambient, 1,
-                                   lambda n: [((n + 1, 0), False)], 10)
+                                   lambda n: [Block((n + 1, 0), False)], 10)
         with pytest.raises(ValueError, match="degree"):
             bad.level(1)
+
+
+class TestBlocks:
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_expansion_matches_box_filter(self, data, k):
+        weights = data.draw(st.tuples(*[st.integers(1, 3)] * k))
+        shift = data.draw(st.tuples(*[st.integers(0, 4)] * k))
+        free = data.draw(st.integers(0, min(3, k)))
+        degree = data.draw(st.integers(0, 8))
+        box = itertools.product(*(range(s, s + degree + 1) for s in shift))
+        want = []
+        for exps in box:
+            m = [e - s for e, s in zip(exps, shift)]
+            if any(m[free:]):
+                continue
+            if sum(w * x for w, x in zip(weights, m)) == degree:
+                want.append(exps)
+        assert list(_block_monomials(weights, shift, free, degree)) == want
+
+    def test_builder_levels_pass_per_monomial_check(self):
+        for s in all_builders(40):
+            for n in range(41):
+                check_level_degrees(s, n, s.level(n))
+        for s in all_builders(60):
+            v = veronese(s, 3)
+            for n in range(21):
+                check_level_degrees(v, n, v.level(n))
+
+    def test_malformed_blocks_are_rejected(self):
+        # the degree adds up, but the block holds a negative exponent
+        ambient = WeightedAmbient((1, 1))
+        bad = MonomialLinearSeries("negative", ambient, 1,
+                                   lambda n: [Block((n + 1, -1), False)], 10)
+        with pytest.raises(ValueError, match="negative exponent"):
+            bad.level(1)
+        short = MonomialLinearSeries("short", ambient, 1,
+                                     lambda n: [Block((n,), False)], 10)
+        with pytest.raises(ValueError, match="does not fit"):
+            short.level(1)
+        reduced = MonomialLinearSeries("reduced", ambient, 1,
+                                       lambda n: [Block((n, 0), True)], 10)
+        with pytest.raises(ValueError, match="square-zero"):
+            reduced.level(1)
+
+    def test_block_degree_is_checked(self):
+        ambient = WeightedAmbient((1, 2))
+        good = MonomialLinearSeries("good", ambient, 2,
+                                    lambda n: [Block((n, 0), False, 2, n)], 10)
+        assert good.level(2) == {((2, 1), False), ((4, 0), False)}
+        bad = MonomialLinearSeries("bad", ambient, 2,
+                                   lambda n: [Block((n, 0), False, 2, n + 1)], 10)
+        with pytest.raises(ValueError, match="degree"):
+            bad.level(2)
 
 
 class TestKappa:
@@ -144,7 +204,7 @@ class TestKappa:
     def test_late_rank_growth_flags_horizon(self):
         # z_0^n alone up to level 29; z_0^(n-1) z_1 joins from level 30 on
         def provider(n):
-            return [((n, 0), False)] + ([((n - 1, 1), False)] if n >= 30 else [])
+            return [Block((n, 0), False)] + ([Block((n - 1, 1), False)] if n >= 30 else [])
 
         late = MonomialLinearSeries("late", WeightedAmbient((1, 1)), 1, provider, 40)
         assert kodaira_iitaka(late, 32) == (1, True)
@@ -158,7 +218,7 @@ class TestIndex:
         ambient = s.ambient
 
         def evens_only(n):
-            return s.level(n) if n % 2 == 0 else frozenset()
+            return s.blocks(n) if n % 2 == 0 else []
 
         trimmed = MonomialLinearSeries("evens", ambient, 1, evens_only, 60)
         assert index_estimate(trimmed) == 2
@@ -194,8 +254,8 @@ class TestClosure:
         def provider(n):
             # drops the pure power of the first variable at level 2
             if n == 2:
-                return [((1, 1), False), ((0, 2), False)]
-            return [((a, n - a), False) for a in range(n + 1)]
+                return [Block((1, 1), False), Block((0, 2), False)]
+            return [Block((a, n - a), False) for a in range(n + 1)]
 
         broken = MonomialLinearSeries("broken", ambient, 1, provider, 10)
         assert closure_violations(broken, 4) == [
@@ -208,7 +268,7 @@ class TestClosure:
         ambient = WeightedAmbient((1, 1, 1))
 
         def provider(n):
-            mons = [((a, b, n - a - b), False)
+            mons = [Block((a, b, n - a - b), False)
                     for a in range(n + 1) for b in range(n - a + 1)]
             if n == 12:
                 mons = [m for m in mons if m[0][0] < 6]
@@ -224,13 +284,40 @@ class TestClosure:
             (6, 6, "((2, 2, 2), False) * ((4, 2, 0), False) escapes level 12"),
         ]
 
+    @pytest.mark.parametrize("shuffle", [
+        lambda mons: mons[::-1],
+        lambda mons: mons[1::2] + mons[::2],
+        lambda mons: mons[::-1] + mons[:3],  # overlapping points
+    ], ids=["reversed", "interleaved", "repeated"])
+    def test_witnesses_do_not_depend_on_provider_order(self, shuffle):
+        # the sampled pairs follow the sorted level, whatever order the
+        # provider lists its blocks in
+        ambient = WeightedAmbient((1, 1, 1))
+
+        def provider(n):
+            mons = [Block((a, b, n - a - b), False)
+                    for a in range(n + 1) for b in range(n - a + 1)]
+            if n == 12:
+                mons = [m for m in mons if m[0][0] < 6]
+            return shuffle(mons)
+
+        broken = MonomialLinearSeries("shuffled", ambient, 1, provider, 12)
+        assert closure_violations(broken, 12) == [
+            (1, 11, "((0, 0, 1), False) * ((6, 0, 5), False) escapes level 12"),
+            (2, 10, "((0, 0, 2), False) * ((6, 3, 1), False) escapes level 12"),
+            (3, 9, "((0, 0, 3), False) * ((6, 3, 0), False) escapes level 12"),
+            (4, 8, "((0, 0, 4), False) * ((6, 1, 1), False) escapes level 12"),
+            (5, 7, "((0, 0, 5), False) * ((6, 0, 1), False) escapes level 12"),
+            (6, 6, "((2, 2, 2), False) * ((4, 2, 0), False) escapes level 12"),
+        ]
+
     def test_each_level_built_once(self):
         # levels are not memoized, so the check must hold its own copy
         calls = []
 
         def provider(n):
             calls.append(n)
-            return [((a, n - a), False) for a in range(n + 1)]
+            return [Block((a, n - a), False) for a in range(n + 1)]
 
         series = MonomialLinearSeries("counted", WeightedAmbient((1, 1)), 1,
                                       provider, 20)
@@ -258,7 +345,7 @@ class TestSemigroupView:
         ambient = WeightedAmbient((1, 1))
         even = MonomialLinearSeries(
             "even_exponents", ambient, 2,
-            lambda n: [((2 * a, 2 * (n - a)), False) for a in range(n + 1)], 40)
+            lambda n: [Block((2 * a, 2 * (n - a)), False) for a in range(n + 1)], 40)
         sg, _ = series_to_semigroup(even)
         regen = None
         from gradedlimits.semigroup import GradedSemigroup
@@ -285,7 +372,7 @@ class TestStability:
         # along every residue class
         ambient = WeightedAmbient((1,))
         stable = MonomialLinearSeries("unit_only", ambient, 1,
-                                      lambda n: [((n,), False)], 120)
+                                      lambda n: [Block((n,), False)], 120)
         assert kodaira_iitaka(stable, 40)[0] == 0
         vals = dims(stable, 120)
         assert all(v == vals[-1] for v in vals[60:])
