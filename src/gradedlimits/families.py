@@ -214,19 +214,33 @@ def _weight_vector(weights: Sequence) -> tuple[Fraction, ...]:
 def valuation_gens(weights: tuple[Fraction, ...], n: int) -> tuple:
     """Minimal exponent vectors a with <weights, a> >= n.
 
-    Enumerates the prefix box; candidates with equal last entry are
-    minimalized among themselves (distinct last entries never divide).
+    The weights are scaled once to integers by the lcm of their
+    denominators.  Enumerates the prefix box; candidates with equal last
+    entry are minimalized among themselves (distinct last entries never
+    divide).  In two variables the last entry falls as the first rises, so
+    the staircase keeps each prefix at which it drops.
     """
     d = len(weights)
     if n <= 0:
         return ((0,) * d,)
+    scale = math.lcm(*(w.denominator for w in weights))
+    ws = [w.numerator * (scale // w.denominator) for w in weights]
+    target = n * scale
+    *head, w_last = ws
     if d == 1:
-        return ((frac_ceil(Fraction(n) / weights[0]),),)
-    ranges = [range(frac_ceil(Fraction(n) / w) + 1) for w in weights[:-1]]
+        return ((-(-target // w_last),),)
+    if d == 2:
+        gens = []
+        for a in range(-(-target // head[0]) + 1):
+            rem = target - head[0] * a
+            last = -(-rem // w_last) if rem > 0 else 0
+            if not gens or last < gens[-1][1]:
+                gens.append((a, last))
+        return tuple(gens)
     groups: dict[int, list[tuple]] = {}
-    for prefix in itertools.product(*ranges):
-        rem = n - sum(w * a for w, a in zip(weights, prefix))
-        last = frac_ceil(rem / weights[-1]) if rem > 0 else 0
+    for prefix in itertools.product(*(range(-(-target // w) + 1) for w in head)):
+        rem = target - sum(w * a for w, a in zip(head, prefix))
+        last = -(-rem // w_last) if rem > 0 else 0
         groups.setdefault(last, []).append(prefix)
     gens = []
     for last, prefixes in groups.items():

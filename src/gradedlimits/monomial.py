@@ -4,11 +4,12 @@ Ideals are kept in canonical form (minimal generators, lexicographically
 sorted), so structural equality is mathematical equality.  In d <= 2 the
 canonical generators form a staircase: x strictly increases and y strictly
 decreases along the tuple.  Minimalization there is one sweep after a lex
-sort, and membership is one ``bisect`` on that order.  In d >= 3
-minimalization is the degree-bucketed dominance scan and membership is a
-scan over the generators.  Colengths are computed by recursive
-last-variable slicing with memoization; a brute-force box counter is
-retained as an independent oracle.
+sort, membership is one ``bisect`` on that order, and the colength and the
+largest standard degree are closed forms in the staircase corners.  In
+d >= 3 minimalization is the degree-bucketed dominance scan, and each ideal
+builds one slice index along its last variable on first use: membership is
+one bisect for the slice and a (d-1)-variable query inside it, and colengths
+sum the slice colengths over the slice widths, down to the d = 2 closed form.
 """
 
 from __future__ import annotations
@@ -17,11 +18,21 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .lattice import RationalPolytope, convex_hull, lattice_volume, standard_lattice
 
 Exponent = tuple  # ints, one per variable
+
+
+def _exponent(num_vars: int, g) -> Exponent:
+    """g as a tuple of num_vars non-negative ints, else ValueError."""
+    t = tuple(int(e) for e in g)
+    if len(t) != num_vars:
+        raise ValueError("generator has wrong number of variables")
+    if any(e < 0 for e in t):
+        raise ValueError("negative exponent")
+    return t
 
 
 def minimal_generators(candidates) -> tuple[Exponent, ...]:
@@ -43,7 +54,7 @@ def minimal_generators(candidates) -> tuple[Exponent, ...]:
             if not kept or g[-1] < kept[-1][-1]:
                 kept.append(g)
         return tuple(kept)
-    uniq = sorted(uniq, key=lambda g: (sum(g), g))
+    uniq = sorted(uniq, key=sum)
     kept: list = []
     by_degree: dict[int, set] = {}
     for g in uniq:
@@ -84,20 +95,14 @@ class MonomialIdeal:
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("need at least one variable")
-        canon = []
-        for g in self.gens:
-            t = tuple(int(e) for e in g)
-            if len(t) != self.num_vars:
-                raise ValueError("generator has wrong number of variables")
-            if any(e < 0 for e in t):
-                raise ValueError("negative exponent")
-            canon.append(t)
+        canon = [_exponent(self.num_vars, g) for g in self.gens]
         object.__setattr__(self, "gens", minimal_generators(canon))
 
     @classmethod
     def _canonical(cls, num_vars: int, candidates) -> "MonomialIdeal":
-        """The ideal of candidates built from the generators of checked
-        ideals over ``num_vars`` variables: minimalized, not re-validated."""
+        """The ideal of candidates already known to be tuples of ``num_vars``
+        non-negative ints (built from checked ideals, checked monomials or
+        ints): minimalized, not re-validated."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "num_vars", num_vars)
         object.__setattr__(ideal, "gens", minimal_generators(candidates))
@@ -119,11 +124,34 @@ class MonomialIdeal:
             # the covering generator is the last one whose first exponent is <= m's
             i = bisect_right(self.gens, (m[0], math.inf)) - 1
             return i >= 0 and self.gens[i][-1] <= m[-1]
-        return any(all(ge <= me for ge, me in zip(g, m)) for g in self.gens)
+        tops, slices = self._slices
+        k = bisect_right(tops, m[-1]) - 1
+        return k >= 0 and slices[k].contains(m[:-1])
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         self._check(other)
         return all(self.contains(g) for g in other.gens)
+
+    @cached_property
+    def _slices(self) -> tuple[list[int], list["MonomialIdeal"]]:
+        """The slice index along the last variable (d >= 3 only).
+
+        ``tops`` are the distinct last exponents t_0 < t_1 < ... of the
+        generators.  Slice k is the (d-1)-variable ideal of the projections
+        of the generators with last exponent <= t_k, so a monomial whose last
+        exponent lies in [t_k, t_{k+1}) is in the ideal exactly when its
+        projection is in slice k; below t_0 nothing is.
+        """
+        by_top: dict[int, list[Exponent]] = {}
+        for g in self.gens:
+            by_top.setdefault(g[-1], []).append(g[:-1])
+        tops = sorted(by_top)
+        slices: list[MonomialIdeal] = []
+        kept: tuple[Exponent, ...] = ()
+        for t in tops:
+            slices.append(MonomialIdeal._canonical(self.num_vars - 1, kept + tuple(by_top[t])))
+            kept = slices[-1].gens
+        return tops, slices
 
     def is_m_primary(self) -> bool:
         """True iff every variable carries a pure-power generator."""
@@ -178,16 +206,9 @@ class MonomialIdeal:
         return MonomialIdeal._canonical(self.num_vars, joins)
 
     def colon_monomial(self, u) -> "MonomialIdeal":
-        u = tuple(u)
-        gens = {tuple(max(a - b, 0) for a, b in zip(g, u)) for g in self.gens}
-        return MonomialIdeal(self.num_vars, tuple(gens))
-
-    def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        if other.is_zero():
-            return unit_ideal(self.num_vars)
-        parts = [self.colon_monomial(u) for u in other.gens]
-        return reduce(lambda a, b: a.intersect(b), parts)
+        u = _exponent(self.num_vars, u)
+        return MonomialIdeal._canonical(
+            self.num_vars, {tuple(max(a - b, 0) for a, b in zip(g, u)) for g in self.gens})
 
     def saturate(self) -> "MonomialIdeal":
         """Saturation with respect to the maximal ideal, I : m^infty.
@@ -227,15 +248,15 @@ def max_ideal_power(num_vars: int, n: int) -> MonomialIdeal:
     """The n-th power of the maximal ideal (x_1, ..., x_d)."""
     if n <= 0:
         return unit_ideal(num_vars)
-    return MonomialIdeal(num_vars, tuple(_degree_tuples(num_vars, n)))
+    return MonomialIdeal._canonical(num_vars, _degree_tuples(num_vars, n))
 
 
 def colon_monomial_infinity(ideal: MonomialIdeal, u) -> MonomialIdeal:
     """I : u^infty for a monomial u: zero out the exponents supported on u."""
-    support = [i for i, e in enumerate(u) if e > 0]
+    support = [i for i, e in enumerate(_exponent(ideal.num_vars, u)) if e > 0]
     gens = {tuple(0 if i in support else e for i, e in enumerate(g))
             for g in ideal.gens}
-    return MonomialIdeal(ideal.num_vars, tuple(gens))
+    return MonomialIdeal._canonical(ideal.num_vars, gens)
 
 
 def symbolic_core(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -265,65 +286,46 @@ def colength(ideal: MonomialIdeal) -> int:
     """
     if not ideal.is_m_primary():
         raise ValueError("infinite colength: ideal is not primary to the maximal ideal")
-    return _colength(ideal.num_vars, ideal.gens)
+    return _colength(ideal)
 
 
-def _last_var_sweep(gens: tuple[Exponent, ...]):
-    """Yield (width, slice_gens) segments along the last variable.
-
-    Slice t (0 <= t < pure power exponent) of the staircase is the ideal of
-    projections of generators with last exponent <= t; consecutive equal
-    slices are merged into one segment of the given width.
-    """
-    last_pure = next(g[-1] for g in gens
-                     if all(e == 0 for e in g[:-1]))
-    by_coord: dict[int, list[Exponent]] = {}
-    for g in gens:
-        if g[-1] < last_pure:
-            by_coord.setdefault(g[-1], []).append(g[:-1])
-    events = sorted(by_coord)
-    kept: tuple[Exponent, ...] = ()
-    prev = 0
-    for t in events:
-        if t > prev:
-            yield t - prev, kept
-        kept = minimal_generators(kept + tuple(by_coord[t]))
-        prev = t
-    yield last_pure - prev, kept
+def _last_var_sweep(ideal: MonomialIdeal):
+    """(t_k, t_{k+1}, slice k) along the last variable of an m-primary ideal
+    in d >= 3 variables: the slices below the pure power, each covering the
+    last exponents t_k <= t < t_{k+1}.  The top slice is the unit ideal."""
+    tops, slices = ideal._slices
+    return zip(tops, tops[1:], slices)
 
 
-def _colength(num_vars: int, gens: tuple[Exponent, ...]) -> int:
-    if gens == ((0,) * num_vars,):
-        return 0
-    if num_vars == 1:
-        return min(g[0] for g in gens)
-    total = 0
-    for width, slice_gens in _last_var_sweep(gens):
-        total += width * _colength(num_vars - 1, slice_gens)
-    return total
+def _colength(ideal: MonomialIdeal) -> int:
+    gens = ideal.gens
+    if ideal.num_vars == 1:
+        return gens[0][0]
+    if ideal.num_vars == 2:
+        # area under the staircase (0, y_0), (x_1, y_1), ..., (x_k, 0)
+        return sum((x1 - x0) * y0 for (x0, y0), (x1, _) in zip(gens, gens[1:]))
+    return sum((t1 - t0) * _colength(s) for t0, t1, s in _last_var_sweep(ideal))
 
 
 def max_standard_degree(ideal: MonomialIdeal) -> int:
     """Largest total degree of a monomial outside the ideal; -1 for the unit."""
     if not ideal.is_m_primary():
         raise ValueError("unbounded standard monomials")
-    return _max_standard_degree(ideal.num_vars, ideal.gens)
+    return _max_standard_degree(ideal)
 
 
-def _max_standard_degree(num_vars: int, gens: tuple[Exponent, ...]) -> int:
-    if gens == ((0,) * num_vars,):
+def _max_standard_degree(ideal: MonomialIdeal) -> int:
+    gens = ideal.gens
+    if ideal.is_unit():
         return -1
-    if num_vars == 1:
-        return min(g[0] for g in gens) - 1
-    best = -1
-    offset = 0
-    for width, slice_gens in _last_var_sweep(gens):
-        sub = _max_standard_degree(num_vars - 1, slice_gens)
-        if sub >= 0:
-            # slice complement monomials gain the last coordinate as degree
-            best = max(best, sub + offset + width - 1)
-        offset += width
-    return best
+    if ideal.num_vars == 1:
+        return gens[0][0] - 1
+    if ideal.num_vars == 2:
+        # the inner corners (x_{i+1} - 1, y_i - 1) of the staircase
+        return max(x1 + y0 for (_, y0), (x1, _) in zip(gens, gens[1:])) - 2
+    # slices below the top are not the unit ideal; the top exponent of
+    # slice k's complement is t_{k+1} - 1
+    return max(t1 - 1 + _max_standard_degree(s) for _, t1, s in _last_var_sweep(ideal))
 
 
 def madic_order(ideal: MonomialIdeal) -> int:
@@ -346,10 +348,10 @@ def saturation_quotient_colength(ideal: MonomialIdeal) -> int:
     depth = max(madic_order(ideal.colon_monomial(u)) for u in sat.gens)
     bound = max((max(u) for u in sat.gens if u), default=0) + depth
     bound = max(bound, 1)
-    box = MonomialIdeal(ideal.num_vars,
-                        tuple(tuple(bound if i == j else 0 for j in range(ideal.num_vars))
-                              for i in range(ideal.num_vars)))
-    return _colength(ideal.num_vars, (ideal + box).gens) - _colength(ideal.num_vars, (sat + box).gens)
+    box = MonomialIdeal._canonical(
+        ideal.num_vars, [tuple(bound if i == j else 0 for j in range(ideal.num_vars))
+                         for i in range(ideal.num_vars)])
+    return _colength(ideal + box) - _colength(sat + box)
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +438,3 @@ def multiplicity(ideal: MonomialIdeal) -> Fraction:
     """
     region = newton_region(ideal)
     return math.factorial(ideal.num_vars) * region.covolume
-
-
-def multiplicity_limit_sequence(ideal: MonomialIdeal, k_max: int) -> list[Fraction]:
-    """The scaled length sequence len(R/I^k) * d! / k^d for k = 1..k_max."""
-    if not ideal.is_m_primary():
-        raise ValueError("infinite colength: ideal is not primary to the maximal ideal")
-    d = ideal.num_vars
-    out = []
-    power = unit_ideal(d)
-    for k in range(1, k_max + 1):
-        power = power * ideal
-        out.append(Fraction(colength(power) * math.factorial(d), k ** d))
-    return out

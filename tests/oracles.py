@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from gradedlimits.experiments import (
@@ -28,12 +29,13 @@ from gradedlimits.lattice import (
     saturate_lattice,
     sublattice_index,
 )
-from gradedlimits.monomial import MonomialIdeal, max_ideal_power
+from gradedlimits.monomial import MonomialIdeal, colength, max_ideal_power, unit_ideal
 from gradedlimits.semigroup import GradedSemigroup
 
 
 def colength_bruteforce(ideal: MonomialIdeal) -> int:
-    """Independent oracle: enumerate the complement box point by point."""
+    """Independent oracle: enumerate the complement box point by point,
+    testing each point for divisibility by every generator."""
     if not ideal.is_m_primary():
         raise ValueError("infinite colength: ideal is not primary to the maximal ideal")
     if ideal.is_unit():
@@ -45,9 +47,31 @@ def colength_bruteforce(ideal: MonomialIdeal) -> int:
         bounds.append(pure)
     count = 0
     for point in itertools.product(*(range(b) for b in bounds)):
-        if not ideal.contains(point):
+        if not any(all(ge <= pe for ge, pe in zip(g, point)) for g in ideal.gens):
             count += 1
     return count
+
+
+def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
+    """I : J as the intersection of the colons by the generators of J."""
+    ideal._check(other)
+    if other.is_zero():
+        return unit_ideal(ideal.num_vars)
+    parts = [ideal.colon_monomial(u) for u in other.gens]
+    return reduce(lambda a, b: a.intersect(b), parts)
+
+
+def multiplicity_limit_sequence(ideal: MonomialIdeal, k_max: int) -> list[Fraction]:
+    """The scaled length sequence len(R/I^k) * d! / k^d for k = 1..k_max."""
+    if not ideal.is_m_primary():
+        raise ValueError("infinite colength: ideal is not primary to the maximal ideal")
+    d = ideal.num_vars
+    out = []
+    power = unit_ideal(d)
+    for k in range(1, k_max + 1):
+        power = power * ideal
+        out.append(Fraction(colength(power) * math.factorial(d), k ** d))
+    return out
 
 
 def saturate_by_colon_fixpoint(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -55,7 +79,7 @@ def saturate_by_colon_fixpoint(ideal: MonomialIdeal) -> MonomialIdeal:
     m = max_ideal_power(ideal.num_vars, 1)
     current = ideal
     while True:
-        nxt = current.colon(m)
+        nxt = colon(current, m)
         if nxt == current:
             return current
         current = nxt
@@ -66,7 +90,7 @@ def symbolic_core_fixpoint(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -
     ideal._check(other)
     current = ideal ** n
     while True:
-        nxt = current.colon(other)
+        nxt = colon(current, other)
         if nxt == current:
             return current
         current = nxt

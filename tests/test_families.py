@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedlimits.families import (
     BlockSchedule,
@@ -91,6 +92,26 @@ class TestBuilders:
             for pt in itertools.product(range(2 * n + 2), repeat=2):
                 member = sum(l * a for l, a in zip(lams, pt)) >= n
                 assert i.contains(pt) == member
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_valuation_gens_matches_box_filter(self, d, data):
+        # weights >= 1 with denominators up to 4
+        weight = st.integers(1, 4).flatmap(
+            lambda q: st.integers(q, 12).map(lambda p: Fraction(p, q)))
+        weights = tuple(data.draw(weight) for _ in range(d))
+        n = data.draw(st.integers(0, 24 if d < 3 else 10))
+
+        def inside(a):
+            return sum(w * e for w, e in zip(weights, a)) >= n
+
+        # a minimal generator has a_i <= ceil(n / w_i); the region is an up-set,
+        # so a point is minimal when no single step down stays inside
+        box = itertools.product(*(range(frac_ceil(Fraction(n) / w) + 1) for w in weights))
+        minimal = [a for a in box if inside(a)
+                   and not any(e and inside(a[:i] + (e - 1,) + a[i + 1:])
+                               for i, e in enumerate(a))]
+        assert valuation_gens(weights, n) == tuple(sorted(minimal))
 
     def test_valuation_rejects_floats_and_small_weights(self):
         with pytest.raises(ValueError, match="rational"):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import reduce
 from math import comb
@@ -9,12 +10,12 @@ from gradedlimits.monomial import (
     MonomialIdeal,
     NilPairIdeal,
     colength,
+    colon_monomial_infinity,
     madic_order,
     max_ideal_power,
     max_standard_degree,
     minimal_generators,
     multiplicity,
-    multiplicity_limit_sequence,
     newton_region,
     saturation_quotient_colength,
     symbolic_core,
@@ -22,7 +23,13 @@ from gradedlimits.monomial import (
     unit_nilpair,
     zero_ideal,
 )
-from oracles import colength_bruteforce, saturate_by_colon_fixpoint, symbolic_core_fixpoint
+from oracles import (
+    colength_bruteforce,
+    colon,
+    multiplicity_limit_sequence,
+    saturate_by_colon_fixpoint,
+    symbolic_core_fixpoint,
+)
 
 
 def ideal(*gens):
@@ -54,7 +61,21 @@ class TestArithmetic:
     def test_colon_by_ideal(self):
         i = ideal((2, 0), (1, 1))
         j = ideal((1, 0), (0, 1))
-        assert i.colon(j).gens == ((1, 0),)
+        assert colon(i, j).gens == ((1, 0),)
+
+    @pytest.mark.parametrize("colon_by, u, message", [
+        ("monomial", (-1, 0), "negative exponent"),
+        ("monomial", (1, 0, 5), "wrong number of variables"),
+        ("infinity", (0,), "wrong number of variables"),
+        ("infinity", (0, 0, 1), "wrong number of variables"),
+    ], ids=["monomial-negative", "monomial-long", "infinity-short", "infinity-long"])
+    def test_colon_rejects_malformed_monomial(self, colon_by, u, message):
+        i = ideal((2, 0), (1, 1))
+        with pytest.raises(ValueError, match=message):
+            if colon_by == "monomial":
+                i.colon_monomial(u)
+            else:
+                colon_monomial_infinity(i, u)
 
     def test_mismatched_vars(self):
         with pytest.raises(ValueError, match="variables"):
@@ -133,6 +154,32 @@ class TestKernelOracles:
         dropped = [MonomialIdeal(d, tuple(g[:k] + (0,) + g[k + 1:] for g in i.gens))
                    for k in range(d)]
         assert i.saturate() == (i if i.is_zero() else reduce(checked_meet, dropped))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_staircase_closed_forms(self, data):
+        pure = [(data.draw(st.integers(1, 8)), 0), (0, data.draw(st.integers(1, 8)))]
+        i = MonomialIdeal(2, tuple(pure + data.draw(exponent_sets(2))))
+        box = itertools.product(range(i.gens[-1][0]), range(i.gens[0][1]))
+        standard = [p for p in box if not any(divides(g, p) for g in i.gens)]
+        assert colength(i) == colength_bruteforce(i) == len(standard)
+        assert max_standard_degree(i) == max((sum(p) for p in standard), default=-1)
+
+    @given(st.data(), st.integers(3, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_slice_index_membership(self, data, d):
+        # any ideal, m-primary or not, the zero ideal included
+        i = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
+        for _ in range(5):
+            m = data.draw(st.tuples(*[st.integers(0, 10)] * d))
+            assert i.contains(m) == any(divides(g, m) for g in i.gens)
+        j = MonomialIdeal(d, tuple(data.draw(exponent_sets(d, max_size=6))))
+        shifted = MonomialIdeal(d, tuple(tuple(e + data.draw(st.integers(0, 2)) for e in g)
+                                         for g in i.gens))
+        for other in (j, shifted):
+            assert i.contains_ideal(other) == all(any(divides(g, h) for g in i.gens)
+                                                  for h in other.gens)
+        assert i.contains_ideal(shifted)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_contains_rejects_wrong_length(self, d):
