@@ -293,7 +293,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (SpecError, FileNotFoundError, ValueError, MemoryError) as exc:
+    except (SpecError, OSError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -255,7 +255,7 @@ def valuation_family(weights: Sequence) -> GradedFamily:
     d = len(lams)
 
     def provider(n: int) -> MonomialIdeal:
-        return MonomialIdeal(d, valuation_gens(lams, n))
+        return MonomialIdeal._canonical(d, valuation_gens(lams, n))
 
     c = frac_ceil(1 / min(lams))
     beta = c * frac_ceil(max(lams))

@@ -34,20 +34,26 @@ def dot(a: Sequence, b: Sequence):
 # rational Gaussian elimination
 # ---------------------------------------------------------------------------
 
-def _rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q.  Returns (rows, pivot_columns)."""
+def _rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form over Q.  Returns (rows, pivot_columns,
+    pivot_product): the product of the pivots divided out, negated once per
+    row swap, so it is the determinant of a square input of full rank."""
     mat = [[Fraction(x) for x in r] for r in rows]
     if not mat:
-        return [], []
+        return [], [], Fraction(1)
     ncols = len(mat[0])
     pivots: list[int] = []
+    product = Fraction(1)
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pr is None:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
+        if pr != r:
+            mat[r], mat[pr] = mat[pr], mat[r]
+            product = -product
         pv = mat[r][c]
+        product *= pv
         mat[r] = [x / pv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
@@ -57,7 +63,7 @@ def _rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return mat[:r], pivots, product
 
 
 def rational_rank(rows: Iterable[Sequence]) -> int:
@@ -76,7 +82,7 @@ def rational_combination(basis: Sequence[Sequence], target: Sequence):
     n = len(target)
     aug = [[Fraction(basis[j][i]) for j in range(m)] + [Fraction(target[i])]
            for i in range(n)]
-    rref, pivots = _rref(aug)
+    rref, pivots, _ = _rref(aug)
     if m in pivots:
         return None  # inconsistent system
     coeffs = [Fraction(0)] * m
@@ -86,29 +92,15 @@ def rational_combination(basis: Sequence[Sequence], target: Sequence):
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix, by fraction Gaussian elimination."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    n = len(mat)
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            mat[c], mat[pr] = mat[pr], mat[c]
-            result = -result
-        result *= mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / mat[c][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return result
+    """Determinant of a square matrix: the pivot product of its ``_rref``."""
+    reduced, _, product = _rref(rows)
+    return product if len(reduced) == len(rows) else Fraction(0)
 
 
 def _kernel_vector(rows: Sequence[Sequence]) -> tuple[Fraction, ...]:
     """A nonzero kernel vector of a matrix with a one-dimensional kernel."""
     ncols = len(rows[0])
-    rref, pivots = _rref(rows)
+    rref, pivots, _ = _rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     if len(free) != 1:
         raise ValueError("kernel is not one-dimensional")
@@ -141,10 +133,6 @@ class IntegerLattice:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def contains(self, v: Sequence) -> bool:
-        c = rational_combination(self.basis, v)
-        return c is not None and all(x.denominator == 1 for x in c)
 
 
 def standard_lattice(n: int) -> IntegerLattice:
@@ -225,82 +213,24 @@ def sublattice_index(sup: IntegerLattice, sub: IntegerLattice) -> int:
     return abs(int(d))
 
 
-def _diagonalize(rows: Sequence[Sequence[int]], width: int):
-    """Diagonalize an integer matrix by row ops and tracked column ops.
-
-    Returns (divisors, cobasis) where cobasis is a unimodular width x width
-    matrix (list of rows) such that the row lattice of the input equals the
-    span of divisors[i] * cobasis[i].
-    """
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    v = [[1 if i == j else 0 for j in range(width)] for i in range(width)]
-
-    def col_op(j, q, i):
-        # col_j -= q * col_i   (mirrored on the cobasis as row_i += q * row_j)
-        for row in a:
-            row[j] -= q * row[i]
-        v[i] = [x + q * y for x, y in zip(v[i], v[j])]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        v[i], v[j] = v[j], v[i]
-
-    def col_negate(i):
-        for row in a:
-            row[i] = -row[i]
-        v[i] = [-x for x in v[i]]
-
-    divisors = []
-    k = 0
-    while k < min(m, width):
-        entries = [(abs(a[i][j]), i, j) for i in range(k, m)
-                   for j in range(k, width) if a[i][j] != 0]
-        if not entries:
-            break
-        _, bi, bj = min(entries)
-        a[k], a[bi] = a[bi], a[k]
-        if bj != k:
-            col_swap(k, bj)
-        while True:
-            # clear column k with row ops, column k row with column ops
-            for i in range(k + 1, m):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-            if any(a[i][k] != 0 for i in range(k + 1, m)):
-                # pick the smaller remainder as the new pivot and repeat
-                live = [i for i in range(k, m) if a[i][k] != 0]
-                i0 = min(live, key=lambda i: abs(a[i][k]))
-                a[k], a[i0] = a[i0], a[k]
-                continue
-            for j in range(k + 1, width):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    col_op(j, q, k)
-            if any(a[k][j] != 0 for j in range(k + 1, width)):
-                live = [j for j in range(k, width) if a[k][j] != 0]
-                j0 = min(live, key=lambda j: abs(a[k][j]))
-                if j0 != k:
-                    col_swap(k, j0)
-                continue
-            break
-        if a[k][k] < 0:
-            col_negate(k)
-        divisors.append(a[k][k])
-        k += 1
-    return divisors, [tuple(r) for r in v]
+def _integer_kernel(rows: Sequence[Sequence[int]], width: int) -> list[Vector]:
+    """A basis of the integer vectors of length ``width`` orthogonal to every
+    row: the tails of the Hermite rows of [rows^T | I] that start with
+    len(rows) zeros."""
+    k = len(rows)
+    aug = [tuple(r[i] for r in rows) + tuple(int(i == j) for j in range(width))
+           for i in range(width)]
+    return [v[k:] for v in hermite_basis(aug, k + width).basis if not any(v[:k])]
 
 
 def saturate_lattice(lat: IntegerLattice) -> tuple[IntegerLattice, int]:
-    """Saturation (rational span intersected with Z^n) and its index over lat."""
-    if lat.rank == 0:
-        return lat, 1
-    divisors, cobasis = _diagonalize(lat.basis, lat.ambient_dim)
-    sat = hermite_basis(cobasis[:len(divisors)], lat.ambient_dim)
-    idx = math.prod(divisors)
-    return sat, idx
+    """Saturation (rational span intersected with Z^n) and its index over lat.
+
+    The saturation is the integer kernel of the integer kernel of the basis.
+    """
+    n = lat.ambient_dim
+    sat = hermite_basis(_integer_kernel(_integer_kernel(lat.basis, n), n), n)
+    return sat, sublattice_index(sat, lat)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +397,3 @@ def lattice_volume(polytope: RationalPolytope, lat: IntegerLattice) -> Fraction:
     facets = _simplicial_hull(coords, [0] + frame_idx)
     return _fan_volume(coords, facets, q)
 
-
-def polytope_contains(polytope: RationalPolytope, point: Sequence) -> bool:
-    """Exact membership test (boundary counts as inside)."""
-    if polytope.affine_dim == -1:
-        return False
-    pt = frac_point(point)
-    if pt in polytope.vertices:
-        return True
-    merged = convex_hull(polytope.vertices + (pt,))
-    return merged.vertices == polytope.vertices

@@ -216,10 +216,15 @@ class MonomialIdeal:
         Equals the intersection over variables of the single-variable
         saturations I : x_i^infty (each obtained by zeroing that exponent):
         a monomial with w * x_i^{k_i} in I for each i satisfies
-        w * m^{sum k_i} in I.
+        w * m^{sum k_i} in I.  In d = 1 that is the unit ideal; in d = 2 it
+        is (x^a) meet (y^b) = (x^a y^b), a and b read off the staircase ends.
         """
         if self.is_zero():
             return self
+        if self.num_vars == 1:
+            return MonomialIdeal._canonical(1, ((0,),))
+        if self.num_vars == 2:
+            return MonomialIdeal._canonical(2, ((self.gens[0][0], self.gens[-1][1]),))
         parts = []
         for i in range(self.num_vars):
             dropped = {g[:i] + (0,) + g[i + 1:] for g in self.gens}

@@ -20,7 +20,6 @@ from .lattice import (
     hermite_basis,
     lattice_volume,
     saturate_lattice,
-    sublattice_index,
 )
 
 DEFAULT_POINT_BUDGET = 10**7
@@ -231,8 +230,7 @@ def invariants(s: GradedSemigroup) -> SemigroupInvariants:
     q = group.rank - 1
     m = group.basis[0][0]
     proj = hermite_basis([row[1:] for row in group.basis[1:]], d)
-    boundary, _ = saturate_lattice(proj)
-    ind = sublattice_index(boundary, proj)
+    boundary, ind = saturate_lattice(proj)
     slice_points = [tuple(Fraction(m * x, deg) for x in vec) for vec, deg in s.generators]
     polytope = convex_hull(slice_points)
     volume = lattice_volume(polytope, boundary)

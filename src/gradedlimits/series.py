@@ -166,7 +166,7 @@ def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
         rows = [exps + (n,) for exps, nil in series.level(n) if not nil]
         if not rows:
             continue
-        reduced, _ = _rref(basis + rows)
+        reduced, _, _ = _rref(basis + rows)
         if len(reduced) > len(basis):
             growth_marks.append(n)
             basis = reduced

@@ -1,8 +1,11 @@
-"""Reference implementations that the tests compare the library against.
+"""Reference implementations that the tests compare the library against,
+and the membership tests only the tests need.
 
-Each is a slow, direct route to a result the library computes another way:
-brute-force enumeration, fixpoint iteration, or the unimodular reduction
+Each oracle is a slow, direct route to a result the library computes another
+way: brute-force enumeration, fixpoint iteration, or the unimodular reduction
 ``invariants`` used before it read the degree-zero part off one Hermite basis.
+``lattice_contains`` and ``polytope_contains`` are exact membership tests
+built from the library's rational combination and convex hull.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ from gradedlimits.experiments import (
 )
 from gradedlimits.lattice import (
     IntegerLattice,
+    RationalPolytope,
     convex_hull,
+    frac_point,
     hermite_basis,
     lattice_volume,
+    rational_combination,
     saturate_lattice,
     sublattice_index,
 )
@@ -50,6 +56,23 @@ def colength_bruteforce(ideal: MonomialIdeal) -> int:
         if not any(all(ge <= pe for ge, pe in zip(g, point)) for g in ideal.gens):
             count += 1
     return count
+
+
+def lattice_contains(lat: IntegerLattice, v: Sequence) -> bool:
+    """Whether v is an integer combination of the lattice basis."""
+    c = rational_combination(lat.basis, v)
+    return c is not None and all(x.denominator == 1 for x in c)
+
+
+def polytope_contains(polytope: RationalPolytope, point: Sequence) -> bool:
+    """Exact membership test (boundary counts as inside)."""
+    if polytope.affine_dim == -1:
+        return False
+    pt = frac_point(point)
+    if pt in polytope.vertices:
+        return True
+    merged = convex_hull(polytope.vertices + (pt,))
+    return merged.vertices == polytope.vertices
 
 
 def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:

@@ -42,6 +42,20 @@ class TestExitCodes:
         bad.write_text("no colon here\n")
         assert run("family", bad) == 2
 
+    @pytest.mark.parametrize("case", ["input_directory", "out_directory",
+                                      "write_golden_file"])
+    def test_os_errors_exit_two(self, capsys, tmp_path, case):
+        spec = SPECS / "semigroup_halfstep.spec"
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = {"input_directory": ("eps", tmp_path),
+                "out_directory": ("semigroup", spec, "--out", tmp_path),
+                "write_golden_file": ("semigroup", spec, "--out", tmp_path / "o.csv",
+                                      "--write-golden", taken)}[case]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_eps(self, tmp_path):
         assert run("eps", IDEALS / "x2_xy.ideal", "--horizon", 200,
                    "--expect", "converges", "--out", tmp_path / "o.csv") == 0

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -10,13 +12,28 @@ from gradedlimits.lattice import (
     det,
     hermite_basis,
     lattice_volume,
-    polytope_contains,
     rational_combination,
     rational_rank,
     saturate_lattice,
     standard_lattice,
     sublattice_index,
 )
+from oracles import lattice_contains, polytope_contains
+
+
+def leibniz_det(mat):
+    """Determinant as the signed sum over permutations; 1 for the 0x0 matrix."""
+    total = 0
+    for perm in itertools.permutations(range(len(mat))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        total += (-1) ** inversions * math.prod(row[c] for row, c in zip(mat, perm))
+    return total
+
+
+def maximal_minors(rows, width):
+    """Every len(rows) x len(rows) minor of the rows, by ``leibniz_det``."""
+    return [leibniz_det([[r[c] for c in cols] for r in rows])
+            for cols in itertools.combinations(range(width), len(rows))]
 
 
 class TestHermite:
@@ -27,8 +44,8 @@ class TestHermite:
         lat = hermite_basis([(0, 2), (2, 2)])
         assert lat.basis == ((2, 0), (0, 2))
         # membership cross-check of the reduction
-        assert lat.contains((2, 2)) and lat.contains((0, 2))
-        assert not lat.contains((1, 0))
+        assert lattice_contains(lat, (2, 2)) and lattice_contains(lat, (0, 2))
+        assert not lattice_contains(lat, (1, 0))
 
     def test_single_vector(self):
         assert hermite_basis([(3, 1)]).basis == ((3, 1),)
@@ -118,6 +135,25 @@ class TestIndex:
                 if d:
                     prod *= d
             assert prod == idx
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-4, 4)] * n), min_size=1, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_saturation_matches_minor_oracle(self, vecs):
+        # independent of the library's eliminations: every check is a gcd of
+        # Leibniz minors
+        n = len(vecs[0])
+        lat = hermite_basis(vecs, n)
+        sat, idx = saturate_lattice(lat)
+        if lat.rank == 0:
+            assert (sat, idx) == (lat, 1)
+            return
+        assert sat.rank == lat.rank
+        assert math.gcd(*maximal_minors(sat.basis, n)) == 1
+        for v in lat.basis:
+            # v lies in the rational span of sat, and sat is saturated
+            assert not any(maximal_minors(sat.basis + (v,), n))
+        assert idx == math.gcd(*maximal_minors(lat.basis, n))
 
 
 class TestHull:
@@ -277,3 +313,33 @@ class TestRationalKernel:
     def test_rank_bounds(self, rows):
         r = rational_rank(rows)
         assert 0 <= r <= min(len(rows), 2)
+
+
+class TestDeterminant:
+    def test_empty_matrix(self):
+        assert det([]) == 1 == leibniz_det([])
+
+    @pytest.mark.parametrize("mat", [
+        [[0]],
+        [[1, 2], [2, 4]],
+        [[Fraction(1, 2), 1, 0], [0, 0, 0], [3, Fraction(-2, 3), 5]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    ])
+    def test_singular(self, mat):
+        assert det(mat) == 0 == leibniz_det(mat)
+
+    @given(st.integers(1, 4).flatmap(lambda q: st.tuples(
+        st.lists(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=q, max_size=q),
+                 min_size=q, max_size=q),
+        st.lists(st.fractions(-2, 2, max_denominator=3), min_size=q, max_size=q),
+        st.booleans())))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_leibniz(self, case):
+        mat, coeffs, singular = case
+        if singular:
+            # replace the last row by a rational combination of the others
+            mat[-1] = [sum((c * row[j] for c, row in zip(coeffs, mat[:-1])), Fraction(0))
+                       for j in range(len(mat))]
+        assert det(mat) == leibniz_det(mat)
+        if singular:
+            assert det(mat) == 0

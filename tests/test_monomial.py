@@ -215,6 +215,14 @@ class TestSaturation:
             i = MonomialIdeal(d, tuple(gens))
             assert i.saturate() == saturate_by_colon_fixpoint(i)
 
+    @given(st.data(), st.integers(1, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_staircase_ends_match_colon_fixpoint(self, data, d):
+        # zero, unit, m-primary and non-m-primary ideals alike
+        gens = data.draw(st.one_of(st.just([]), st.just([(0,) * d]), exponent_sets(d)))
+        i = MonomialIdeal(d, tuple(gens))
+        assert i.saturate() == saturate_by_colon_fixpoint(i)
+
     def test_symbolic_core(self):
         assert symbolic_core(ideal((2, 0), (1, 1)), ideal((1, 0), (0, 1)), 2).gens == ((2, 0),)
         assert symbolic_core(ideal((1, 0)), ideal((0, 1)), 3).gens == ((3, 0),)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedlimits.lattice import polytope_contains
 from gradedlimits.semigroup import (
     GradedSemigroup,
     empirical_limit,
@@ -14,7 +13,7 @@ from gradedlimits.semigroup import (
     predicted_limit,
     truncate,
 )
-from oracles import check_level_containments, invariants_by_degree_kernel
+from oracles import check_level_containments, invariants_by_degree_kernel, polytope_contains
 
 # predicted limits verified against brute-force level counts below
 FIXTURES = {
