@@ -23,7 +23,6 @@ from .monomial import (
 from .semigroup import (
     GradedSemigroup,
     SemigroupInvariants,
-    empirical_limit,
     invariants,
     truncate,
 )
@@ -236,10 +235,10 @@ def semigroup_limit_report(s: GradedSemigroup, horizon: int,
     inv = invariants(s)
     if horizon < inv.m:
         raise ValueError(f"horizon {horizon} is below the degree index m = {inv.m}")
-    emp = empirical_limit(s, horizon)
-    entries = tuple((k, int(v * k ** inv.q), v) for k, v in emp)
+    entries = tuple((n // inv.m, count, Fraction(count, (n // inv.m) ** inv.q))
+                    for n, count in s.level_sizes(horizon) if n % inv.m == 0)
     predicted = inv.predicted_limit
-    tail = emp[-1][1]
+    tail = entries[-1][2]
     gap = abs(tail - predicted) / predicted if predicted else abs(tail)
     rows = []
     for p in truncation_levels:

@@ -130,6 +130,16 @@ class IntegerLattice:
         if self.basis and rational_rank(self.basis) != len(self.basis):
             raise ValueError("basis vectors are linearly dependent")
 
+    @classmethod
+    def _echelon(cls, ambient_dim: int, basis: tuple[Vector, ...]) -> "IntegerLattice":
+        """The lattice of rows already known to be independent and of length
+        ``ambient_dim`` (a Hermite reduction's nonzero echelon rows): not
+        re-checked."""
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "ambient_dim", ambient_dim)
+        object.__setattr__(lat, "basis", basis)
+        return lat
+
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -185,7 +195,7 @@ def hermite_basis(vectors: Iterable[Sequence], ambient_dim: int | None = None) -
                 if q:
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[pivot])]
             pivot += 1
-    return IntegerLattice(ambient_dim, tuple(tuple(r) for r in rows[:pivot]))
+    return IntegerLattice._echelon(ambient_dim, tuple(tuple(r) for r in rows[:pivot]))
 
 
 def sublattice_index(sup: IntegerLattice, sub: IntegerLattice) -> int:

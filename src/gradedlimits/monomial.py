@@ -154,7 +154,15 @@ class MonomialIdeal:
         return tops, slices
 
     def is_m_primary(self) -> bool:
-        """True iff every variable carries a pure-power generator."""
+        """True iff every variable carries a pure-power generator.
+
+        In d = 1 that is any non-zero ideal; in d = 2 the staircase must
+        start on the y-axis and end on the x-axis.
+        """
+        if self.num_vars == 1:
+            return bool(self.gens)
+        if self.num_vars == 2:
+            return bool(self.gens) and self.gens[0][0] == 0 and self.gens[-1][1] == 0
         if self.is_unit():
             return True
         covered = set()

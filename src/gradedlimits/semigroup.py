@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
 from .lattice import (
@@ -52,21 +53,41 @@ class SemigroupInvariants:
         return self.body.volume / self.ind
 
 
+class _Level:
+    """A fill level: the points anchor + (i, *key) . B for every key of
+    ``rows`` and every set bit i of rows[key], B the basis of L.
+    ``count`` is the number of set bits (of points), ``positions`` the sum
+    of the row bit lengths (the lattice positions the bitsets span)."""
+
+    __slots__ = ("anchor", "rows", "count", "positions")
+
+    def __init__(self, anchor: tuple, rows: dict, count: int, positions: int):
+        self.anchor, self.rows, self.count, self.positions = anchor, rows, count, positions
+
+
+_EMPTY = _Level(None, {}, 0, 0)  # every empty level
+
+
 class GradedSemigroup:
     """Sub-semigroup of Z^d x N, generated or presented by a level oracle.
 
     A generated semigroup fills its levels bottom-up, each level once, as
-    the union of S_{n-deg} + v over the generators (v, deg).  Only a window
-    of the last max(deg) levels is kept, with each point packed into one
-    int (see ``_pack``), so counting up to a horizon needs memory for a few
-    levels, not all of them.  ``level(n)`` memoizes the levels it is asked
-    for as frozensets of tuples; a request ahead of the window continues the
-    fill, one below it restarts the fill from level 1.  ``level_sizes``
-    streams the counts without memoizing.  An oracle semigroup memoizes
-    every level it is asked for.
+    the union of S_{n-deg} + v over the generators (v, deg).  Two points of
+    one level differ by an element of L, the degree-zero part of the group
+    the generators span, so a level is stored as bitsets in the coordinates
+    of L's Hermite basis B (see ``_Level``): one int per value of the last
+    rank(L) - 1 coordinates, bit i standing for the first coordinate i.
+    Only a window of the last max(deg) levels is kept, so counting up to a
+    horizon needs memory for a few levels, not all of them.  ``level(n)``
+    memoizes the levels it is asked for as frozensets of tuples; a request
+    ahead of the window continues the fill, one below it restarts the fill
+    from level 1.  ``level_sizes`` streams the counts without memoizing.  An
+    oracle semigroup memoizes every level it is asked for.
 
-    ``point_budget`` caps the memoized points plus the window points; going
-    over it raises ``MemoryError``.  The object is not thread-safe.
+    ``point_budget`` caps the memoized points plus the window points, and
+    the window's bitsets at 64 positions per budgeted point; going over
+    either raises ``MemoryError``.  Coordinates must stay below 2^63 in
+    absolute value.  The object is not thread-safe.
     """
 
     def __init__(self, point_dim: int,
@@ -80,7 +101,7 @@ class GradedSemigroup:
         self.point_budget = point_budget
         self._levels: dict[int, frozenset] = {}
         self._points_stored = 0
-        self._window: list[set] = []
+        self._window_points = 0
         if generators is not None:
             gens = []
             for vec, deg in generators:
@@ -91,14 +112,21 @@ class GradedSemigroup:
                     raise ValueError("negative degree")
                 gens.append((v, int(deg)))
             self.generators: tuple | None = tuple(sorted(gens))
-            by_degree: dict[int, list[int]] = {}
+            by_degree: dict[int, list[tuple]] = {}
             for v, deg in self.generators:
-                by_degree.setdefault(deg, []).append(_pack(v))
+                by_degree.setdefault(deg, []).append(v)
             self._by_degree = sorted(by_degree.items())
             self._span = max([1, *by_degree])
             bound = max((abs(x) for v, _ in self.generators for x in v), default=0)
-            # k * bound < 2^63 keeps every level-k coordinate inside its slot
-            self._max_packed_level = (_HALF - 1) // max(bound, 1)
+            # k * bound < 2^63 keeps every level-k coordinate in range
+            self._max_level = (2**63 - 1) // max(bound, 1)
+            # degree first: the rows below the first Hermite pivot have
+            # degree 0 and are the basis B of L
+            self._group = hermite_basis([(deg,) + v for v, deg in self.generators],
+                                        point_dim + 1)
+            self._basis = tuple(row[1:] for row in self._group.basis if row[0] == 0)
+            self._pivots = tuple(next(i for i, x in enumerate(row) if x)
+                                 for row in self._basis)
             self._restart_fill()
         else:
             self.generators = None
@@ -125,8 +153,7 @@ class GradedSemigroup:
         elif n <= 0:
             result = frozenset()
         else:
-            d = self.point_dim
-            result = frozenset(_unpack(code, d) for code in self._packed_level(n))
+            result = self._points(self._fill(n))
         self._check_budget(len(result))
         self._levels[n] = result
         self._points_stored += len(result)
@@ -138,7 +165,7 @@ class GradedSemigroup:
             if self.generators is None:
                 yield n, len(self._oracle_level(n))
             else:
-                yield n, len(self._packed_level(n))
+                yield n, self._fill(n).count
 
     def _oracle_level(self, n: int) -> frozenset:
         return frozenset(tuple(int(x) for x in p) for p in self.level_oracle(n))
@@ -146,20 +173,21 @@ class GradedSemigroup:
     # -- the fill window (generated semigroups) -----------------------------
 
     def _check_budget(self, extra: int) -> None:
-        window_points = sum(map(len, self._window))
-        if self._points_stored + window_points + extra > self.point_budget:
+        if self._points_stored + self._window_points + extra > self.point_budget:
             raise MemoryError("semigroup points exceed the point budget")
 
     def _restart_fill(self) -> None:
         # slot n % span holds level n for the last span levels; level 0 is
         # the origin (so a generator of degree n lands in S_n) and the
         # levels below 0 are empty
-        self._window = [set() for _ in range(self._span)]
-        self._window[0].add(0)
+        origin_key = (0,) * max(len(self._basis) - 1, 0)
+        self._window = [_EMPTY] * self._span
+        self._window[0] = _Level((0,) * self.point_dim, {origin_key: 1}, 1, 1)
+        self._window_points = self._window_positions = 1
         self._top = 0
 
-    def _packed_level(self, n: int) -> set:
-        """Level n >= 1 as a set of packed points, filled through the window."""
+    def _fill(self, n: int) -> _Level:
+        """Level n >= 1, filled through the window."""
         if n <= self._top - self._span:
             self._restart_fill()
         if self._by_degree and self._by_degree[0][0] == 0:
@@ -167,41 +195,100 @@ class GradedSemigroup:
         window, span = self._window, self._span
         while self._top < n:
             k = self._top + 1
-            if k > self._max_packed_level:
+            if k > self._max_level:
                 raise ValueError(f"level {k}: generator coordinates could reach 2^63, "
-                                 "beyond the packed point range")
-            points: set = set()
-            for deg, codes in self._by_degree:
-                prev = window[(k - deg) % span]
-                for code in codes:
-                    points.update(map(code.__add__, prev))
-            window[k % span] = points
+                                 "beyond the supported coordinate range")
+            old = window[k % span]
+            new = window[k % span] = self._next_level(k)
+            self._window_points += new.count - old.count
+            self._window_positions += new.positions - old.positions
             self._top = k
             self._check_budget(0)
         return window[n % span]
 
+    def _next_level(self, k: int) -> _Level:
+        """S_k as the union of the shifted source levels S_{k-deg} + v."""
+        window, span, basis = self._window, self._span, self._basis
+        # (first coordinate, offset of the other coordinates, source level)
+        # of each translate's anchor, relative to the first translate's
+        parts = []
+        ref = None
+        for deg, vecs in self._by_degree:
+            prev = window[(k - deg) % span]
+            if not prev.count:
+                continue
+            for v in vecs:
+                start = tuple(map(add, prev.anchor, v))
+                if ref is None:
+                    ref = start
+                    coords = [0] * len(basis)
+                else:
+                    coords = self._coords(tuple(map(sub, start, ref)))
+                parts.append((coords[0] if coords else 0, tuple(coords[1:]), prev))
+        if not parts:
+            return _EMPTY
+        low = min(first for first, _, _ in parts)
+        anchor = tuple(a + low * b for a, b in zip(ref, basis[0])) if low else ref
+        parts = [(first - low, offset, prev) for first, offset, prev in parts]
+        self._check_width(parts)
+        rows: dict[tuple, int] = {}
+        for shift, offset, prev in parts:
+            moved = any(offset)
+            for key, mask in prev.rows.items():
+                if moved:
+                    key = tuple(map(add, key, offset))
+                rows[key] = rows.get(key, 0) | (mask << shift)
+        masks = rows.values()
+        return _Level(anchor, rows, sum(map(int.bit_count, masks)),
+                      sum(map(int.bit_length, masks)))
 
-_SLOT = 64
-_HALF = 1 << (_SLOT - 1)
-_MASK = (1 << _SLOT) - 1
+    def _coords(self, vec: tuple) -> list[int]:
+        """The coordinates of a vector of L in B: a triangular solve on the
+        echelon pivots, exact because vec lies in L."""
+        coords = []
+        for row, p in zip(self._basis, self._pivots):
+            c = vec[p] // row[p]
+            if c:
+                vec = tuple(a - c * b for a, b in zip(vec, row))
+            coords.append(c)
+        return coords
 
+    def _check_width(self, parts: list) -> None:
+        """Raise ``MemoryError`` before a fill that would leave the window
+        spanning more than 64 positions (one word) per budgeted point."""
+        limit = 64 * self.point_budget
+        held = self._window_positions
+        # each shifted row spans shift + its length; rows meeting under one
+        # key only overlap, so the sum bounds the new level from above
+        if held + sum(shift * len(prev.rows) + prev.positions
+                      for shift, _, prev in parts) <= limit:
+            return
+        ends: dict[tuple, int] = {}
+        for shift, offset, prev in parts:
+            for key, mask in prev.rows.items():
+                key = tuple(map(add, key, offset))
+                ends[key] = max(ends.get(key, 0), shift + mask.bit_length())
+        if held + sum(ends.values()) > limit:
+            raise MemoryError("semigroup points exceed the point budget")
 
-def _pack(vec: tuple) -> int:
-    """Sum of x_i * 2^(64 i): injective on points with every |x_i| < 2^63,
-    and adding two packed points packs the sum of the points."""
-    return sum(x << (_SLOT * i) for i, x in enumerate(vec))
-
-
-def _unpack(code: int, dim: int) -> tuple:
-    """Inverse of ``_pack`` on points with every |x_i| < 2^63."""
-    out = []
-    for _ in range(dim):
-        x = code & _MASK
-        if x >= _HALF:
-            x -= 1 << _SLOT
-        out.append(x)
-        code = (code - x) >> _SLOT
-    return tuple(out)
+    def _points(self, lvl: _Level) -> frozenset:
+        """The points of a fill level, read off the bits by a string scan."""
+        if not lvl.count:
+            return frozenset()
+        if not self._basis:
+            return frozenset([lvl.anchor])
+        first, others = self._basis[0], self._basis[1:]
+        out = []
+        for key, mask in lvl.rows.items():
+            base = lvl.anchor
+            for c, row in zip(key, others):
+                base = tuple(a + c * b for a, b in zip(base, row))
+            bits = bin(mask)[:1:-1]  # bit i at index i
+            i = bits.find("1")
+            while i >= 0:
+                out.append(tuple(a + i * b for a, b in zip(base, first)))
+                i = bits.find("1", i + 1)
+        return frozenset(out)
 
 
 def enumerate_levels(s: GradedSemigroup, n_max: int) -> dict[int, frozenset]:
@@ -224,13 +311,12 @@ def invariants(s: GradedSemigroup) -> SemigroupInvariants:
     if not s.strongly_nonnegative():
         raise ValueError("invariants require strictly positive degrees")
     d = s.point_dim
-    # degree first: the first Hermite pivot is m = gcd of the degrees, and
-    # the rows below it have degree 0 and span the degree-zero part
-    group = hermite_basis([(deg,) + vec for vec, deg in s.generators], d + 1)
+    # in the degree-first Hermite basis of the group the first pivot is
+    # m = gcd of the degrees, and the rows below it are the fill's basis of L
+    group = s._group
     q = group.rank - 1
     m = group.basis[0][0]
-    proj = hermite_basis([row[1:] for row in group.basis[1:]], d)
-    boundary, ind = saturate_lattice(proj)
+    boundary, ind = saturate_lattice(hermite_basis(s._basis, d))
     slice_points = [tuple(Fraction(m * x, deg) for x in vec) for vec, deg in s.generators]
     polytope = convex_hull(slice_points)
     volume = lattice_volume(polytope, boundary)

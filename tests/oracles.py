@@ -2,7 +2,8 @@
 and the membership tests only the tests need.
 
 Each oracle is a slow, direct route to a result the library computes another
-way: brute-force enumeration, fixpoint iteration, or the unimodular reduction
+way: brute-force enumeration (colengths, semigroup levels, the m-primary
+support scan), fixpoint iteration, or the unimodular reduction
 ``invariants`` used before it read the degree-zero part off one Hermite basis.
 ``lattice_contains`` and ``polytope_contains`` are exact membership tests
 built from the library's rational combination and convex hull.
@@ -56,6 +57,39 @@ def colength_bruteforce(ideal: MonomialIdeal) -> int:
         if not any(all(ge <= pe for ge, pe in zip(g, point)) for g in ideal.gens):
             count += 1
     return count
+
+
+def is_m_primary_by_support(ideal: MonomialIdeal) -> bool:
+    """Independent oracle: every variable is the whole support of some
+    generator, or the ideal is the unit ideal."""
+    if ideal.gens == ((0,) * ideal.num_vars,):
+        return True
+    covered = set()
+    for g in ideal.gens:
+        support = [i for i, e in enumerate(g) if e > 0]
+        if len(support) == 1:
+            covered.add(support[0])
+    return len(covered) == ideal.num_vars
+
+
+def brute_levels(dim, gens, horizon):
+    """S_1 .. S_horizon by walking every multiset of generators directly."""
+    levels = {n: set() for n in range(1, horizon + 1)}
+
+    def walk(i, deg, pt):
+        if i == len(gens):
+            if deg >= 1:
+                levels[deg].add(pt)
+            return
+        vec, d = gens[i]
+        copies = 0
+        while deg + copies * d <= horizon:
+            walk(i + 1, deg + copies * d,
+                 tuple(p + copies * v for p, v in zip(pt, vec)))
+            copies += 1
+
+    walk(0, 0, (0,) * dim)
+    return {n: frozenset(pts) for n, pts in levels.items()}
 
 
 def lattice_contains(lat: IntegerLattice, v: Sequence) -> bool:

@@ -114,6 +114,14 @@ class TestArgumentEdges:
         self.assert_usage_error(capsys, "semigroup", SPECS / "semigroup_halfstep.spec",
                                 "--out", tmp_path / "o.csv", match="point budget")
 
+    def test_width_guard(self, capsys, tmp_path):
+        # level 1 spans 10^9 + 1 lattice positions: past the default budget
+        spec = tmp_path / "sparse.spec"
+        spec.write_text("kind: semigroup\ngenerator: 0 1\ngenerator: 1 1\n"
+                        "generator: 1000000000 1\n")
+        self.assert_usage_error(capsys, "semigroup", spec, "--out", tmp_path / "o.csv",
+                                match="point budget")
+
     def test_pset_below_one(self, capsys, tmp_path):
         self.assert_usage_error(capsys, "volmult", SPECS / "volmult_valuation12.spec",
                                 "--pset", "0", "--out", tmp_path / "o.csv",

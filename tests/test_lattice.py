@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedlimits.lattice import (
+    IntegerLattice,
     convex_hull,
     det,
     hermite_basis,
@@ -62,6 +63,16 @@ class TestHermite:
             once = hermite_basis(vecs)
             again = hermite_basis(once.basis, dim)
             assert once.basis == again.basis
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-6, 6)] * n), max_size=6)))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_matches_rational_rank(self, vecs):
+        # hermite_basis skips the independence check of IntegerLattice, so
+        # its rows must be independent by construction
+        lat = hermite_basis(vecs, len(vecs[0]) if vecs else 2)
+        assert lat.rank == rational_rank(vecs)
+        assert IntegerLattice(lat.ambient_dim, lat.basis) == lat
 
     def test_span_matches_sympy(self):
         sympy = pytest.importorskip("sympy")

@@ -26,6 +26,7 @@ from gradedlimits.monomial import (
 from oracles import (
     colength_bruteforce,
     colon,
+    is_m_primary_by_support,
     multiplicity_limit_sequence,
     saturate_by_colon_fixpoint,
     symbolic_core_fixpoint,
@@ -180,6 +181,18 @@ class TestKernelOracles:
             assert i.contains_ideal(other) == all(any(divides(g, h) for g in i.gens)
                                                   for h in other.gens)
         assert i.contains_ideal(shifted)
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_m_primary(self, data, d):
+        # zero, unit, m-primary and not m-primary ideals alike
+        pure = data.draw(st.lists(st.sampled_from(range(d)), max_size=d))
+        gens = [tuple(data.draw(st.integers(1, 8)) if j == i else 0 for j in range(d))
+                for i in pure]
+        i = MonomialIdeal(d, tuple(gens + data.draw(exponent_sets(d, max_size=6))))
+        assert i.is_m_primary() == is_m_primary_by_support(i)
+        for special in (zero_ideal(d), unit_ideal(d)):
+            assert special.is_m_primary() == is_m_primary_by_support(special)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_contains_rejects_wrong_length(self, d):

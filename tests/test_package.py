@@ -23,24 +23,37 @@ def test_no_module_imports_threads():
     assert found == []
 
 
-def test_colength_oracle_is_independent_of_the_kernel():
-    # colength_bruteforce checks the staircase kernels, so it must not reach
-    # them: no membership query, no colength, no private monomial helper
+def reached_names(module: str, oracle_name: str, banned_calls: set) -> list[str]:
+    """The private names of ``module`` that oracles.py imports, plus the
+    banned calls and the private names inside the oracle's body."""
     tree = ast.parse(ORACLES.read_text())
-    private = [alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "gradedlimits.monomial"
+    reached = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == module
                for alias in node.names if alias.name.startswith("_")]
     oracle = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "colength_bruteforce")
-    reached = []
+                  if isinstance(node, ast.FunctionDef) and node.name == oracle_name)
     for node in ast.walk(oracle):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            if name in ("contains", "contains_ideal", "colength"):
+            if name in banned_calls:
                 reached.append(name)
         if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
             reached.append(node.attr)
         if isinstance(node, ast.Name) and node.id.startswith("_"):
             reached.append(node.id)
-    assert private == [] and reached == []
+    return reached
+
+
+def test_colength_oracle_is_independent_of_the_kernel():
+    # colength_bruteforce checks the staircase kernels, so it must not reach
+    # them: no membership query, no colength, no private monomial helper
+    assert reached_names("gradedlimits.monomial", "colength_bruteforce",
+                         {"contains", "contains_ideal", "colength"}) == []
+
+
+def test_fill_oracle_is_independent_of_the_fill():
+    # brute_levels checks the bitset fill, so it must not reach it: no level
+    # query, no Hermite basis, no private semigroup helper
+    assert reached_names("gradedlimits.semigroup", "brute_levels",
+                         {"level", "level_sizes", "hermite_basis"}) == []

@@ -13,7 +13,12 @@ from gradedlimits.semigroup import (
     predicted_limit,
     truncate,
 )
-from oracles import check_level_containments, invariants_by_degree_kernel, polytope_contains
+from oracles import (
+    brute_levels,
+    check_level_containments,
+    invariants_by_degree_kernel,
+    polytope_contains,
+)
 
 # predicted limits verified against brute-force level counts below
 FIXTURES = {
@@ -84,6 +89,35 @@ class TestLevels:
         s = GradedSemigroup(1, generators=[((0,), 1), ((1,), 2)], point_budget=10_000)
         assert empirical_limit(s, 2000)[-1] == (2000, Fraction(1001, 2000))
 
+    def test_dense_input_reaches_point_count_first(self):
+        # level n holds n + 1 points on n + 1 positions: the point budget,
+        # not the width guard, stops the fill
+        s = GradedSemigroup(1, generators=[((0,), 1), ((1,), 1)], point_budget=50)
+        assert list(s.level_sizes(49))[-1] == (49, 50)
+        with pytest.raises(MemoryError, match="point budget"):
+            list(s.level_sizes(50))
+
+    def test_width_guard(self):
+        # level 1 is {0, 1, 10^9}: a bitset over 10^9 + 1 positions of L = Z,
+        # more than 64 per point of the default budget
+        gens = [((0,), 1), ((1,), 1), ((10**9,), 1)]
+        with pytest.raises(MemoryError, match="point budget"):
+            GradedSemigroup(1, generators=gens).level(1)
+        with pytest.raises(MemoryError, match="point budget"):
+            list(GradedSemigroup(1, generators=gens).level_sizes(1))
+        gens[2] = ((10**6,), 1)
+        with pytest.raises(MemoryError, match="point budget"):
+            GradedSemigroup(1, generators=gens, point_budget=10**4).level(1)
+        s = GradedSemigroup(1, generators=gens, point_budget=10**5)
+        assert s.level(1) == {(0,), (1,), (10**6,)}
+
+    def test_width_guard_counts_overlapping_rows_once(self):
+        # the 200 translates of level 0 would span 20100 positions laid end
+        # to end, past 64 * 250; they overlap on one row of 200
+        s = GradedSemigroup(1, generators=[((x,), 1) for x in range(200)],
+                            point_budget=250)
+        assert list(s.level_sizes(1)) == [(1, 200)]
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_packing_guard(self, sign):
         # level k has coordinates up to k * 2^62, which reaches 2^63 at k = 2
@@ -95,37 +129,17 @@ class TestLevels:
             list(s.level_sizes(3))
 
 
-def brute_levels(dim, gens, horizon):
-    """S_1 .. S_horizon by walking every multiset of generators directly."""
-    levels = {n: set() for n in range(1, horizon + 1)}
-
-    def walk(i, deg, pt):
-        if i == len(gens):
-            if deg >= 1:
-                levels[deg].add(pt)
-            return
-        vec, d = gens[i]
-        copies = 0
-        while deg + copies * d <= horizon:
-            walk(i + 1, deg + copies * d,
-                 tuple(p + copies * v for p, v in zip(pt, vec)))
-            copies += 1
-
-    walk(0, 0, (0,) * dim)
-    return {n: frozenset(pts) for n, pts in levels.items()}
+def generator_lists(dim, coords=st.integers(-3, 3)):
+    return st.lists(st.tuples(st.tuples(*[coords] * dim), st.integers(1, 3)),
+                    min_size=1, max_size=4)
 
 
 class TestFillOracle:
-    """The windowed, packed fill against direct multiset enumeration."""
+    """The windowed bitset fill against direct multiset enumeration."""
 
     HORIZON = 15
 
-    @given(st.data(), st.integers(1, 3))
-    @settings(max_examples=100, deadline=None)
-    def test_levels_and_sizes(self, data, dim):
-        gens = data.draw(st.lists(
-            st.tuples(st.tuples(*[st.integers(-3, 3)] * dim), st.integers(1, 3)),
-            min_size=1, max_size=4))
+    def check(self, data, dim, gens):
         expect = brute_levels(dim, gens, self.HORIZON)
         ns = list(range(1, self.HORIZON + 1))
         sizes = [(n, len(expect[n])) for n in ns]
@@ -137,6 +151,46 @@ class TestFillOracle:
                 assert s.level(n) == expect[n], (gens, n)
             # the fill now sits wherever the requests left it
             assert list(s.level_sizes(self.HORIZON)) == sizes
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_levels_and_sizes(self, data, dim):
+        self.check(data, dim, data.draw(generator_lists(dim)))
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_even_sublattice(self, data, dim):
+        # every coordinate even: L is a proper sublattice of its saturation
+        self.check(data, dim, data.draw(generator_lists(dim, st.integers(-3, 3).map(
+            lambda x: 2 * x))))
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_points_on_a_line(self, data, dim):
+        # every generator a multiple of one direction: rank(L) <= 1
+        w = data.draw(st.tuples(*[st.integers(-3, 3)] * dim))
+        gens = [(tuple(c * x for x in w), deg)
+                for (c,), deg in data.draw(generator_lists(1))]
+        self.check(data, dim, gens)
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_large_offsets(self, data, dim):
+        # v + deg * t moves S_n by n * t: coordinates near n * 2^40, same L
+        t = data.draw(st.tuples(*[st.sampled_from([-2**40, 0, 2**40])] * dim))
+        gens = [(tuple(x + deg * c for x, c in zip(v, t)), deg)
+                for v, deg in data.draw(generator_lists(dim))]
+        self.check(data, dim, gens)
+
+    @pytest.mark.parametrize("dim, gens", [
+        (2, [((-1, 2), 1), ((3, -1), 2), ((0, 1), 1)]),                   # L = Z(0, 1)
+        (2, [((1, 2), 1), ((2, 4), 2)]),                                  # L = 0
+        (3, [((0, 0, 0), 1), ((1, 0, 1), 1), ((0, 1, 1), 1), ((1, 1, 2), 2)]),  # a plane
+    ])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_lower_rank(self, data, dim, gens):
+        self.check(data, dim, gens)
 
 
 class TestInvariants:
