@@ -22,10 +22,7 @@ from .semigroup import (
     GradedSemigroup,
     OkounkovBody,
     SemigroupInvariants,
-    empirical_limit,
-    enumerate_levels,
     invariants,
-    predicted_limit,
     truncate,
 )
 from .families import (
@@ -33,7 +30,7 @@ from .families import (
     GradedFamily,
     artin_tau_family,
     check_graded,
-    family_to_semigroup,
+    counting_identity,
     nilpair_sigma_family,
     perturbed_power_family,
     power_family,
@@ -46,10 +43,8 @@ from .series import (
     MonomialLinearSeries,
     WeightedAmbient,
     count_weighted_monomials,
-    dims,
     index_estimate,
     kodaira_iitaka,
-    series_to_semigroup,
 )
 from .experiments import (
     ConvergenceReport,

@@ -3,7 +3,8 @@
 Covers power, valuation, saturation and symbolic families over a polynomial
 ring, the block-schedule driven nilpotent-pair families over the square-zero
 extension, and the zero-dimensional Artin family.  Includes the graded-axiom
-checker and the bridge from a family to a level-oracle graded semigroup.
+checker and the counting identity len(R/I_n) = #box - #S_n, where S_n is the
+set of exponents of I_n in a simplex box.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .monomial import (
     unit_ideal,
     unit_nilpair,
 )
-from .semigroup import GradedSemigroup
 
 
 def frac_ceil(x: Fraction) -> int:
@@ -385,7 +385,7 @@ def check_graded(family: GradedFamily, horizon: int) -> GradedCheckReport:
 
 
 # ---------------------------------------------------------------------------
-# family -> semigroup bridge
+# counting identity
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -408,21 +408,22 @@ def _simplex_points(dim: int, bound: int):
             yield (a,) + rest
 
 
-def family_to_semigroup(family: GradedFamily, horizon: int,
-                        beta: int | None = None) -> tuple[GradedSemigroup, CountingIdentityReport]:
-    """Level-oracle semigroup of exponents of I_n in the box |a| <= beta*n.
+def counting_identity(family: GradedFamily, horizon: int,
+                      beta: int | None = None) -> tuple[CountingIdentityReport, dict]:
+    """Check len(R/I_n) = #box - #S_n for n = 1 .. horizon.
 
-    Also verifies, level by level, that the colength equals the count of box
-    points minus the count of semigroup points (lengths as differences of
-    lattice counts).  Requires every level up to the horizon to be m-primary.
+    S_n is the set of exponents of I_n in the box |a| <= beta*n, so the
+    length is a difference of lattice counts.  Returns the report and the
+    level sets {n: S_n}.  Requires every level up to the horizon to be
+    m-primary.
     """
     if family.ring_kind != POLYNOMIAL:
-        raise ValueError("semigroup bridge is defined over the polynomial model")
+        raise ValueError("the counting identity is defined over the polynomial model")
     beta = beta if beta is not None else family.beta
     if beta is None:
         raise ValueError("family carries no box bound")
     d = family.dim
-    levels: dict[int, frozenset] = {0: frozenset({(0,) * d})}
+    levels: dict[int, frozenset] = {}
     rows = []
     for n in range(1, horizon + 1):
         ideal = family.ideal(n)
@@ -435,5 +436,4 @@ def family_to_semigroup(family: GradedFamily, horizon: int,
         ell = colength(ideal)
         rows.append((n, ell, box_total, len(members),
                      ell == box_total - len(members)))
-    sgroup = GradedSemigroup(d, level_oracle=lambda n: levels.get(n, frozenset()))
-    return sgroup, CountingIdentityReport(beta, rows)
+    return CountingIdentityReport(beta, rows), levels

@@ -1,10 +1,7 @@
-"""Graded sub-semigroups of Z^d x N: level enumeration, invariants, and the
-level-count limit they predict.
+"""Finitely generated graded sub-semigroups of Z^d x N: level enumeration,
+invariants, and the level-count limit they predict.
 
-A semigroup is given either by finitely many generators (vector, degree) or
-by a level oracle mapping a degree to its finite point set (used for
-semigroups derived from ideal families and linear series).  Invariants are
-only defined in the generated case.
+A semigroup is given by finitely many generators (vector, degree).
 """
 
 from __future__ import annotations
@@ -12,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .lattice import (
     IntegerLattice,
@@ -69,112 +66,74 @@ _EMPTY = _Level(None, {}, 0, 0)  # every empty level
 
 
 class GradedSemigroup:
-    """Sub-semigroup of Z^d x N, generated or presented by a level oracle.
+    """Sub-semigroup of Z^d x N generated by finitely many (vector, degree).
 
-    A generated semigroup fills its levels bottom-up, each level once, as
-    the union of S_{n-deg} + v over the generators (v, deg).  Two points of
-    one level differ by an element of L, the degree-zero part of the group
-    the generators span, so a level is stored as bitsets in the coordinates
-    of L's Hermite basis B (see ``_Level``): one int per value of the last
+    The levels are filled bottom-up, each level once, as the union of
+    S_{n-deg} + v over the generators (v, deg).  Two points of one level
+    differ by an element of L, the degree-zero part of the group the
+    generators span, so a level is stored as bitsets in the coordinates of
+    L's Hermite basis B (see ``_Level``): one int per value of the last
     rank(L) - 1 coordinates, bit i standing for the first coordinate i.
     Only a window of the last max(deg) levels is kept, so counting up to a
     horizon needs memory for a few levels, not all of them.  ``level(n)``
-    memoizes the levels it is asked for as frozensets of tuples; a request
-    ahead of the window continues the fill, one below it restarts the fill
-    from level 1.  ``level_sizes`` streams the counts without memoizing.  An
-    oracle semigroup memoizes every level it is asked for.
+    reads the points of level n off the window as a frozenset of tuples,
+    and ``level_sizes`` streams the counts; a request ahead of the window
+    continues the fill, one below it restarts the fill from level 1.
+    Nothing is memoized: the library asks for each level once.
 
-    ``point_budget`` caps the memoized points plus the window points, and
-    the window's bitsets at 64 positions per budgeted point; going over
-    either raises ``MemoryError``.  Coordinates must stay below 2^63 in
-    absolute value.  The object is not thread-safe.
+    ``point_budget`` caps the window points, and the window's bitsets at 64
+    positions per budgeted point; going over either raises ``MemoryError``.
+    Coordinates must stay below 2^63 in absolute value.  The object is not
+    thread-safe.
     """
 
-    def __init__(self, point_dim: int,
-                 generators: Iterable[tuple] | None = None,
-                 level_oracle: Callable[[int], Iterable[tuple]] | None = None,
+    def __init__(self, point_dim: int, generators: Iterable[tuple],
                  point_budget: int = DEFAULT_POINT_BUDGET):
-        if (generators is None) == (level_oracle is None):
-            raise ValueError("give either generators or a level oracle")
         self.point_dim = point_dim
-        self.level_oracle = level_oracle
         self.point_budget = point_budget
-        self._levels: dict[int, frozenset] = {}
-        self._points_stored = 0
-        self._window_points = 0
-        if generators is not None:
-            gens = []
-            for vec, deg in generators:
-                v = tuple(int(x) for x in vec)
-                if len(v) != point_dim:
-                    raise ValueError("generator point has wrong dimension")
-                if deg < 0:
-                    raise ValueError("negative degree")
-                gens.append((v, int(deg)))
-            self.generators: tuple | None = tuple(sorted(gens))
-            by_degree: dict[int, list[tuple]] = {}
-            for v, deg in self.generators:
-                by_degree.setdefault(deg, []).append(v)
-            self._by_degree = sorted(by_degree.items())
-            self._span = max([1, *by_degree])
-            bound = max((abs(x) for v, _ in self.generators for x in v), default=0)
-            # k * bound < 2^63 keeps every level-k coordinate in range
-            self._max_level = (2**63 - 1) // max(bound, 1)
-            # degree first: the rows below the first Hermite pivot have
-            # degree 0 and are the basis B of L
-            self._group = hermite_basis([(deg,) + v for v, deg in self.generators],
-                                        point_dim + 1)
-            self._basis = tuple(row[1:] for row in self._group.basis if row[0] == 0)
-            self._pivots = tuple(next(i for i, x in enumerate(row) if x)
-                                 for row in self._basis)
-            self._restart_fill()
-        else:
-            self.generators = None
+        gens = []
+        for vec, deg in generators:
+            v = tuple(int(x) for x in vec)
+            if len(v) != point_dim:
+                raise ValueError("generator point has wrong dimension")
+            if deg < 0:
+                raise ValueError("negative degree")
+            gens.append((v, int(deg)))
+        self.generators = tuple(sorted(gens))
+        by_degree: dict[int, list[tuple]] = {}
+        for v, deg in self.generators:
+            by_degree.setdefault(deg, []).append(v)
+        self._by_degree = sorted(by_degree.items())
+        self._span = max([1, *by_degree])
+        bound = max((abs(x) for v, _ in self.generators for x in v), default=0)
+        # k * bound < 2^63 keeps every level-k coordinate in range
+        self._max_level = (2**63 - 1) // max(bound, 1)
+        # degree first: the rows below the first Hermite pivot have
+        # degree 0 and are the basis B of L
+        self._group = hermite_basis([(deg,) + v for v, deg in self.generators],
+                                    point_dim + 1)
+        self._basis = tuple(row[1:] for row in self._group.basis if row[0] == 0)
+        self._pivots = tuple(next(i for i, x in enumerate(row) if x)
+                             for row in self._basis)
+        self._restart_fill()
 
     # -- basic structure ----------------------------------------------------
 
     def strongly_nonnegative(self) -> bool:
-        """True iff the cone meets the degree-zero boundary only at 0.
-
-        For a finitely generated semigroup this is exactly "no generator of
-        degree zero"; for oracle semigroups the degree-0 level is inspected.
-        """
-        if self.generators is not None:
-            return all(deg >= 1 for _, deg in self.generators)
-        zero = frozenset(tuple(p) for p in self.level_oracle(0))
-        return zero <= {(0,) * self.point_dim}
+        """True iff the cone meets the degree-zero boundary only at 0, that
+        is, iff no generator has degree zero."""
+        return all(deg >= 1 for _, deg in self.generators)
 
     def level(self, n: int) -> frozenset:
-        """The level set S_n as a frozenset of integer tuples (memoized)."""
-        if n in self._levels:
-            return self._levels[n]
-        if self.generators is None:
-            result = self._oracle_level(n)
-        elif n <= 0:
-            result = frozenset()
-        else:
-            result = self._points(self._fill(n))
-        self._check_budget(len(result))
-        self._levels[n] = result
-        self._points_stored += len(result)
-        return result
+        """The level set S_n as a frozenset of integer tuples."""
+        return self._points(self._fill(n)) if n > 0 else frozenset()
 
     def level_sizes(self, n_max: int) -> Iterator[tuple[int, int]]:
-        """Yield (n, #S_n) for n = 1 .. n_max without memoizing any level."""
+        """Yield (n, #S_n) for n = 1 .. n_max."""
         for n in range(1, n_max + 1):
-            if self.generators is None:
-                yield n, len(self._oracle_level(n))
-            else:
-                yield n, self._fill(n).count
+            yield n, self._fill(n).count
 
-    def _oracle_level(self, n: int) -> frozenset:
-        return frozenset(tuple(int(x) for x in p) for p in self.level_oracle(n))
-
-    # -- the fill window (generated semigroups) -----------------------------
-
-    def _check_budget(self, extra: int) -> None:
-        if self._points_stored + self._window_points + extra > self.point_budget:
-            raise MemoryError("semigroup points exceed the point budget")
+    # -- the fill window ----------------------------------------------------
 
     def _restart_fill(self) -> None:
         # slot n % span holds level n for the last span levels; level 0 is
@@ -203,7 +162,8 @@ class GradedSemigroup:
             self._window_points += new.count - old.count
             self._window_positions += new.positions - old.positions
             self._top = k
-            self._check_budget(0)
+            if self._window_points > self.point_budget:
+                raise MemoryError("semigroup points exceed the point budget")
         return window[n % span]
 
     def _next_level(self, k: int) -> _Level:
@@ -291,11 +251,6 @@ class GradedSemigroup:
         return frozenset(out)
 
 
-def enumerate_levels(s: GradedSemigroup, n_max: int) -> dict[int, frozenset]:
-    """All level sets S_1 .. S_{n_max} (exact, deduplicated)."""
-    return {n: s.level(n) for n in range(1, n_max + 1)}
-
-
 def invariants(s: GradedSemigroup) -> SemigroupInvariants:
     """Degree index m, boundary dimension q, boundary index ind, and body.
 
@@ -304,8 +259,6 @@ def invariants(s: GradedSemigroup) -> SemigroupInvariants:
     saturation; the body is the cone slice at height m with its volume
     measured in the saturated boundary lattice.
     """
-    if s.generators is None:
-        raise ValueError("invariants require generators")
     if not s.generators:
         raise ValueError("invariants require at least one generator")
     if not s.strongly_nonnegative():
@@ -322,18 +275,6 @@ def invariants(s: GradedSemigroup) -> SemigroupInvariants:
     volume = lattice_volume(polytope, boundary)
     body = OkounkovBody(m, polytope, boundary, volume)
     return SemigroupInvariants(m=m, q=q, ind=ind, body=body)
-
-
-def predicted_limit(s: GradedSemigroup) -> Fraction:
-    """The value the scaled level counts #S_{mk} / k^q converge to."""
-    return invariants(s).predicted_limit
-
-
-def empirical_limit(s: GradedSemigroup, n_max: int) -> list[tuple[int, Fraction]]:
-    """The exact scaled counts (k, #S_{mk} / k^q) for mk <= n_max."""
-    inv = invariants(s)
-    return [(n // inv.m, Fraction(count, (n // inv.m) ** inv.q))
-            for n, count in s.level_sizes(n_max) if n % inv.m == 0]
 
 
 def truncate(s: GradedSemigroup, p: int) -> GradedSemigroup:

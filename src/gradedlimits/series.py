@@ -23,7 +23,6 @@ from typing import Callable, Collection, Iterable, NamedTuple
 
 from .families import BlockSchedule
 from .lattice import _rref
-from .semigroup import GradedSemigroup
 
 NEG_INF = float("-inf")
 
@@ -136,11 +135,6 @@ class MonomialLinearSeries:
         return len(self.level(n))
 
 
-def dims(series: MonomialLinearSeries, n_max: int) -> list[int]:
-    """Exact level dimensions 1..n_max, by counting basis monomials."""
-    return [series.dim(n) for n in range(1, n_max + 1)]
-
-
 @dataclass(frozen=True)
 class SeriesInvariants:
     kappa: float | int
@@ -242,39 +236,6 @@ def closure_violations(series: MonomialLinearSeries, horizon: int,
                     out.append((a, b, f"{u} * {v} escapes level {total}"))
                     break
     return out
-
-
-def series_to_semigroup(series: MonomialLinearSeries) -> tuple[GradedSemigroup, bool]:
-    """Level-oracle semigroup of the non-nil monomials (exponents, level).
-
-    Returns (semigroup, excluded): ``excluded`` is True when nil monomials
-    were present and therefore not represented; for a reduced series the
-    level counts match the series dimensions exactly.
-    """
-    has_nil = any(nil for n in range(1, min(series.horizon, 40) + 1)
-                  for _, nil in series.level(n))
-
-    def oracle(n: int):
-        if n == 0 or n > series.horizon:
-            return frozenset()
-        return frozenset(exps for exps, nil in series.level(n) if not nil)
-
-    return GradedSemigroup(len(series.ambient.weights), level_oracle=oracle), has_nil
-
-
-def veronese(series: MonomialLinearSeries, e: int) -> MonomialLinearSeries:
-    """The e-th Veronese sub-series, level n mapped to the old level e*n."""
-    if e < 1:
-        raise ValueError("Veronese step must be positive")
-    return MonomialLinearSeries(
-        name=f"{series.name}_veronese{e}",
-        ambient=series.ambient,
-        twist=series.twist * e,
-        provider=lambda n: series.blocks(e * n),
-        horizon=series.horizon // e,
-        expected_dim=(lambda n: series.expected_dim(e * n)) if series.expected_dim else None,
-        declared_kappa=series.declared_kappa,
-        natural_exponent=series.natural_exponent)
 
 
 # ---------------------------------------------------------------------------

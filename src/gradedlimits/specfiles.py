@@ -2,8 +2,7 @@
 
 Ideal file: one generator per line as space-separated exponents, ``#``
 comments.  Spec file: ``key: value`` lines, ``#`` comments, repeated keys
-allowed; `parse_spec` and `dump_spec` round-trip losslessly (up to comments
-and whitespace).
+allowed; `parse_spec` reads them into an ordered key -> list of values map.
 """
 
 from __future__ import annotations
@@ -65,10 +64,6 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
     return MonomialIdeal(width, tuple(gens))
 
 
-def format_ideal(ideal: MonomialIdeal) -> str:
-    return "".join(" ".join(str(e) for e in g) + "\n" for g in ideal.gens)
-
-
 def load_ideal(path: str | Path) -> MonomialIdeal:
     return parse_ideal_text(Path(path).read_text())
 
@@ -92,14 +87,6 @@ def parse_spec(text: str) -> dict[str, list[str]]:
             raise SpecError(f"line {lineno}: empty key or value")
         out.setdefault(key, []).append(value)
     return out
-
-
-def dump_spec(spec: dict[str, list[str]]) -> str:
-    lines = []
-    for key, values in spec.items():
-        for v in values:
-            lines.append(f"{key}: {v}")
-    return "\n".join(lines) + "\n"
 
 
 def load_spec(path: str | Path) -> dict[str, list[str]]:

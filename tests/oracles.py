@@ -6,7 +6,9 @@ way: brute-force enumeration (colengths, semigroup levels, the m-primary
 support scan), fixpoint iteration, or the unimodular reduction
 ``invariants`` used before it read the degree-zero part off one Hermite basis.
 ``lattice_contains`` and ``polytope_contains`` are exact membership tests
-built from the library's rational combination and convex hull.
+built from the library's rational combination and convex hull;
+``check_level_containments`` tests the graded axiom on level point sets, and
+``empirical_limit`` lists the scaled level counts of a semigroup.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from gradedlimits.lattice import (
     sublattice_index,
 )
 from gradedlimits.monomial import MonomialIdeal, colength, max_ideal_power, unit_ideal
-from gradedlimits.semigroup import GradedSemigroup
+from gradedlimits.semigroup import GradedSemigroup, invariants
 
 
 def colength_bruteforce(ideal: MonomialIdeal) -> int:
@@ -165,22 +167,36 @@ def check_level_degrees(series, n: int, monomials) -> None:
                              f"expected {series.twist * n}")
 
 
-def check_level_containments(s: GradedSemigroup, horizon: int) -> list[tuple[int, int, tuple]]:
-    """Violations of S_a + S_b being contained in S_{a+b} up to the horizon."""
+def check_level_containments(levels: dict) -> list[tuple[int, int, tuple]]:
+    """Violations of S_a + S_b being contained in S_{a+b}, for the levels
+    a <= b of the dict {n: S_n} whose sum is also a key, with one witness
+    point each."""
+    keys = sorted(levels)
     bad = []
-    for a in range(1, horizon):
-        for b in range(a, horizon - a + 1):
-            target = s.level(a + b)
-            for pa in s.level(a):
-                for pb in s.level(b):
-                    pt = tuple(x + y for x, y in zip(pa, pb))
-                    if pt not in target:
-                        bad.append((a, b, pt))
-                        break
-                else:
-                    continue
-                break
+    for i, a in enumerate(keys):
+        for b in keys[i:]:
+            if a + b in levels:
+                witness = _sum_outside(levels[a], levels[b], levels[a + b])
+                if witness is not None:
+                    bad.append((a, b, witness))
     return bad
+
+
+def _sum_outside(first, second, target):
+    """A point of first + second outside target, or None."""
+    for pa in first:
+        for pb in second:
+            pt = tuple(x + y for x, y in zip(pa, pb))
+            if pt not in target:
+                return pt
+    return None
+
+
+def empirical_limit(s: GradedSemigroup, n_max: int) -> list[tuple[int, Fraction]]:
+    """The exact scaled counts (k, #S_{mk} / k^q) for mk <= n_max."""
+    inv = invariants(s)
+    return [(n // inv.m, Fraction(count, (n // inv.m) ** inv.q))
+            for n, count in s.level_sizes(n_max) if n % inv.m == 0]
 
 
 def smallest_converging_modulus(seq: ScaledSequence, max_modulus: int,

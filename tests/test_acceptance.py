@@ -35,7 +35,7 @@ from gradedlimits.monomial import (
     saturation_quotient_colength,
     unit_ideal,
 )
-from gradedlimits.semigroup import GradedSemigroup, invariants, empirical_limit, truncate
+from gradedlimits.semigroup import GradedSemigroup, invariants, truncate
 from gradedlimits.series import (
     NEG_INF,
     closure_violations,
@@ -47,7 +47,7 @@ from gradedlimits.series import (
     tau_pulse_series,
     artin_tau_series,
 )
-from oracles import colength_bruteforce
+from oracles import colength_bruteforce, empirical_limit
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEDULE = BlockSchedule((2, 6, 26, 210))

@@ -7,19 +7,36 @@ PACKAGE = Path(gradedlimits.__file__).resolve().parent
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
+def imported_modules(path: Path) -> list[str]:
+    """The modules a source file imports, plus ``module.name`` for every
+    ``from module import name``; relative imports resolve inside the package."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"gradedlimits.{module}".rstrip(".")
+            names.append(module)
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    return names
+
+
 def test_no_module_imports_threads():
     # the library is single-threaded: no pools, no locks
     banned = {"threading", "concurrent", "concurrent.futures"}
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            found += [(path.name, name) for name in names if name in banned]
+    found = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in imported_modules(path) if name in banned]
+    assert found == []
+
+
+def test_families_and_series_do_not_import_semigroup():
+    # the counting identity returns level point sets, not a semigroup, and
+    # the series levels stay inside series: neither module needs semigroup
+    found = [(name, module) for name in ("families.py", "series.py")
+             for module in imported_modules(PACKAGE / name)
+             if module == "gradedlimits.semigroup"]
     assert found == []
 
 

@@ -5,17 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedlimits.semigroup import (
-    GradedSemigroup,
-    empirical_limit,
-    enumerate_levels,
-    invariants,
-    predicted_limit,
-    truncate,
-)
+from gradedlimits.semigroup import GradedSemigroup, invariants, truncate
 from oracles import (
     brute_levels,
     check_level_containments,
+    empirical_limit,
     invariants_by_degree_kernel,
     polytope_contains,
 )
@@ -35,6 +29,11 @@ def make(name):
     return GradedSemigroup(1, generators=gens), expected
 
 
+def enumerate_levels(s: GradedSemigroup, n_max: int) -> dict[int, frozenset]:
+    """All level sets S_1 .. S_{n_max}."""
+    return {n: s.level(n) for n in range(1, n_max + 1)}
+
+
 class TestLevels:
     def test_two_generators(self):
         s = GradedSemigroup(1, generators=[((0,), 1), ((1,), 1)])
@@ -51,7 +50,14 @@ class TestLevels:
     def test_superadditive(self):
         for name in FIXTURES:
             s, _ = make(name)
-            assert check_level_containments(s, 24) == []
+            assert check_level_containments(enumerate_levels(s, 24)) == []
+
+    def test_containment_check_finds_witness(self):
+        # S_1 + S_1 holds (1,) and (2,), neither of which lies in S_2
+        levels = {1: {(0,), (1,)}, 2: {(0,)}}
+        [(a, b, point)] = check_level_containments(levels)
+        assert (a, b) == (1, 1)
+        assert point in {(1,), (2,)}
 
     def test_level_emptiness_pattern(self):
         for name in FIXTURES:
@@ -207,11 +213,6 @@ class TestInvariants:
             inv = invariants(s)
             assert (inv.m, inv.q, inv.ind, inv.body.volume) == (m, q, ind, vol)
             assert inv.predicted_limit == limit
-
-    def test_oracle_semigroup_rejected(self):
-        s = GradedSemigroup(1, level_oracle=lambda n: {(0,)} if n % 2 == 0 else set())
-        with pytest.raises(ValueError, match="generators"):
-            invariants(s)
 
     def test_unimodular_invariance(self):
         rng = random.Random(19)

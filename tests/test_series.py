@@ -16,23 +16,49 @@ from gradedlimits.series import (
     ceil_log,
     closure_violations,
     count_weighted_monomials,
-    dims,
     full_weighted_series,
     index_estimate,
     kodaira_iitaka,
     log_nil_series,
     nil_hyperplane_series,
     series_invariants,
-    series_to_semigroup,
     sigma_growth_series,
     tau_pulse_series,
-    veronese,
     weighted_monomials,
 )
 
 from oracles import check_level_degrees
 
 SCHEDULE = BlockSchedule.default(210)
+
+
+def dims(series: MonomialLinearSeries, n_max: int) -> list[int]:
+    """Exact level dimensions 1..n_max, by counting basis monomials."""
+    return [series.dim(n) for n in range(1, n_max + 1)]
+
+
+def veronese(series: MonomialLinearSeries, e: int) -> MonomialLinearSeries:
+    """The e-th Veronese sub-series, level n mapped to the old level e*n."""
+    return MonomialLinearSeries(
+        name=f"{series.name}_veronese{e}",
+        ambient=series.ambient,
+        twist=series.twist * e,
+        provider=lambda n: series.blocks(e * n),
+        horizon=series.horizon // e,
+        expected_dim=(lambda n: series.expected_dim(e * n)) if series.expected_dim else None,
+        declared_kappa=series.declared_kappa,
+        natural_exponent=series.natural_exponent)
+
+
+def series_levels(series: MonomialLinearSeries, n_max: int) -> tuple[dict, bool]:
+    """The non-nil exponent vectors {n: S_n} of levels 1..n_max, and whether
+    a nil monomial was left out."""
+    levels, has_nil = {}, False
+    for n in range(1, n_max + 1):
+        monomials = series.level(n)
+        has_nil = has_nil or any(nil for _, nil in monomials)
+        levels[n] = frozenset(exps for exps, nil in monomials if not nil)
+    return levels, has_nil
 
 
 def all_builders(horizon=60):
@@ -328,16 +354,16 @@ class TestClosure:
 class TestSemigroupView:
     def test_full_model_counts(self):
         s = full_weighted_series((1, 1), 60)
-        sg, excluded = series_to_semigroup(s)
+        levels, excluded = series_levels(s, 17)
         assert not excluded
         for n in (1, 5, 17):
-            assert len(sg.level(n)) == s.dim(n) == n + 1
+            assert len(levels[n]) == s.dim(n) == n + 1
 
     def test_nil_series_is_flagged(self):
         s = nil_hyperplane_series(("mod", 3, (0,)), 2, 30)
-        sg, excluded = series_to_semigroup(s)
+        levels, excluded = series_levels(s, 3)
         assert excluded
-        assert len(sg.level(3)) == 0
+        assert len(levels[3]) == 0
 
     def test_even_exponent_series_invariants(self):
         from gradedlimits.semigroup import invariants
@@ -346,10 +372,9 @@ class TestSemigroupView:
         even = MonomialLinearSeries(
             "even_exponents", ambient, 2,
             lambda n: [Block((2 * a, 2 * (n - a)), False) for a in range(n + 1)], 40)
-        sg, _ = series_to_semigroup(even)
-        regen = None
+        levels, _ = series_levels(even, 1)
         from gradedlimits.semigroup import GradedSemigroup
-        regen = GradedSemigroup(2, generators=[(pt, 1) for pt in sg.level(1)])
+        regen = GradedSemigroup(2, generators=[(pt, 1) for pt in levels[1]])
         inv = invariants(regen)
         assert (inv.m, inv.ind) == (1, 2)
 

@@ -6,12 +6,18 @@ from gradedlimits.specfiles import (
     build_family,
     build_semigroup,
     build_series,
-    dump_spec,
-    format_ideal,
     load_ideal,
     parse_ideal_text,
     parse_spec,
 )
+
+
+def format_ideal(ideal: MonomialIdeal) -> str:
+    return "".join(" ".join(str(e) for e in g) + "\n" for g in ideal.gens)
+
+
+def dump_spec(spec: dict[str, list[str]]) -> str:
+    return "".join(f"{key}: {v}\n" for key, values in spec.items() for v in values)
 
 
 class TestIdealFiles:
