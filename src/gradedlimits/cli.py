@@ -3,11 +3,14 @@
 Subcommands: semigroup, family, series, volmult, eps.  Output is CSV to
 stdout or --out; --golden DIR compares the bytes against a committed golden
 file and --write-golden DIR refreshes it.  Exit codes: 0 all verdicts as
-expected, 1 verdict or golden mismatch, 2 usage error, bad input or an
-exceeded point budget (one ``error:`` line on stderr).  Horizon, moduli and
-tol come from the flag, else the spec key, else the default, and are
-range-checked whichever source gave them; an explicit value such as
-``--tol 0`` is used as given, never replaced by the spec default.
+expected, 1 verdict or golden mismatch, 2 usage error, bad input, an
+exceeded point budget or an input too deep for Python's recursion limit
+(one ``error:`` line on stderr).  Horizon, moduli and tol come from the
+flag, else the spec key, else the default, and are range-checked whichever
+source gave them; an explicit value such as ``--tol 0`` is used as given,
+never replaced by the spec default.  A subcommand imports the modules it
+runs when it runs: ``series`` here, and the rest inside the ``build_*``
+functions of ``specfiles`` and the experiments of ``experiments``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .experiments import (
     semigroup_limit_report,
     volume_equals_multiplicity,
 )
-from .series import series_invariants
 from .specfiles import (
     SpecError,
     build_family,
@@ -178,6 +180,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .series import series_invariants
+
     spec = load_spec(args.spec)
     horizon = _resolve(args, spec, "horizon", 210)
     series = build_series(spec, horizon)
@@ -293,7 +297,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (SpecError, OSError, ValueError, MemoryError) as exc:
+    except (SpecError, OSError, ValueError, MemoryError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -11,22 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .families import GradedFamily, POLYNOMIAL, _incremental_powers
-from .monomial import (
-    MonomialIdeal,
-    colength,
-    multiplicity,
-    saturation_quotient_colength,
-)
-from .semigroup import (
-    GradedSemigroup,
-    SemigroupInvariants,
-    invariants,
-    truncate,
-)
-from .series import MonomialLinearSeries
+if TYPE_CHECKING:
+    from .families import GradedFamily
+    from .monomial import MonomialIdeal
+    from .semigroup import GradedSemigroup, SemigroupInvariants
+    from .series import MonomialLinearSeries
 
 DEFAULT_TOL = Fraction(1, 50)
 
@@ -99,6 +90,9 @@ def dim_sequence(series: MonomialLinearSeries, n_max: int,
 
 def saturation_gap_sequence(ideal: MonomialIdeal, n_max: int) -> ScaledSequence:
     """len((I^n)^sat / I^n) * d! / n^d, the local-cohomology length sequence."""
+    from .families import _incremental_powers
+    from .monomial import saturation_quotient_colength
+
     d = ideal.num_vars
     d_fact = math.factorial(d)
     power = _incremental_powers(ideal)
@@ -232,6 +226,8 @@ def semigroup_limit_report(s: GradedSemigroup, horizon: int,
     rescale the predicted limit of the level-p sub-semigroup by p^q and flag
     a dimension drop.
     """
+    from .semigroup import invariants, truncate
+
     inv = invariants(s)
     if horizon < inv.m:
         raise ValueError(f"horizon {horizon} is below the degree index m = {inv.m}")
@@ -278,6 +274,9 @@ def volume_equals_multiplicity(family: GradedFamily, p_list: Sequence[int],
     limits of the two sides, so a row for small p may differ from `lhs`.
     Every p must be at least 1.
     """
+    from .families import POLYNOMIAL
+    from .monomial import multiplicity
+
     if family.ring_kind != POLYNOMIAL:
         raise ValueError("multiplicity experiment needs the polynomial model")
     for p in p_list:

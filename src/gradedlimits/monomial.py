@@ -19,8 +19,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from typing import TYPE_CHECKING
 
-from .lattice import RationalPolytope, convex_hull, lattice_volume, standard_lattice
+if TYPE_CHECKING:
+    from .lattice import RationalPolytope
 
 Exponent = tuple  # ints, one per variable
 
@@ -215,8 +217,13 @@ class MonomialIdeal:
 
     def colon_monomial(self, u) -> "MonomialIdeal":
         u = _exponent(self.num_vars, u)
-        return MonomialIdeal._canonical(
-            self.num_vars, {tuple(max(a - b, 0) for a, b in zip(g, u)) for g in self.gens})
+        if self.num_vars == 2:
+            u0, u1 = u
+            quots = {(g0 - u0 if g0 > u0 else 0, g1 - u1 if g1 > u1 else 0)
+                     for g0, g1 in self.gens}
+        else:
+            quots = {tuple(max(a - b, 0) for a, b in zip(g, u)) for g in self.gens}
+        return MonomialIdeal._canonical(self.num_vars, quots)
 
     def saturate(self) -> "MonomialIdeal":
         """Saturation with respect to the maximal ideal, I : m^infty.
@@ -425,6 +432,8 @@ class NewtonRegion:
 
 
 def newton_region(ideal: MonomialIdeal, clip: int | None = None) -> NewtonRegion:
+    from .lattice import convex_hull, lattice_volume, standard_lattice
+
     if not ideal.is_m_primary():
         raise ValueError("Newton region needs an ideal primary to the maximal ideal")
     d = ideal.num_vars

@@ -251,6 +251,17 @@ class GradedSemigroup:
         return frozenset(out)
 
 
+def _degree_index(s: GradedSemigroup) -> int:
+    """m(S), the gcd of the generator degrees; the degrees must be positive."""
+    if not s.generators:
+        raise ValueError("invariants require at least one generator")
+    if not s.strongly_nonnegative():
+        raise ValueError("invariants require strictly positive degrees")
+    # in the degree-first Hermite basis of the group the first pivot is
+    # m = gcd of the degrees, and the rows below it are the fill's basis of L
+    return s._group.basis[0][0]
+
+
 def invariants(s: GradedSemigroup) -> SemigroupInvariants:
     """Degree index m, boundary dimension q, boundary index ind, and body.
 
@@ -259,16 +270,9 @@ def invariants(s: GradedSemigroup) -> SemigroupInvariants:
     saturation; the body is the cone slice at height m with its volume
     measured in the saturated boundary lattice.
     """
-    if not s.generators:
-        raise ValueError("invariants require at least one generator")
-    if not s.strongly_nonnegative():
-        raise ValueError("invariants require strictly positive degrees")
+    m = _degree_index(s)
     d = s.point_dim
-    # in the degree-first Hermite basis of the group the first pivot is
-    # m = gcd of the degrees, and the rows below it are the fill's basis of L
-    group = s._group
-    q = group.rank - 1
-    m = group.basis[0][0]
+    q = s._group.rank - 1
     boundary, ind = saturate_lattice(hermite_basis(s._basis, d))
     slice_points = [tuple(Fraction(m * x, deg) for x in vec) for vec, deg in s.generators]
     polytope = convex_hull(slice_points)
@@ -281,8 +285,7 @@ def truncate(s: GradedSemigroup, p: int) -> GradedSemigroup:
     """The sub-semigroup generated by the level p*m(S) points."""
     if p < 1:
         raise ValueError("truncation level must be positive")
-    inv_m = invariants(s).m
-    height = p * inv_m
+    height = p * _degree_index(s)
     points = s.level(height)
     if not points:
         raise ValueError(f"level {height} is empty")

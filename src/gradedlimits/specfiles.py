@@ -9,30 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .families import (
-    BlockSchedule,
-    GradedFamily,
-    artin_tau_family,
-    corrupted_sigma_family,
-    nilpair_sigma_family,
-    perturbed_power_family,
-    power_family,
-    saturation_family,
-    symbolic_family,
-    valuation_family,
-)
-from .monomial import MonomialIdeal
-from .semigroup import GradedSemigroup
-from .series import (
-    MonomialLinearSeries,
-    artin_tau_series,
-    full_weighted_series,
-    log_nil_series,
-    nil_hyperplane_series,
-    sigma_growth_series,
-    tau_pulse_series,
-)
+if TYPE_CHECKING:
+    from .families import BlockSchedule, GradedFamily
+    from .monomial import MonomialIdeal
+    from .semigroup import GradedSemigroup
+    from .series import MonomialLinearSeries
 
 
 class SpecError(ValueError):
@@ -44,6 +27,8 @@ class SpecError(ValueError):
 # ---------------------------------------------------------------------------
 
 def parse_ideal_text(text: str) -> MonomialIdeal:
+    from .monomial import MonomialIdeal
+
     gens = []
     width = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -134,6 +119,8 @@ def _int_list(value: str, source: str) -> list[int]:
 
 
 def _parse_inline_ideal(value: str, source: str) -> MonomialIdeal:
+    from .monomial import MonomialIdeal
+
     rows = [tuple(_int_value(t, source) for t in part.split())
             for part in value.split(";") if part.strip()]
     if not rows:
@@ -158,6 +145,8 @@ def _ideal_from_spec(spec: dict, key: str, base_dir: Path | None) -> MonomialIde
 
 
 def _schedule_from_spec(spec: dict, horizon: int) -> BlockSchedule:
+    from .families import BlockSchedule
+
     raw = _single(spec, "schedule")
     if raw is None:
         return BlockSchedule.default(max(horizon, 210))
@@ -180,6 +169,8 @@ def _tset_from_spec(spec: dict):
 
 
 def build_semigroup(spec: dict) -> GradedSemigroup:
+    from .semigroup import GradedSemigroup
+
     raws = spec.get("generator")
     if not raws:
         raise SpecError("semigroup spec needs 'generator' lines")
@@ -200,6 +191,17 @@ def build_semigroup(spec: dict) -> GradedSemigroup:
 
 def build_family(spec: dict, base_dir: Path | None = None,
                  horizon: int = 210) -> GradedFamily:
+    from .families import (
+        artin_tau_family,
+        corrupted_sigma_family,
+        nilpair_sigma_family,
+        perturbed_power_family,
+        power_family,
+        saturation_family,
+        symbolic_family,
+        valuation_family,
+    )
+
     kind = _single(spec, "family")
     if kind is None:
         raise SpecError("family spec needs a 'family' key")
@@ -232,6 +234,15 @@ def build_family(spec: dict, base_dir: Path | None = None,
 
 
 def build_series(spec: dict, horizon: int = 210) -> MonomialLinearSeries:
+    from .series import (
+        artin_tau_series,
+        full_weighted_series,
+        log_nil_series,
+        nil_hyperplane_series,
+        sigma_growth_series,
+        tau_pulse_series,
+    )
+
     kind = _single(spec, "series")
     if kind is None:
         raise SpecError("series spec needs a 'series' key")

@@ -2,8 +2,8 @@
 and the membership tests only the tests need.
 
 Each oracle is a slow, direct route to a result the library computes another
-way: brute-force enumeration (colengths, semigroup levels, the m-primary
-support scan), fixpoint iteration, or the unimodular reduction
+way: brute-force enumeration (colengths, monomial colons, semigroup levels,
+the m-primary support scan), fixpoint iteration, or the unimodular reduction
 ``invariants`` used before it read the degree-zero part off one Hermite basis.
 ``lattice_contains`` and ``polytope_contains`` are exact membership tests
 built from the library's rational combination and convex hull;
@@ -59,6 +59,17 @@ def colength_bruteforce(ideal: MonomialIdeal) -> int:
         if not any(all(ge <= pe for ge, pe in zip(g, point)) for g in ideal.gens):
             count += 1
     return count
+
+
+def colon_bruteforce(ideal: MonomialIdeal, u: Sequence[int]) -> MonomialIdeal:
+    """Independent oracle for I : u: the ideal of every monomial w in the box
+    up to the largest generator exponent with w * u divisible by some
+    generator.  Each minimal generator max(g - u, 0) of I : u lies in it."""
+    top = max((e for g in ideal.gens for e in g), default=0)
+    quotient = [w for w in itertools.product(range(top + 1), repeat=ideal.num_vars)
+                if any(all(ge <= we + ue for ge, we, ue in zip(g, w, u))
+                       for g in ideal.gens)]
+    return MonomialIdeal(ideal.num_vars, tuple(quotient))
 
 
 def is_m_primary_by_support(ideal: MonomialIdeal) -> bool:

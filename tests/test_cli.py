@@ -148,11 +148,14 @@ class TestArgumentEdges:
         ("family", "family: nilpair_sigma\ndim: x\n", "spec key 'dim'"),
         ("family", "family: nilpair_sigma\nschedule: 2 x\n", "spec key 'schedule'"),
         ("series", "series: full\nweights: 1 y\n", "spec key 'weights'"),
+        ("family", "family: nilpair_sigma\ndim: 3000\n", "recursion depth"),
+        ("family", "family: nilpair_sigma\ndim: 600\n", "recursion depth"),
     ], ids=["pset-line", "nilpair-dim0", "perturbed-dim0", "corrupted-dim0",
             "lambda-1/0", "tol-1/0", "tset-mod-0", "tset-mod-missing",
             "moduli-0", "moduli-negative", "family-horizon-0", "series-horizon-0",
             "volmult-horizon-0", "tol-negative", "tau-pulse-g0", "tau-pulse-g-negative",
-            "dim-not-int", "schedule-not-int", "weights-not-int"])
+            "dim-not-int", "schedule-not-int", "weights-not-int",
+            "nilpair-dim3000-too-deep", "nilpair-dim600-too-deep"])
     def test_bad_spec_value(self, capsys, tmp_path, cmd, text, match):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)

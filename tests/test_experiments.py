@@ -23,6 +23,7 @@ from gradedlimits.families import (
     valuation_family,
 )
 from gradedlimits.monomial import MonomialIdeal, max_ideal_power
+from gradedlimits import semigroup
 from gradedlimits.semigroup import GradedSemigroup
 from gradedlimits.series import (
     MonomialLinearSeries,
@@ -177,6 +178,21 @@ class TestSemigroupReport:
         for p in (2, 4, 8):
             assert by_p[p].rescaled_limit == Fraction(1, 2)
             assert not by_p[p].dimension_drop
+
+    def test_invariants_once_per_semigroup(self, monkeypatch):
+        # one call for S and one per truncation; truncate reads m directly
+        calls = []
+        real = semigroup.invariants
+
+        def counted(s):
+            calls.append(s)
+            return real(s)
+
+        monkeypatch.setattr(semigroup, "invariants", counted)
+        s = GradedSemigroup(1, generators=[((0,), 1), ((1,), 2)])
+        semigroup_limit_report(s, 100, (1, 2, 4, 8))
+        assert len(calls) == 5
+        assert calls.count(s) == 1
 
     def test_suite_over_fixtures(self):
         fixtures = [GradedSemigroup(1, generators=[((0,), 1), ((1,), 1)]),

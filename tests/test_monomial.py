@@ -26,6 +26,7 @@ from gradedlimits.monomial import (
 from oracles import (
     colength_bruteforce,
     colon,
+    colon_bruteforce,
     is_m_primary_by_support,
     multiplicity_limit_sequence,
     saturate_by_colon_fixpoint,
@@ -129,6 +130,13 @@ class TestKernelOracles:
         i = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
         m = data.draw(st.tuples(*[st.integers(0, 10)] * d))
         assert i.contains(m) == any(divides(g, m) for g in i.gens)
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_colon_monomial(self, data, d):
+        i = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
+        u = data.draw(st.tuples(*[st.integers(0, 10)] * d))
+        assert i.colon_monomial(u) == colon_bruteforce(i, u)
 
     @given(st.data(), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)

@@ -1,10 +1,72 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import gradedlimits
 
 PACKAGE = Path(gradedlimits.__file__).resolve().parent
-ORACLES = Path(__file__).resolve().parent / "oracles.py"
+REPO = Path(__file__).resolve().parent.parent
+ORACLES = REPO / "tests" / "oracles.py"
+
+# the gradedlimits submodules each subcommand loads; cli, specfiles and
+# experiments load the rest only inside the functions that run them
+COMMAND_MODULES = {
+    "semigroup": {"lattice", "semigroup"},
+    "family": {"families", "monomial"},
+    "eps": {"families", "monomial"},
+    "volmult": {"families", "lattice", "monomial"},
+    "series": {"families", "lattice", "monomial", "series"},
+}
+GOLDEN_JOBS = [
+    ("semigroup", "specs/semigroup_halfstep.spec"),
+    ("semigroup", "specs/semigroup_affine.spec"),
+    ("family", "specs/family_valuation12.spec"),
+    ("family", "specs/family_nilpair_sigma.spec"),
+    ("family", "specs/family_artin_t2.spec"),
+    ("series", "specs/series_sigma_s0r1.spec"),
+    ("series", "specs/series_lognil_evens.spec"),
+    ("volmult", "specs/volmult_valuation12.spec"),
+    ("eps", "ideals/x2_xy.ideal", "--horizon", "200", "--expect", "converges"),
+]
+
+
+def loaded_submodules(code: str) -> set[str]:
+    """The gradedlimits submodules a fresh interpreter holds after ``code``."""
+    probe = (f"{code}\nimport sys\n"
+             "print(*(m for m in sys.modules if m.startswith('gradedlimits.')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], cwd=REPO, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return {name.removeprefix("gradedlimits.") for name in out.split()}
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded_submodules("import gradedlimits") == set()
+
+
+@pytest.mark.parametrize("job", GOLDEN_JOBS, ids=lambda job: Path(job[1]).stem)
+def test_subcommand_loads_only_its_modules(tmp_path, job):
+    argv = [*job, "--out", str(tmp_path / "o.csv"), "--golden", "golden"]
+    code = f"from gradedlimits.cli import main\nassert main({argv!r}) == 0"
+    assert loaded_submodules(code) == \
+        {"cli", "specfiles", "experiments"} | COMMAND_MODULES[job[0]]
+
+
+def test_every_export_resolves():
+    listed = dir(gradedlimits)
+    for name in gradedlimits.__all__:
+        assert getattr(gradedlimits, name) is not None
+        assert name in listed
+    assert len(set(gradedlimits.__all__)) == len(gradedlimits.__all__)
+    # the defining modules stay reachable as attributes, as before
+    assert gradedlimits.monomial.MonomialIdeal is gradedlimits.MonomialIdeal
+    assert "monomial" in listed
+    with pytest.raises(AttributeError):
+        gradedlimits.no_such_name
 
 
 def imported_modules(path: Path) -> list[str]:
@@ -67,6 +129,13 @@ def test_colength_oracle_is_independent_of_the_kernel():
     # them: no membership query, no colength, no private monomial helper
     assert reached_names("gradedlimits.monomial", "colength_bruteforce",
                          {"contains", "contains_ideal", "colength"}) == []
+
+
+def test_colon_oracle_is_independent_of_the_kernel():
+    # colon_bruteforce checks colon_monomial, so it must not reach it: no
+    # colon, no membership query, no private monomial helper
+    assert reached_names("gradedlimits.monomial", "colon_bruteforce",
+                         {"colon", "colon_monomial", "contains"}) == []
 
 
 def test_fill_oracle_is_independent_of_the_fill():

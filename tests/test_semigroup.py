@@ -338,6 +338,11 @@ class TestTruncate:
             truncate(GradedSemigroup(1, generators=[((0,), 2), ((1,), 3)]), 1)
         assert truncate(s, 1).level(3)
 
+    def test_non_positive_degree_rejected(self):
+        s = GradedSemigroup(1, generators=[((1,), 0), ((0,), 1)])
+        with pytest.raises(ValueError, match="invariants require strictly positive degrees"):
+            truncate(s, 1)
+
     def test_lower_bound_gap_shrinks(self):
         for name in FIXTURES:
             s, limit = make(name)
