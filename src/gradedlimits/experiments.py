@@ -63,13 +63,14 @@ def _scaled_sequence(label: str, normalization: str, exponent: int,
 
 def length_sequence(family: GradedFamily, n_max: int | None = None,
                     ns: Iterable[int] | None = None) -> ScaledSequence:
-    """Exact lengths of R/I_n scaled by n^d (unscaled in the Artin model)."""
+    """Exact lengths of R/I_n scaled by n^d, d = dim R (unscaled in the
+    zero-dimensional Artin model)."""
     if ns is None:
         ns = range(1, n_max + 1)
     ns = sorted(set(int(n) for n in ns))
     if any(n < 1 for n in ns):
         raise ValueError("indices must be positive")
-    exponent = family.length_exponent
+    exponent = family.dim
 
     def raw(n: int) -> int:
         try:
@@ -274,10 +275,9 @@ def volume_equals_multiplicity(family: GradedFamily, p_list: Sequence[int],
     limits of the two sides, so a row for small p may differ from `lhs`.
     Every p must be at least 1.
     """
-    from .families import POLYNOMIAL
     from .monomial import multiplicity
 
-    if family.ring_kind != POLYNOMIAL:
+    if not family.is_polynomial():
         raise ValueError("multiplicity experiment needs the polynomial model")
     for p in p_list:
         if p < 1:

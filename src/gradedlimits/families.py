@@ -2,7 +2,9 @@
 
 Covers power, valuation, saturation and symbolic families over a polynomial
 ring, the block-schedule driven nilpotent-pair families over the square-zero
-extension, and the zero-dimensional Artin family.  Includes the graded-axiom
+extension, and the zero-dimensional Artin family.  The ring model lives in
+the values: a MonomialIdeal or a NilPairIdeal supplies its own length,
+unit test, product and containment witness.  Includes the graded-axiom
 checker and the counting identity len(R/I_n) = #box - #S_n, where S_n is the
 set of exponents of I_n in a simplex box.
 """
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 from .monomial import (
     MonomialIdeal,
     NilPairIdeal,
-    colength,
+    _degree_tuples,
     madic_order,
     max_ideal_power,
     minimal_generators,
@@ -98,29 +100,23 @@ class BlockSchedule:
 # the family abstraction
 # ---------------------------------------------------------------------------
 
-POLYNOMIAL = "polynomial"
-NILPAIR = "nilpair"
-ARTIN = "artin"
-
-
 @dataclass
 class GradedFamily:
-    """A graded family of ideals with its ring model and box constants.
+    """A graded family of ideals with its box constants.
 
-    ring_kind selects the value type of provider(n): a MonomialIdeal over
-    polynomial(d), a NilPairIdeal over the square-zero extension of
-    polynomial(d), or a plain power exponent over the Artin ring k[y]/(y^{t+1}).
-    ``c`` satisfies m^c inside I_1 when the levels are m-primary and feeds the
-    box bound ``beta`` of the semigroup bridge.
+    provider(n) returns I_n as a MonomialIdeal over polynomial(d) or a
+    NilPairIdeal over the square-zero extension of polynomial(d); the value
+    carries the ring model.  ``dim`` is the Krull dimension of the ring, the
+    power of n that normalizes lengths.  ``c`` satisfies m^c inside I_1 when
+    the levels are m-primary and feeds the box bound ``beta`` of the
+    semigroup bridge.
     """
 
     name: str
-    ring_kind: str
     dim: int
-    provider: Callable[[int], object]
+    provider: Callable[[int], MonomialIdeal | NilPairIdeal]
     c: int | None = None
     beta: int | None = None
-    t: int | None = None
     schedule: BlockSchedule | None = None
     _memo: dict = field(default_factory=dict, repr=False)
 
@@ -133,17 +129,13 @@ class GradedFamily:
 
     def length(self, n: int) -> int:
         """Length of R/I_n in the family's ring model."""
-        value = self.ideal(n)
-        if self.ring_kind == POLYNOMIAL:
-            return colength(value)
-        if self.ring_kind == NILPAIR:
-            return value.length()
-        return min(int(value), self.t + 1)
+        return self.ideal(n).length()
 
-    @property
-    def length_exponent(self) -> int:
-        """The power of n that normalizes lengths (the ring dimension)."""
-        return self.dim if self.ring_kind != ARTIN else 0
+    def is_polynomial(self) -> bool:
+        """True when the values are MonomialIdeals in ``dim`` variables, the
+        reduced polynomial model."""
+        unit = self.ideal(0)
+        return isinstance(unit, MonomialIdeal) and unit.num_vars == self.dim
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +158,7 @@ def power_family(ideal: MonomialIdeal) -> GradedFamily:
     """I_n = I^n."""
     power = _incremental_powers(ideal)
     c = madic_order(ideal) if ideal.is_m_primary() else None
-    return GradedFamily(name="power", ring_kind=POLYNOMIAL, dim=ideal.num_vars,
+    return GradedFamily(name="power", dim=ideal.num_vars,
                         provider=power, c=c,
                         beta=(c * ideal.num_vars if c else None))
 
@@ -180,7 +172,7 @@ def saturation_family(ideal: MonomialIdeal) -> GradedFamily:
 
     first = ideal.saturate()
     c = madic_order(first) if first.is_m_primary() else None
-    return GradedFamily(name="saturation", ring_kind=POLYNOMIAL, dim=ideal.num_vars,
+    return GradedFamily(name="saturation", dim=ideal.num_vars,
                         provider=provider, c=c,
                         beta=(c * ideal.num_vars if c else None))
 
@@ -194,7 +186,7 @@ def symbolic_family(ideal: MonomialIdeal, other: MonomialIdeal) -> GradedFamily:
 
     first = provider(1)
     c = madic_order(first) if first.is_m_primary() else None
-    return GradedFamily(name="symbolic", ring_kind=POLYNOMIAL, dim=ideal.num_vars,
+    return GradedFamily(name="symbolic", dim=ideal.num_vars,
                         provider=provider, c=c,
                         beta=(c * ideal.num_vars if c else None))
 
@@ -259,7 +251,7 @@ def valuation_family(weights: Sequence) -> GradedFamily:
 
     c = frac_ceil(1 / min(lams))
     beta = c * frac_ceil(max(lams))
-    return GradedFamily(name="valuation", ring_kind=POLYNOMIAL, dim=d,
+    return GradedFamily(name="valuation", dim=d,
                         provider=provider, c=c, beta=beta)
 
 
@@ -276,8 +268,8 @@ def _nilpair_family(name: str, dim: int, offset: Callable[[int], int],
         return NilPairIdeal(max_ideal_power(dim, n),
                             max_ideal_power(dim, max(0, n - offset(n))))
 
-    return GradedFamily(name=name, ring_kind=NILPAIR, dim=dim,
-                        provider=provider, c=1, schedule=schedule)
+    return GradedFamily(name=name, dim=dim, provider=provider, c=1,
+                        schedule=schedule)
 
 
 def nilpair_sigma_family(dim: int, schedule: BlockSchedule | None = None) -> GradedFamily:
@@ -305,17 +297,22 @@ def artin_tau_family(t: int, schedule: BlockSchedule | None = None) -> GradedFam
     """I_n = m^{t + tau(n)} in the Artin ring k[y]/(y^{t+1}).
 
     Lengths alternate between t and t+1 on schedule blocks, so no limit
-    exists along any arithmetic progression.
+    exists along any arithmetic progression.  Each I_n (n >= 1) is kept as
+    the ideal (y^{t + tau(n)}) of k[y]: it contains y^{t+1}, so its length
+    and the containments I_a * I_b inside I_{a+b} are the same over k[y] as
+    over the quotient.  The ring has dimension 0.
     """
     if t < 1:
         raise ValueError("socle degree t must be positive")
     schedule = schedule or BlockSchedule.default()
 
-    def provider(n: int) -> int:
-        return 0 if n == 0 else t + schedule.tau(n)
+    def provider(n: int) -> MonomialIdeal:
+        if n == 0:
+            return unit_ideal(1)
+        return MonomialIdeal._canonical(1, ((t + schedule.tau(n),),))
 
-    return GradedFamily(name="artin_tau", ring_kind=ARTIN, dim=0, t=t,
-                        provider=provider, c=t + 1, schedule=schedule)
+    return GradedFamily(name="artin_tau", dim=0, provider=provider, c=t + 1,
+                        schedule=schedule)
 
 
 def corrupted_sigma_family(dim: int = 1) -> GradedFamily:
@@ -338,49 +335,23 @@ class GradedCheckReport:
         return not self.violations
 
 
-def _first_missing_gen(product: MonomialIdeal, target: MonomialIdeal):
-    for g in product.gens:
-        if not target.contains(g):
-            return g
-    return None
-
-
 def check_graded(family: GradedFamily, horizon: int) -> GradedCheckReport:
     """Verify I_a * I_b inside I_{a+b} for all a + b <= horizon.
 
     Containment of monomial ideals reduces to their generators, so the check
-    is exhaustive.  Violations are reported with a witness monomial.
+    is exhaustive.  Violations are reported with a witness generator.
     """
     violations: list[tuple[int, int, str]] = []
     checked = 0
-    if not (family.ideal(0).length() == 0 if family.ring_kind == NILPAIR
-            else (family.ideal(0).is_unit() if family.ring_kind == POLYNOMIAL
-                  else family.ideal(0) == 0)):
+    if not family.ideal(0).is_unit():
         violations.append((0, 0, "I_0 is not the unit ideal"))
     for total in range(2, horizon + 1):
         for a in range(1, total // 2 + 1):
             b = total - a
             checked += 1
-            if family.ring_kind == POLYNOMIAL:
-                witness = _first_missing_gen(family.ideal(a) * family.ideal(b),
-                                             family.ideal(total))
-                if witness is not None:
-                    violations.append((a, b, f"monomial {witness} escapes I_{total}"))
-            elif family.ring_kind == NILPAIR:
-                prod = family.ideal(a) * family.ideal(b)
-                tgt = family.ideal(total)
-                w = _first_missing_gen(prod.base, tgt.base)
-                if w is not None:
-                    violations.append((a, b, f"base monomial {w} escapes I_{total}"))
-                    continue
-                w = _first_missing_gen(prod.socle, tgt.socle)
-                if w is not None:
-                    violations.append((a, b, f"socle monomial {w} escapes I_{total}"))
-            else:
-                ea, eb = family.ideal(a), family.ideal(b)
-                et = family.ideal(total)
-                if ea + eb < min(et, family.t + 1):
-                    violations.append((a, b, f"exponent {ea}+{eb} below {et}"))
+            witness = (family.ideal(a) * family.ideal(b)).first_escape(family.ideal(total))
+            if witness is not None:
+                violations.append((a, b, f"{witness} escapes I_{total}"))
     return GradedCheckReport(checked, violations)
 
 
@@ -398,16 +369,6 @@ class CountingIdentityReport:
         return all(r[4] for r in self.rows)
 
 
-def _simplex_points(dim: int, bound: int):
-    if dim == 1:
-        for a in range(bound + 1):
-            yield (a,)
-        return
-    for a in range(bound + 1):
-        for rest in _simplex_points(dim - 1, bound - a):
-            yield (a,) + rest
-
-
 def counting_identity(family: GradedFamily, horizon: int,
                       beta: int | None = None) -> tuple[CountingIdentityReport, dict]:
     """Check len(R/I_n) = #box - #S_n for n = 1 .. horizon.
@@ -417,7 +378,7 @@ def counting_identity(family: GradedFamily, horizon: int,
     level sets {n: S_n}.  Requires every level up to the horizon to be
     m-primary.
     """
-    if family.ring_kind != POLYNOMIAL:
+    if not family.is_polynomial():
         raise ValueError("the counting identity is defined over the polynomial model")
     beta = beta if beta is not None else family.beta
     if beta is None:
@@ -429,11 +390,11 @@ def counting_identity(family: GradedFamily, horizon: int,
         ideal = family.ideal(n)
         if not ideal.is_m_primary():
             raise ValueError(f"level {n} is not primary to the maximal ideal")
-        members = frozenset(pt for pt in _simplex_points(d, beta * n)
-                            if ideal.contains(pt))
+        members = frozenset(pt for k in range(beta * n + 1)
+                            for pt in _degree_tuples(d, k) if ideal.contains(pt))
         levels[n] = members
         box_total = math.comb(beta * n + d, d)
-        ell = colength(ideal)
+        ell = ideal.length()
         rows.append((n, ell, box_total, len(members),
                      ell == box_total - len(members)))
     return CountingIdentityReport(beta, rows), levels

@@ -15,6 +15,7 @@ sum the slice colengths over the slice widths, down to the d = 2 closed form.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,8 +132,16 @@ class MonomialIdeal:
         return k >= 0 and slices[k].contains(m[:-1])
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        self._check(other)
-        return all(self.contains(g) for g in other.gens)
+        return other.first_escape(self) is None
+
+    def first_escape(self, target: "MonomialIdeal") -> str | None:
+        """The first generator of self outside ``target``, described as
+        ``"monomial g"``, or None when self is inside ``target``."""
+        self._check(target)
+        for g in self.gens:
+            if not target.contains(g):
+                return f"monomial {g}"
+        return None
 
     @cached_property
     def _slices(self) -> tuple[list[int], list["MonomialIdeal"]]:
@@ -143,7 +152,19 @@ class MonomialIdeal:
         of the generators with last exponent <= t_k, so a monomial whose last
         exponent lies in [t_k, t_{k+1}) is in the ideal exactly when its
         projection is in slice k; below t_0 nothing is.
+
+        The colength and degree sweeps recurse through the slices, two
+        frames (the sweep and its generator) per variable, so an ideal whose
+        variables cannot all fit on the stack below the recursion limit is
+        refused before any slice is built.
         """
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        if depth + 2 * self.num_vars > limit:
+            raise RecursionError(f"an ideal in {self.num_vars} variables is too deep "
+                                 f"for the recursion depth limit {limit}")
         by_top: dict[int, list[Exponent]] = {}
         for g in self.gens:
             by_top.setdefault(g[-1], []).append(g[:-1])
@@ -154,6 +175,10 @@ class MonomialIdeal:
             slices.append(MonomialIdeal._canonical(self.num_vars - 1, kept + tuple(by_top[t])))
             kept = slices[-1].gens
         return tops, slices
+
+    def length(self) -> int:
+        """Length of R/I over polynomial(d), the colength."""
+        return colength(self)
 
     def is_m_primary(self) -> bool:
         """True iff every variable carries a pure-power generator.
@@ -402,6 +427,20 @@ class NilPairIdeal:
     def length(self) -> int:
         """Colength in the square-zero extension ring."""
         return colength(self.base) + colength(self.socle)
+
+    def is_unit(self) -> bool:
+        # the socle contains the base, so a unit base makes both units
+        return self.base.is_unit()
+
+    def first_escape(self, target: "NilPairIdeal") -> str | None:
+        """The first generator of self outside ``target``, base part first,
+        described as ``"base monomial g"`` or ``"socle monomial g"``, or None
+        when self is inside ``target``."""
+        witness = self.base.first_escape(target.base)
+        if witness is not None:
+            return f"base {witness}"
+        witness = self.socle.first_escape(target.socle)
+        return None if witness is None else f"socle {witness}"
 
     def __mul__(self, other: "NilPairIdeal") -> "NilPairIdeal":
         return NilPairIdeal(self.base * other.base,

@@ -81,15 +81,13 @@ class MonomialLinearSeries:
                  provider: Callable[[int], Iterable[Block]],
                  horizon: int,
                  expected_dim: Callable[[int], int] | None = None,
-                 declared_kappa=None, declared_index: int | None = None,
-                 natural_exponent: int = 0):
+                 declared_kappa=None, natural_exponent: int = 0):
         self.name = name
         self.ambient = ambient
         self.twist = twist
         self.horizon = horizon
         self.expected_dim = expected_dim
         self.declared_kappa = declared_kappa
-        self.declared_index = declared_index
         self.natural_exponent = natural_exponent
         self._provider = provider
 
@@ -320,7 +318,7 @@ def full_weighted_series(weights: Iterable[int], horizon: int = 200) -> Monomial
 
     return MonomialLinearSeries("full", ambient, 1, provider, horizon,
                                 expected_dim=lambda n: count_weighted_monomials(ws, n),
-                                declared_kappa=len(ws) - 1, declared_index=1,
+                                declared_kappa=len(ws) - 1,
                                 natural_exponent=len(ws) - 1)
 
 
@@ -449,8 +447,7 @@ def sigma_growth_series(s, r: int, schedule: BlockSchedule | None = None,
     kappa = NEG_INF if nil_only else s_int
     return MonomialLinearSeries("sigma_growth", ambient, twist, provider,
                                 horizon, expected_dim=expected,
-                                declared_kappa=kappa, declared_index=1,
-                                natural_exponent=r)
+                                declared_kappa=kappa, natural_exponent=r)
 
 
 def tau_pulse_series(schedule: BlockSchedule | None = None, e: int = 1,
@@ -480,7 +477,7 @@ def tau_pulse_series(schedule: BlockSchedule | None = None, e: int = 1,
 
     return MonomialLinearSeries("tau_pulse", ambient, deg, provider, horizon,
                                 expected_dim=expected, declared_kappa=0,
-                                declared_index=1, natural_exponent=0)
+                                natural_exponent=0)
 
 
 def artin_tau_series(t: int, schedule: BlockSchedule | None = None,
@@ -515,7 +512,3 @@ def artin_tau_series(t: int, schedule: BlockSchedule | None = None,
                                 expected_dim=expected,
                                 declared_kappa=0 if with_unit else NEG_INF,
                                 natural_exponent=0)
-
-
-BUILTIN_SERIES_NAMES = ("full", "nil_hyperplane", "log_nil", "sigma_growth",
-                        "tau_pulse", "artin_tau")

@@ -164,6 +164,13 @@ class TestArgumentEdges:
         self.assert_usage_error(capsys, cmd, spec, *flags,
                                 "--out", tmp_path / "o.csv", match=match)
 
+    def test_volmult_rejects_artin_model(self, capsys, tmp_path):
+        spec = tmp_path / "artin.spec"
+        spec.write_text("family: artin_tau\nt: 2\n")
+        assert run("volmult", spec, "--out", tmp_path / "o.csv") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: multiplicity experiment needs the polynomial model"]
+
     def test_bad_int_flag_names_flag(self, capsys, tmp_path):
         self.assert_usage_error(capsys, "volmult", SPECS / "volmult_valuation12.spec",
                                 "--pset", "2,x", "--out", tmp_path / "o.csv",

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedlimits.experiments import volume_equals_multiplicity
 from gradedlimits.families import (
     BlockSchedule,
+    GradedFamily,
     artin_tau_family,
     check_graded,
     corrupted_sigma_family,
@@ -19,7 +21,7 @@ from gradedlimits.families import (
     valuation_family,
     valuation_gens,
 )
-from gradedlimits.monomial import MonomialIdeal, max_ideal_power
+from gradedlimits.monomial import MonomialIdeal, max_ideal_power, unit_ideal
 from oracles import check_level_containments
 
 
@@ -187,6 +189,26 @@ class TestCheckGraded:
         assert not report.ok
         a, b, witness = report.violations[0]
         assert "escapes" in witness and a + b <= 30
+        assert report.violations[:2] == [(1, 3, "socle monomial (1,) escapes I_4"),
+                                         (1, 4, "socle monomial (3,) escapes I_5")]
+
+    def test_polynomial_violation_witness(self):
+        # m^n except I_3 = m^4, so I_1 * I_2 = m^3 escapes I_3 first
+        f = GradedFamily("broken_powers", 2,
+                         lambda n: max_ideal_power(2, n + (n == 3)))
+        report = check_graded(f, 10)
+        assert report.violations == [(1, 2, "monomial (0, 3) escapes I_3")]
+
+    def test_artin_violation_witness(self):
+        # over k[y]/(y^3): I_1 = (y) but I_n = (y^3) = 0 for n >= 2
+        f = GradedFamily("broken_artin", 0,
+                         lambda n: MonomialIdeal(1, (({0: 0, 1: 1}.get(n, 3),),)))
+        report = check_graded(f, 6)
+        assert report.violations == [(1, 1, "monomial (2,) escapes I_2")]
+
+    def test_unit_check_comes_first(self):
+        f = GradedFamily("no_unit", 2, lambda n: max_ideal_power(2, n + 1))
+        assert check_graded(f, 4).violations[0] == (0, 0, "I_0 is not the unit ideal")
 
 
 class TestSemigroupBridge:
@@ -210,6 +232,16 @@ class TestSemigroupBridge:
         f = power_family(MonomialIdeal(2, ((2, 0), (0, 3))))
         report, _ = counting_identity(f, 12, beta=1)
         assert not report.ok
+
+    @pytest.mark.parametrize("family", [nilpair_sigma_family(1, SCHEDULE),
+                                        artin_tau_family(2, SCHEDULE)],
+                             ids=["nilpair", "artin"])
+    def test_non_polynomial_models_rejected(self, family):
+        assert not family.is_polynomial()
+        with pytest.raises(ValueError, match="polynomial model"):
+            counting_identity(family, 5, beta=2)
+        with pytest.raises(ValueError, match="polynomial model"):
+            volume_equals_multiplicity(family, [1, 2], 10)
 
     def test_requires_primary_levels(self):
         f = saturation_family(MonomialIdeal(2, ((2, 0), (1, 1))))

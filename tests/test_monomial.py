@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from functools import reduce
 from math import comb
 
@@ -190,6 +191,24 @@ class TestKernelOracles:
                                                   for h in other.gens)
         assert i.contains_ideal(shifted)
 
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_first_escape_is_first_generator_outside(self, data, d):
+        i = MonomialIdeal(d, tuple(data.draw(exponent_sets(d, max_size=6))))
+        j = MonomialIdeal(d, tuple(data.draw(exponent_sets(d, max_size=6))))
+        outside = [g for g in j.gens if not any(divides(h, g) for h in i.gens)]
+        expected = f"monomial {outside[0]}" if outside else None
+        assert j.first_escape(i) == expected
+        assert i.contains_ideal(j) == (expected is None)
+
+    def test_too_many_variables_for_the_stack(self):
+        # membership alone would fit (one frame per variable), but the colength
+        # sweep would not, so the ideal is refused before any slice is built
+        d = sys.getrecursionlimit() * 2 // 3
+        with pytest.raises(RecursionError, match="too deep for the recursion depth"):
+            unit_ideal(d).contains((0,) * d)
+        assert unit_ideal(40).contains((0,) * 40)
+
     @given(st.data(), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
     def test_m_primary(self, data, d):
@@ -358,6 +377,16 @@ class TestNilPair:
         p = pair(3, 1) * pair(5, 4)
         assert p.base == max_ideal_power(1, 8)
         assert p.socle == max_ideal_power(1, min(3 + 4, 5 + 1))
+
+    def test_first_escape_names_the_part(self):
+        def pair(a, b):
+            return NilPairIdeal(max_ideal_power(1, a), max_ideal_power(1, b))
+
+        # both parts escape; the base is reported
+        assert pair(1, 1).first_escape(pair(2, 2)) == "base monomial (1,)"
+        assert pair(3, 1).first_escape(pair(3, 2)) == "socle monomial (1,)"
+        assert pair(3, 2).first_escape(pair(2, 1)) is None
+        assert unit_nilpair(2).is_unit() and not pair(1, 0).is_unit()
 
     def test_associative(self):
         rng = random.Random(47)
