@@ -20,6 +20,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import combinations_with_replacement, repeat
+from operator import sub
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -106,9 +108,14 @@ class MonomialIdeal:
         """The ideal of candidates already known to be tuples of ``num_vars``
         non-negative ints (built from checked ideals, checked monomials or
         ints): minimalized, not re-validated."""
+        return cls._of(num_vars, minimal_generators(candidates))
+
+    @classmethod
+    def _of(cls, num_vars: int, gens: tuple[Exponent, ...]) -> "MonomialIdeal":
+        """The ideal whose generators ``gens`` are already canonical."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "num_vars", num_vars)
-        object.__setattr__(ideal, "gens", minimal_generators(candidates))
+        object.__setattr__(ideal, "gens", gens)
         return ideal
 
     # -- predicates ---------------------------------------------------------
@@ -123,13 +130,18 @@ class MonomialIdeal:
         m = tuple(monomial)
         if len(m) != self.num_vars:
             raise ValueError("monomial has wrong number of variables")
+        return self._covers(m)
+
+    def _covers(self, m: Exponent) -> bool:
+        """Membership of ``m``, a tuple of ``num_vars`` non-negative ints
+        (not re-validated)."""
         if self.num_vars <= 2:
             # the covering generator is the last one whose first exponent is <= m's
             i = bisect_right(self.gens, (m[0], math.inf)) - 1
             return i >= 0 and self.gens[i][-1] <= m[-1]
         tops, slices = self._slices
         k = bisect_right(tops, m[-1]) - 1
-        return k >= 0 and slices[k].contains(m[:-1])
+        return k >= 0 and slices[k]._covers(m[:-1])
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return other.first_escape(self) is None
@@ -139,7 +151,7 @@ class MonomialIdeal:
         ``"monomial g"``, or None when self is inside ``target``."""
         self._check(target)
         for g in self.gens:
-            if not target.contains(g):
+            if not target._covers(g):
                 return f"monomial {g}"
         return None
 
@@ -213,14 +225,31 @@ class MonomialIdeal:
         return MonomialIdeal._canonical(self.num_vars, self.gens + other.gens)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """The product ideal.  In d <= 2 each staircase generator (x, y) is
+        packed as the int x*K + y with K above the largest sum of two y's
+        (the y of each first generator), so int order is lex order and sums
+        never carry; the sorted distinct sums are swept as staircase
+        candidates and only the kept corners are unpacked."""
         self._check(other)
-        if self.num_vars == 2:
-            prods = {(g0 + h0, g1 + h1)
-                     for g0, g1 in self.gens for h0, h1 in other.gens}
-        else:
+        d = self.num_vars
+        if d > 2:
             prods = {tuple(a + b for a, b in zip(g, h))
                      for g in self.gens for h in other.gens}
-        return MonomialIdeal._canonical(self.num_vars, prods)
+            return MonomialIdeal._canonical(d, prods)
+        if not self.gens or not other.gens:
+            return MonomialIdeal._of(d, ())
+        if d == 1:
+            return MonomialIdeal._of(1, ((self.gens[0][0] + other.gens[0][0],),))
+        k = 1 + self.gens[0][1] + other.gens[0][1]
+        mine = [x * k + y for x, y in self.gens]
+        theirs = [x * k + y for x, y in other.gens]
+        kept, low = [], k
+        for s in sorted({p + q for p in mine for q in theirs}):
+            y = s % k
+            if y < low:
+                kept.append(s)
+                low = y
+        return MonomialIdeal._of(2, tuple(map(divmod, kept, repeat(k))))
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         if n < 0:
@@ -281,19 +310,22 @@ def unit_ideal(num_vars: int) -> MonomialIdeal:
 
 
 def _degree_tuples(num_vars: int, degree: int):
-    if num_vars == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in _degree_tuples(num_vars - 1, degree - first):
-            yield (first,) + rest
+    """The exponent vectors of total degree ``degree``, in lex order.
+
+    Stars and bars: a non-decreasing choice b_1 <= ... <= b_{d-1} from
+    0..degree is the vector of gaps (b_1, b_2 - b_1, ..., degree - b_{d-1}),
+    and the lex order of the choices is the lex order of the vectors.
+    """
+    for bars in combinations_with_replacement(range(degree + 1), num_vars - 1):
+        yield tuple(map(sub, bars + (degree,), (0,) + bars))
 
 
 def max_ideal_power(num_vars: int, n: int) -> MonomialIdeal:
-    """The n-th power of the maximal ideal (x_1, ..., x_d)."""
+    """The n-th power of the maximal ideal (x_1, ..., x_d): the monomials of
+    degree n, which are minimal and come lex-sorted."""
     if n <= 0:
         return unit_ideal(num_vars)
-    return MonomialIdeal._canonical(num_vars, _degree_tuples(num_vars, n))
+    return MonomialIdeal._of(num_vars, tuple(_degree_tuples(num_vars, n)))
 
 
 def colon_monomial_infinity(ideal: MonomialIdeal, u) -> MonomialIdeal:

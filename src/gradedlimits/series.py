@@ -19,12 +19,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import mul
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .families import BlockSchedule
 from .lattice import _rref
 
 NEG_INF = float("-inf")
+
+# monomial pairs sampled per level pair by ``closure_violations``
+PAIR_CAP = 64
 
 Monomial = tuple  # (exponents tuple, nil flag)
 
@@ -118,16 +122,16 @@ class MonomialLinearSeries:
             out.append(Block(shift, nil, free, degree))
         return out
 
-    def _points(self, n: int) -> list[Monomial]:
-        """Level n expanded block by block; each block is one sorted run."""
+    def _rows(self, n: int):
+        """Level n expanded block by block, as (row of exponent vectors, nil
+        flag) pairs; the rows of one block concatenate to one sorted run."""
         weights = self.ambient.weights
-        out: list = []
         for shift, nil, free, degree in self.blocks(n):
-            out.extend(zip(_block_monomials(weights, shift, free, degree), repeat(nil)))
-        return out
+            for row in _block_rows(weights, shift, free, degree):
+                yield row, nil
 
     def level(self, n: int) -> frozenset:
-        return frozenset(self._points(n))
+        return frozenset(m for row, nil in self._rows(n) for m in zip(row, repeat(nil)))
 
     def dim(self, n: int) -> int:
         return len(self.level(n))
@@ -198,23 +202,46 @@ def series_invariants(series: MonomialLinearSeries,
     return SeriesInvariants(kappa, idx, horizon, dependent)
 
 
-def closure_violations(series: MonomialLinearSeries, horizon: int,
-                       pair_cap: int = 64) -> list[tuple[int, int, str]]:
+def closure_violations(series: MonomialLinearSeries,
+                       horizon: int) -> list[tuple[int, int, str]]:
     """Check L_a * L_b inside L_{a+b} on a deterministic sample of monomial
-    pairs (up to pair_cap per level pair; exhaustive when small)."""
+    pairs (up to PAIR_CAP per level pair; exhaustive when small).
+
+    Each monomial is tested as the packed int ``2 * sum(e_i * K**(d-1-i)) +
+    nil``.  Every exponent of a level n <= horizon is at most twist * n
+    (weights are at least 1 and ``blocks`` checks each level's degree), so
+    with K = 2 * twist * horizon + 1 the digits of a sum of two keys never
+    carry: a product is ``u + v``, key order is the order of (exps, nil),
+    and a key is unpacked only to write a witness.
+    """
+    d = len(series.ambient.weights)
+    base = 2 * series.twist * horizon + 1
+    place = [2 * base ** (d - 1 - i) for i in range(d)]
+    vanishes = [[series.ambient.product_vanishes(bool(a), bool(b)) for b in (0, 1)]
+                for a in (0, 1)]
+
+    def monomial(key: int) -> Monomial:
+        exps, rest = [], key >> 1
+        for _ in range(d):
+            rest, e = divmod(rest, base)
+            exps.append(e)
+        return tuple(reversed(exps)), bool(key & 1)
+
     out = []
-    # each level is expanded and sorted once; the strided pair order below
-    # indexes into the sorted lists and tests membership in the sets
+    # each level is expanded, packed and sorted once; the strided pair order
+    # below indexes into the sorted lists and tests membership in the sets
     levels, ordered = {}, {}
     for n in range(1, horizon + 1):
-        points = series._points(n)
-        levels[n] = frozenset(points)
+        keys: list[int] = []
+        for row, nil in series._rows(n):
+            keys.extend([sum(map(mul, exps, place)) + nil for exps in row])
+        levels[n] = frozenset(keys)
         if n < horizon:
-            if len(points) == len(levels[n]):
-                points.sort()  # a few sorted runs, one per block
+            if len(keys) == len(levels[n]):
+                keys.sort()  # a few sorted runs, one per block
             else:
-                points = sorted(levels[n])  # overlapping blocks
-            ordered[n] = points
+                keys = sorted(levels[n])  # overlapping blocks
+            ordered[n] = keys
     for total in range(2, horizon + 1):
         for a in range(1, total // 2 + 1):
             b = total - a
@@ -222,16 +249,16 @@ def closure_violations(series: MonomialLinearSeries, horizon: int,
             if not la or not lb:
                 continue
             target = levels[total]
-            pairs = len(la) * len(lb)
-            stride = max(1, pairs // pair_cap)
+            nb = len(lb)
+            pairs = len(la) * nb
+            stride = max(1, pairs // PAIR_CAP)
             for k in range(0, pairs, stride):
-                u = la[k // len(lb)]
-                v = lb[k % len(lb)]
-                if series.ambient.product_vanishes(u[1], v[1]):
+                u = la[k // nb]
+                v = lb[k % nb]
+                if vanishes[u & 1][v & 1]:
                     continue
-                prod = (tuple(x + y for x, y in zip(u[0], v[0])), u[1] or v[1])
-                if prod not in target:
-                    out.append((a, b, f"{u} * {v} escapes level {total}"))
+                if u + v not in target:
+                    out.append((a, b, f"{monomial(u)} * {monomial(v)} escapes level {total}"))
                     break
     return out
 
@@ -251,39 +278,34 @@ def count_weighted_monomials(weights: tuple[int, ...], degree: int) -> int:
     return table[degree]
 
 
-def weighted_monomials(weights: tuple[int, ...], degree: int):
-    """All exponent vectors of the given weighted degree, in lex order."""
-    return _block_monomials(weights, (0,) * len(weights), len(weights), degree)
-
-
-def _block_monomials(weights, shift, free, degree):
-    """Exponent vectors ``shift + (m, 0, ..., 0)`` with m of weighted degree
-    ``degree`` in ``weights[:free]``, in lex order."""
+def _block_rows(weights, shift, free, degree):
+    """The exponent vectors ``shift + (m, 0, ..., 0)`` with m of weighted
+    degree ``degree`` in ``weights[:free]``, as lists that concatenate to lex
+    order: one list per setting of the free exponents before the last two,
+    whose list comprehension runs over the second-to-last (the last is
+    fixed by what is left of the degree)."""
     if degree < 0 or free == 0:
         if degree == 0:
-            yield shift
+            yield [shift]
         return
     tail = shift[free:]
     w_last, s_last = weights[free - 1], shift[free - 1]
-
-    def walk(i, prefix, rest):
-        # the last free exponent is fixed by what is left of the degree
-        if i == free - 1:
-            q, r = divmod(rest, w_last)
-            if not r:
-                yield prefix + (s_last + q,) + tail
-            return
-        w, s = weights[i], shift[i]
-        if i == free - 2:
-            for a in range(rest // w + 1):
-                q, r = divmod(rest - a * w, w_last)
-                if not r:
-                    yield prefix + (s + a, s_last + q) + tail
-            return
-        for a in range(rest // w + 1):
-            yield from walk(i + 1, prefix + (s + a,), rest - a * w)
-
-    yield from walk(0, (), degree)
+    if free == 1:
+        if not degree % w_last:
+            yield [(s_last + degree // w_last,) + tail]
+        return
+    w, s = weights[free - 2], shift[free - 2]
+    # depth-first over the leading exponents, smallest first
+    stack = [((), degree)]
+    while stack:
+        prefix, rest = stack.pop()
+        i = len(prefix)
+        if i < free - 2:
+            stack.extend((prefix + (shift[i] + a,), rest - a * weights[i])
+                         for a in range(rest // weights[i], -1, -1))
+            continue
+        yield [prefix + (s + a, s_last + (rest - a * w) // w_last) + tail
+               for a in range(rest // w + 1) if not (rest - a * w) % w_last]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ the m-primary support scan), fixpoint iteration, or the unimodular reduction
 built from the library's rational combination and convex hull;
 ``check_level_containments`` tests the graded axiom on level point sets, and
 ``empirical_limit`` lists the scaled level counts of a semigroup.
+``closure_violations_by_tuples`` is the series closure check on (exponents,
+nil) tuples, the reference for the packed-int check; ``block_monomials`` and
+``weighted_monomials`` flatten the row-wise block expansion for the tests.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from gradedlimits.lattice import (
 )
 from gradedlimits.monomial import MonomialIdeal, colength, max_ideal_power, unit_ideal
 from gradedlimits.semigroup import GradedSemigroup, invariants
+from gradedlimits.series import PAIR_CAP, _block_rows
 
 
 def colength_bruteforce(ideal: MonomialIdeal) -> int:
@@ -176,6 +180,44 @@ def check_level_degrees(series, n: int, monomials) -> None:
         if deg != series.twist * n:
             raise ValueError(f"level {n} monomial {exps} has degree {deg}, "
                              f"expected {series.twist * n}")
+
+
+def closure_violations_by_tuples(series, horizon: int) -> list[tuple[int, int, str]]:
+    """``closure_violations`` with every monomial an (exponents, nil) tuple:
+    the same strided sample of at most PAIR_CAP pairs per level pair over
+    the sorted levels, each product built as a tuple and looked up in the
+    target level's set."""
+    out = []
+    levels = {n: series.level(n) for n in range(1, horizon + 1)}
+    ordered = {n: sorted(level) for n, level in levels.items()}
+    for total in range(2, horizon + 1):
+        for a in range(1, total // 2 + 1):
+            b = total - a
+            la, lb = ordered[a], ordered[b]
+            if not la or not lb:
+                continue
+            pairs = len(la) * len(lb)
+            stride = max(1, pairs // PAIR_CAP)
+            for k in range(0, pairs, stride):
+                u = la[k // len(lb)]
+                v = lb[k % len(lb)]
+                if series.ambient.product_vanishes(u[1], v[1]):
+                    continue
+                prod = (tuple(x + y for x, y in zip(u[0], v[0])), u[1] or v[1])
+                if prod not in levels[total]:
+                    out.append((a, b, f"{u} * {v} escapes level {total}"))
+                    break
+    return out
+
+
+def block_monomials(weights, shift, free, degree) -> list[tuple]:
+    """The rows of one block's expansion, concatenated."""
+    return [exps for row in _block_rows(weights, shift, free, degree) for exps in row]
+
+
+def weighted_monomials(weights, degree: int) -> list[tuple]:
+    """All exponent vectors of the given weighted degree, in lex order."""
+    return block_monomials(weights, (0,) * len(weights), len(weights), degree)
 
 
 def check_level_containments(levels: dict) -> list[tuple[int, int, tuple]]:

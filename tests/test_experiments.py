@@ -30,7 +30,7 @@ from gradedlimits.series import (
     WeightedAmbient,
     sigma_growth_series,
 )
-from oracles import semigroup_limit_suite, smallest_converging_modulus
+from oracles import semigroup_limit_suite, smallest_converging_modulus, weighted_monomials
 
 SCHEDULE = BlockSchedule.default(210)
 
@@ -153,7 +153,7 @@ class TestVerdictSoundness:
                                   nil_annihilates_base=True)
 
         def provider(n):
-            from gradedlimits.series import Block, weighted_monomials
+            from gradedlimits.series import Block
             out = [Block(e, False) for e in weighted_monomials((1, 1, 1), n)]
             if SCHEDULE.tau(n):
                 out.append(Block((n - 1, 0, 0), True))

@@ -116,6 +116,15 @@ def exponent_sets(d, max_size=12):
     return st.lists(st.tuples(*[st.integers(0, 8)] * d), max_size=max_size)
 
 
+def staircases(d):
+    """Ideals in d <= 2 variables: zero, unit, small, and tall ones whose
+    last exponents dwarf the others."""
+    tall = st.lists(st.tuples(*[st.integers(0, 3)] * (d - 1), st.integers(0, 10**12)),
+                    max_size=8)
+    gens = st.one_of(st.just([]), st.just([(0,) * d]), exponent_sets(d), tall)
+    return gens.map(lambda g: MonomialIdeal(d, tuple(g)))
+
+
 class TestKernelOracles:
     """Staircase (d <= 2) and degree-bucketed (d = 3) kernels against brute force."""
 
@@ -146,6 +155,14 @@ class TestKernelOracles:
         j = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
         sums = [tuple(a + b for a, b in zip(g, h)) for g in i.gens for h in j.gens]
         assert (i * j).gens == oracle_minimal(sums)
+
+    @given(st.data(), st.integers(1, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_staircase_product(self, data, d):
+        # the packed d <= 2 product, zero, unit and tall staircases included
+        i, j = data.draw(staircases(d)), data.draw(staircases(d))
+        sums = [tuple(a + b for a, b in zip(g, h)) for g in i.gens for h in j.gens]
+        assert (i * j).gens == minimal_generators(sums)
 
     @given(st.data(), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
@@ -199,6 +216,8 @@ class TestKernelOracles:
         outside = [g for g in j.gens if not any(divides(h, g) for h in i.gens)]
         expected = f"monomial {outside[0]}" if outside else None
         assert j.first_escape(i) == expected
+        rejected = [g for g in j.gens if not i.contains(g)]
+        assert expected == (f"monomial {rejected[0]}" if rejected else None)
         assert i.contains_ideal(j) == (expected is None)
 
     def test_too_many_variables_for_the_stack(self):
@@ -294,6 +313,11 @@ class TestColength:
         for d in (1, 2, 3, 4):
             for n in (1, 2, 7, 23):
                 assert colength(max_ideal_power(d, n)) == comb(n + d - 1, d)
+                if n <= 7:
+                    # the stars-and-bars generators are canonical as built
+                    box = itertools.product(range(n + 1), repeat=d)
+                    assert max_ideal_power(d, n) == \
+                        MonomialIdeal(d, tuple(p for p in box if sum(p) == n))
 
     def test_infinite(self):
         with pytest.raises(ValueError, match="infinite colength"):

@@ -11,7 +11,6 @@ from gradedlimits.series import (
     Block,
     MonomialLinearSeries,
     WeightedAmbient,
-    _block_monomials,
     artin_tau_series,
     ceil_log,
     closure_violations,
@@ -24,10 +23,14 @@ from gradedlimits.series import (
     series_invariants,
     sigma_growth_series,
     tau_pulse_series,
-    weighted_monomials,
 )
 
-from oracles import check_level_degrees
+from oracles import (
+    block_monomials,
+    check_level_degrees,
+    closure_violations_by_tuples,
+    weighted_monomials,
+)
 
 SCHEDULE = BlockSchedule.default(210)
 
@@ -163,7 +166,7 @@ class TestBlocks:
                 continue
             if sum(w * x for w, x in zip(weights, m)) == degree:
                 want.append(exps)
-        assert list(_block_monomials(weights, shift, free, degree)) == want
+        assert block_monomials(weights, shift, free, degree) == want
 
     def test_builder_levels_pass_per_monomial_check(self):
         for s in all_builders(40):
@@ -336,6 +339,63 @@ class TestClosure:
             (5, 7, "((0, 0, 5), False) * ((6, 0, 1), False) escapes level 12"),
             (6, 6, "((2, 2, 2), False) * ((4, 2, 0), False) escapes level 12"),
         ]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_packed_check_matches_tuple_oracle(self, data):
+        # full, nil and shifted blocks, an overlapping point and one dropped
+        # monomial, in the reduced, square-zero and annihilator models
+        d = data.draw(st.integers(1, 3))
+        weights = (1,) + data.draw(st.tuples(*[st.integers(1, 3)] * (d - 1)))
+        nil_degree = data.draw(st.none() | st.integers(1, 3))
+        annihilates = nil_degree is not None and data.draw(st.booleans())
+        twist = data.draw(st.integers(1, 3))
+        horizon = data.draw(st.integers(2, 8))
+        shift = data.draw(st.tuples(*[st.integers(0, 3)] * d))
+        free = data.draw(st.integers(0, d))
+        overlap = data.draw(st.booleans())
+        dropped_level = data.draw(st.integers(0, horizon))
+        dropped_index = data.draw(st.integers(0, 200))
+
+        def provider(n):
+            deg = twist * n
+            blocks = [Block((0,) * d, False, d, deg)]
+            if nil_degree is not None and deg >= nil_degree:
+                blocks.append(Block((0,) * d, True, d, deg - nil_degree))
+            shift_deg = sum(w * e for w, e in zip(weights, shift))
+            if shift_deg <= deg:
+                blocks.append(Block(shift, False, free, deg - shift_deg))
+            if overlap:
+                blocks.append(Block((deg,) + (0,) * (d - 1), False))
+            if n == dropped_level:
+                points = sorted({(e, b.nil) for b in blocks
+                                 for e in block_monomials(weights, b.shift, b.free, b.degree)})
+                del points[dropped_index % len(points)]
+                blocks = [Block(e, nil) for e, nil in points]
+            return blocks
+
+        ambient = WeightedAmbient(weights, nil_degree, annihilates)
+        series = MonomialLinearSeries("random", ambient, twist, provider, horizon)
+        assert closure_violations(series, horizon) == \
+            closure_violations_by_tuples(series, horizon)
+
+    @pytest.mark.parametrize("dropped", [False, True])
+    def test_exponent_sums_reach_twist_times_horizon(self, dropped):
+        # twist 3: the pure powers z_1^(3a) * z_1^(3b) reach the exponent
+        # 3 * 9 in the last (lowest) packed digit of the top level; each is
+        # the first pair of its sample, and escapes only if z_1^27 is dropped
+        ambient = WeightedAmbient((1, 1))
+
+        def provider(n):
+            if n == 9 and dropped:
+                return [Block((k, 27 - k), False) for k in range(1, 28)]
+            return [Block((0, 0), False, 2, 3 * n)]
+
+        series = MonomialLinearSeries("top", ambient, 3, provider, 9)
+        want = [(a, 9 - a, f"((0, {3 * a}), False) * ((0, {27 - 3 * a}), False) "
+                           "escapes level 9") for a in range(1, 5)] if dropped else []
+        assert closure_violations(series, 9) == want
+        assert closure_violations_by_tuples(series, 9) == want
 
     def test_each_level_built_once(self):
         # levels are not memoized, so the check must hold its own copy
