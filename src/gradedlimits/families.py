@@ -21,6 +21,7 @@ from .monomial import (
     MonomialIdeal,
     NilPairIdeal,
     _degree_tuples,
+    check_stack_depth,
     madic_order,
     max_ideal_power,
     minimal_generators,
@@ -258,9 +259,11 @@ def valuation_family(weights: Sequence) -> GradedFamily:
 def _nilpair_family(name: str, dim: int, offset: Callable[[int], int],
                     schedule: BlockSchedule | None = None) -> GradedFamily:
     """Pairs (m^n, y*m^{n - offset(n)}) in the square-zero extension of
-    polynomial(dim)."""
+    polynomial(dim).  Each pair's constructor tests membership, so a dim too
+    deep for the slice index is refused here, before any level is built."""
     if dim < 1:
         raise ValueError(f"nilpotent-pair families need dim >= 1, got {dim}")
+    check_stack_depth(dim)
 
     def provider(n: int) -> NilPairIdeal:
         if n == 0:

@@ -151,7 +151,7 @@ class MonomialIdeal:
         ``"monomial g"``, or None when self is inside ``target``."""
         self._check(target)
         for g in self.gens:
-            if not target._covers(g):
+            if not target.contains(g):
                 return f"monomial {g}"
         return None
 
@@ -165,18 +165,10 @@ class MonomialIdeal:
         exponent lies in [t_k, t_{k+1}) is in the ideal exactly when its
         projection is in slice k; below t_0 nothing is.
 
-        The colength and degree sweeps recurse through the slices, two
-        frames (the sweep and its generator) per variable, so an ideal whose
-        variables cannot all fit on the stack below the recursion limit is
-        refused before any slice is built.
+        An ideal too deep for ``check_stack_depth`` is refused before any
+        slice is built.
         """
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        if depth + 2 * self.num_vars > limit:
-            raise RecursionError(f"an ideal in {self.num_vars} variables is too deep "
-                                 f"for the recursion depth limit {limit}")
+        check_stack_depth(self.num_vars)
         by_top: dict[int, list[Exponent]] = {}
         for g in self.gens:
             by_top.setdefault(g[-1], []).append(g[:-1])
@@ -303,6 +295,21 @@ class MonomialIdeal:
 
 def zero_ideal(num_vars: int) -> MonomialIdeal:
     return MonomialIdeal(num_vars, ())
+
+
+def check_stack_depth(num_vars: int) -> None:
+    """Refuse ``num_vars`` variables when the slice recursion of a d >= 3
+    ideal cannot fit on the stack.  The colength and degree sweeps recurse
+    through the slices, two frames (the sweep and its generator) per
+    variable, so the variables must all fit below the recursion limit from
+    the caller's frame."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    if depth + 2 * num_vars > limit:
+        raise RecursionError(f"an ideal in {num_vars} variables is too deep "
+                             f"for the recursion depth limit {limit}")
 
 
 def unit_ideal(num_vars: int) -> MonomialIdeal:

@@ -145,6 +145,21 @@ class TestBuilders:
         for n in (0, 1, 2, 7, 30, 100):
             assert a.ideal(n) == b.ideal(n)
 
+    @pytest.mark.parametrize("build", [nilpair_sigma_family, perturbed_power_family,
+                                       corrupted_sigma_family])
+    def test_nilpair_too_deep_refused_before_any_level(self, monkeypatch, build):
+        # a dim whose slice index cannot fit on the stack is refused by the
+        # builder itself; no m^n of that dim (9M tuple slots at 3000) is made
+        import gradedlimits.families as families
+
+        def no_level(*args):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(families, "max_ideal_power", no_level)
+        for dim in (600, 3000):
+            with pytest.raises(RecursionError, match="recursion depth"):
+                build(dim)
+
     def test_artin_lengths(self):
         f = artin_tau_family(2, SCHEDULE)
         assert f.length(0) == 0
