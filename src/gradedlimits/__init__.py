@@ -25,7 +25,6 @@ _EXPORTS = {
         "max_ideal_power",
         "multiplicity",
         "unit_ideal",
-        "zero_ideal",
     ),
     "semigroup": (
         "GradedSemigroup",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -29,10 +29,6 @@ from .monomial import (
     unit_ideal,
     unit_nilpair,
 )
-
-
-def frac_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -103,30 +99,25 @@ class BlockSchedule:
 
 @dataclass
 class GradedFamily:
-    """A graded family of ideals with its box constants.
+    """A graded family of ideals, given by its levels n -> I_n.
 
     provider(n) returns I_n as a MonomialIdeal over polynomial(d) or a
     NilPairIdeal over the square-zero extension of polynomial(d); the value
     carries the ring model.  ``dim`` is the Krull dimension of the ring, the
-    power of n that normalizes lengths.  ``c`` satisfies m^c inside I_1 when
-    the levels are m-primary and feeds the box bound ``beta`` of the
-    semigroup bridge.
+    power of n that normalizes lengths.  Levels are not memoized: a consumer
+    that reads a level twice keeps it itself.  Bounds such as the box of the
+    counting identity are read off the ideals where they are needed.
     """
 
     name: str
     dim: int
     provider: Callable[[int], MonomialIdeal | NilPairIdeal]
-    c: int | None = None
-    beta: int | None = None
     schedule: BlockSchedule | None = None
-    _memo: dict = field(default_factory=dict, repr=False)
 
     def ideal(self, n: int):
         if n < 0:
             raise ValueError("negative index")
-        if n not in self._memo:
-            self._memo[n] = self.provider(n)
-        return self._memo[n]
+        return self.provider(n)
 
     def length(self, n: int) -> int:
         """Length of R/I_n in the family's ring model."""
@@ -157,11 +148,8 @@ def _incremental_powers(ideal: MonomialIdeal):
 
 def power_family(ideal: MonomialIdeal) -> GradedFamily:
     """I_n = I^n."""
-    power = _incremental_powers(ideal)
-    c = madic_order(ideal) if ideal.is_m_primary() else None
     return GradedFamily(name="power", dim=ideal.num_vars,
-                        provider=power, c=c,
-                        beta=(c * ideal.num_vars if c else None))
+                        provider=_incremental_powers(ideal))
 
 
 def saturation_family(ideal: MonomialIdeal) -> GradedFamily:
@@ -171,11 +159,7 @@ def saturation_family(ideal: MonomialIdeal) -> GradedFamily:
     def provider(n: int) -> MonomialIdeal:
         return power(n).saturate()
 
-    first = ideal.saturate()
-    c = madic_order(first) if first.is_m_primary() else None
-    return GradedFamily(name="saturation", dim=ideal.num_vars,
-                        provider=provider, c=c,
-                        beta=(c * ideal.num_vars if c else None))
+    return GradedFamily(name="saturation", dim=ideal.num_vars, provider=provider)
 
 
 def symbolic_family(ideal: MonomialIdeal, other: MonomialIdeal) -> GradedFamily:
@@ -185,11 +169,7 @@ def symbolic_family(ideal: MonomialIdeal, other: MonomialIdeal) -> GradedFamily:
     def provider(n: int) -> MonomialIdeal:
         return symbolic_core(ideal, other, n) if n else unit_ideal(ideal.num_vars)
 
-    first = provider(1)
-    c = madic_order(first) if first.is_m_primary() else None
-    return GradedFamily(name="symbolic", dim=ideal.num_vars,
-                        provider=provider, c=c,
-                        beta=(c * ideal.num_vars if c else None))
+    return GradedFamily(name="symbolic", dim=ideal.num_vars, provider=provider)
 
 
 def _weight_vector(weights: Sequence) -> tuple[Fraction, ...]:
@@ -250,10 +230,7 @@ def valuation_family(weights: Sequence) -> GradedFamily:
     def provider(n: int) -> MonomialIdeal:
         return MonomialIdeal._canonical(d, valuation_gens(lams, n))
 
-    c = frac_ceil(1 / min(lams))
-    beta = c * frac_ceil(max(lams))
-    return GradedFamily(name="valuation", dim=d,
-                        provider=provider, c=c, beta=beta)
+    return GradedFamily(name="valuation", dim=d, provider=provider)
 
 
 def _nilpair_family(name: str, dim: int, offset: Callable[[int], int],
@@ -271,8 +248,7 @@ def _nilpair_family(name: str, dim: int, offset: Callable[[int], int],
         return NilPairIdeal(max_ideal_power(dim, n),
                             max_ideal_power(dim, max(0, n - offset(n))))
 
-    return GradedFamily(name=name, dim=dim, provider=provider, c=1,
-                        schedule=schedule)
+    return GradedFamily(name=name, dim=dim, provider=provider, schedule=schedule)
 
 
 def nilpair_sigma_family(dim: int, schedule: BlockSchedule | None = None) -> GradedFamily:
@@ -314,8 +290,7 @@ def artin_tau_family(t: int, schedule: BlockSchedule | None = None) -> GradedFam
             return unit_ideal(1)
         return MonomialIdeal._canonical(1, ((t + schedule.tau(n),),))
 
-    return GradedFamily(name="artin_tau", dim=0, provider=provider, c=t + 1,
-                        schedule=schedule)
+    return GradedFamily(name="artin_tau", dim=0, provider=provider, schedule=schedule)
 
 
 def corrupted_sigma_family(dim: int = 1) -> GradedFamily:
@@ -342,17 +317,19 @@ def check_graded(family: GradedFamily, horizon: int) -> GradedCheckReport:
     """Verify I_a * I_b inside I_{a+b} for all a + b <= horizon.
 
     Containment of monomial ideals reduces to their generators, so the check
-    is exhaustive.  Violations are reported with a witness generator.
+    is exhaustive.  Violations are reported with a witness generator.  Each
+    level is built once and kept for the pairs that read it.
     """
+    levels = [family.ideal(n) for n in range(horizon + 1)]
     violations: list[tuple[int, int, str]] = []
     checked = 0
-    if not family.ideal(0).is_unit():
+    if not levels[0].is_unit():
         violations.append((0, 0, "I_0 is not the unit ideal"))
     for total in range(2, horizon + 1):
         for a in range(1, total // 2 + 1):
             b = total - a
             checked += 1
-            witness = (family.ideal(a) * family.ideal(b)).first_escape(family.ideal(total))
+            witness = (levels[a] * levels[b]).first_escape(levels[total])
             if witness is not None:
                 violations.append((a, b, f"{witness} escapes I_{total}"))
     return GradedCheckReport(checked, violations)
@@ -377,15 +354,19 @@ def counting_identity(family: GradedFamily, horizon: int,
     """Check len(R/I_n) = #box - #S_n for n = 1 .. horizon.
 
     S_n is the set of exponents of I_n in the box |a| <= beta*n, so the
-    length is a difference of lattice counts.  Returns the report and the
-    level sets {n: S_n}.  Requires every level up to the horizon to be
-    m-primary.
+    length is a difference of lattice counts.  The default beta is the
+    paper's c = madic_order(I_1): m^c inside I_1 gives m^{cn} inside
+    I_1^n inside I_n, so every standard monomial of I_n has degree below
+    c*n.  Returns the report and the level sets {n: S_n}.  Requires every
+    level up to the horizon to be m-primary.
     """
     if not family.is_polynomial():
         raise ValueError("the counting identity is defined over the polynomial model")
-    beta = beta if beta is not None else family.beta
     if beta is None:
-        raise ValueError("family carries no box bound")
+        first = family.ideal(1)
+        if not first.is_m_primary():
+            raise ValueError("level 1 is not primary to the maximal ideal")
+        beta = madic_order(first)
     d = family.dim
     levels: dict[int, frozenset] = {}
     rows = []

@@ -150,6 +150,8 @@ class MonomialIdeal:
         """The first generator of self outside ``target``, described as
         ``"monomial g"``, or None when self is inside ``target``."""
         self._check(target)
+        if self.gens == target.gens:
+            return None
         for g in self.gens:
             if not target.contains(g):
                 return f"monomial {g}"
@@ -263,12 +265,7 @@ class MonomialIdeal:
 
     def colon_monomial(self, u) -> "MonomialIdeal":
         u = _exponent(self.num_vars, u)
-        if self.num_vars == 2:
-            u0, u1 = u
-            quots = {(g0 - u0 if g0 > u0 else 0, g1 - u1 if g1 > u1 else 0)
-                     for g0, g1 in self.gens}
-        else:
-            quots = {tuple(max(a - b, 0) for a, b in zip(g, u)) for g in self.gens}
+        quots = {tuple(max(a - b, 0) for a, b in zip(g, u)) for g in self.gens}
         return MonomialIdeal._canonical(self.num_vars, quots)
 
     def saturate(self) -> "MonomialIdeal":
@@ -291,10 +288,6 @@ class MonomialIdeal:
             dropped = {g[:i] + (0,) + g[i + 1:] for g in self.gens}
             parts.append(MonomialIdeal._canonical(self.num_vars, dropped))
         return reduce(lambda a, b: a.intersect(b), parts)
-
-
-def zero_ideal(num_vars: int) -> MonomialIdeal:
-    return MonomialIdeal(num_vars, ())
 
 
 def check_stack_depth(num_vars: int) -> None:
@@ -420,18 +413,20 @@ def madic_order(ideal: MonomialIdeal) -> int:
 def saturation_quotient_colength(ideal: MonomialIdeal) -> int:
     """Length of (I^sat)/I, the finite m-torsion part of the quotient.
 
-    Computed as a difference of box-truncated colengths; the box bound is
-    derived from how deep a power of m is needed to push the saturation
-    generators into the ideal.
+    Computed as a difference of colengths truncated by the box [0, M)^d,
+    M = max(I.max_exponent(), 1).  Let M_i be the largest x_i-exponent of a
+    generator of I.  If w_i >= M_i, then w * x_i^k is in I exactly when w
+    is: a generator dividing w * x_i^k has x_i-exponent M_i or less, so it
+    divides w.  A monomial w of I^sat has w * x_i^k in I for every i and
+    some k, so if w is not in I then w_i < M_i for every i.  All of
+    I^sat / I therefore lies in the box.
     """
     if ideal.is_zero():
         return 0
     sat = ideal.saturate()
     if sat == ideal:
         return 0
-    depth = max(madic_order(ideal.colon_monomial(u)) for u in sat.gens)
-    bound = max((max(u) for u in sat.gens if u), default=0) + depth
-    bound = max(bound, 1)
+    bound = max(ideal.max_exponent(), 1)
     box = MonomialIdeal._canonical(
         ideal.num_vars, [tuple(bound if i == j else 0 for j in range(ideal.num_vars))
                          for i in range(ideal.num_vars)])

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .families import BlockSchedule
-from .lattice import _rref
+from .lattice import hermite_basis
 
 NEG_INF = float("-inf")
 
@@ -155,18 +155,19 @@ def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
     set when the rank still grew in the final quarter of the horizon.
     """
     horizon = min(horizon or series.horizon, series.horizon)
-    basis: list = []
-    max_rank = len(series.ambient.weights) + 1
+    basis: tuple = ()
+    width = len(series.ambient.weights) + 1
     growth_marks: list[int] = []
     for n in range(1, horizon + 1):
         rows = [exps + (n,) for exps, nil in series.level(n) if not nil]
         if not rows:
             continue
-        reduced, _, _ = _rref(basis + rows)
+        # integer rank equals rational rank, so a Hermite basis tracks it
+        reduced = hermite_basis([*basis, *rows], width).basis
         if len(reduced) > len(basis):
             growth_marks.append(n)
             basis = reduced
-        if len(basis) == max_rank:
+        if len(basis) == width:
             break
     rank = len(basis)
     kappa = rank - 1 if rank > 0 else NEG_INF
@@ -433,14 +434,13 @@ def sigma_growth_series(s, r: int, schedule: BlockSchedule | None = None,
     variables; the nil part carries the variables up to r, pumped to degree
     (n + sigma(n)) and padded back by powers of z_0.  Level dimensions are
     Q_s(n) + Q_r(n + sigma(n)), which oscillates at order n^r along every
-    arithmetic progression.  ``s`` may be None (or the string "-inf") for a
-    purely nilpotent series.
+    arithmetic progression.  ``s`` is None for a purely nilpotent series.
 
     sigma is capped at n-1 (only bites at n = 1, where the raw schedule
     would demand a negative pad exponent).
     """
     schedule = schedule or BlockSchedule.default(horizon)
-    nil_only = s is None or s == NEG_INF or (isinstance(s, str) and s in ("-inf", "-infinity"))
+    nil_only = s is None
     s_int = -1 if nil_only else int(s)
     ws = tuple(int(w) for w in weights) if weights is not None else (1,) * (r + 1)
     if len(ws) < r + 1:

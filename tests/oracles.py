@@ -2,9 +2,10 @@
 and the membership tests only the tests need.
 
 Each oracle is a slow, direct route to a result the library computes another
-way: brute-force enumeration (colengths, monomial colons, semigroup levels,
-the m-primary support scan), fixpoint iteration, or the unimodular reduction
-``invariants`` used before it read the degree-zero part off one Hermite basis.
+way: brute-force enumeration (colengths, monomial colons, saturation
+quotients, semigroup levels, the m-primary support scan), fixpoint iteration,
+or the unimodular reduction ``invariants`` used before it read the
+degree-zero part off one Hermite basis.
 ``lattice_contains`` and ``polytope_contains`` are exact membership tests
 built from the library's rational combination and convex hull;
 ``check_level_containments`` tests the graded axiom on level point sets, and
@@ -157,6 +158,20 @@ def saturate_by_colon_fixpoint(ideal: MonomialIdeal) -> MonomialIdeal:
         if nxt == current:
             return current
         current = nxt
+
+
+def saturation_quotient_bruteforce(ideal: MonomialIdeal) -> int:
+    """Independent oracle for len(I^sat / I): count the monomials of the box
+    of side 2 * max_exponent + 2 that some generator of the colon-fixpoint
+    saturation divides and no generator of I divides."""
+    sat = saturate_by_colon_fixpoint(ideal)
+    side = 2 * ideal.max_exponent() + 2
+    count = 0
+    for w in itertools.product(range(side), repeat=ideal.num_vars):
+        if (any(all(se <= we for se, we in zip(s, w)) for s in sat.gens)
+                and not any(all(ge <= we for ge, we in zip(g, w)) for g in ideal.gens)):
+            count += 1
+    return count
 
 
 def symbolic_core_fixpoint(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -22,7 +22,7 @@ from gradedlimits.families import (
     power_family,
     valuation_family,
 )
-from gradedlimits.monomial import MonomialIdeal, max_ideal_power
+from gradedlimits.monomial import MonomialIdeal, madic_order, max_ideal_power
 from gradedlimits import semigroup
 from gradedlimits.semigroup import GradedSemigroup
 from gradedlimits.series import (
@@ -117,7 +117,7 @@ class TestLengthSequences:
         for f in (power_family(MonomialIdeal(2, ((2, 0), (0, 3)))),
                   valuation_family((1, 2))):
             seq = length_sequence(f, 60)
-            c, d = f.c, f.dim
+            c, d = madic_order(f.ideal(1)), f.dim
             for n, raw, _ in seq.entries:
                 assert raw <= math.comb(c * n + d - 1, d)
 

@@ -12,7 +12,6 @@ from gradedlimits.families import (
     check_graded,
     corrupted_sigma_family,
     counting_identity,
-    frac_ceil,
     nilpair_sigma_family,
     perturbed_power_family,
     power_family,
@@ -21,7 +20,7 @@ from gradedlimits.families import (
     valuation_family,
     valuation_gens,
 )
-from gradedlimits.monomial import MonomialIdeal, max_ideal_power, unit_ideal
+from gradedlimits.monomial import MonomialIdeal, madic_order, max_ideal_power, unit_ideal
 from oracles import check_level_containments
 
 
@@ -81,7 +80,6 @@ class TestBuilders:
         f = power_family(MonomialIdeal(2, ((2, 0), (0, 3))))
         assert f.ideal(0).is_unit()
         assert f.ideal(2) == MonomialIdeal(2, ((2, 0), (0, 3))) ** 2
-        assert f.c == 4 and f.beta == 8
 
     def test_valuation_gens_fixture(self):
         assert valuation_gens((Fraction(1), Fraction(2)), 3) == ((0, 2), (1, 1), (3, 0))
@@ -109,7 +107,8 @@ class TestBuilders:
 
         # a minimal generator has a_i <= ceil(n / w_i); the region is an up-set,
         # so a point is minimal when no single step down stays inside
-        box = itertools.product(*(range(frac_ceil(Fraction(n) / w) + 1) for w in weights))
+        ceils = [-(-n * w.denominator // w.numerator) for w in weights]
+        box = itertools.product(*(range(c + 1) for c in ceils))
         minimal = [a for a in box if inside(a)
                    and not any(e and inside(a[:i] + (e - 1,) + a[i + 1:])
                                for i, e in enumerate(a))]
@@ -236,7 +235,7 @@ class TestSemigroupBridge:
     def test_valuation_identity(self):
         f = valuation_family((1, 2))
         report, levels = counting_identity(f, 50)
-        assert report.beta == 2
+        assert report.beta == 1
         assert report.ok
         # the levels really form a graded semigroup
         assert check_level_containments({n: levels[n] for n in range(1, 17)}) == []
@@ -262,6 +261,26 @@ class TestSemigroupBridge:
         f = saturation_family(MonomialIdeal(2, ((2, 0), (1, 1))))
         with pytest.raises(ValueError, match="primary"):
             counting_identity(f, 5, beta=2)
+        with pytest.raises(ValueError, match="level 1 is not primary"):
+            counting_identity(f, 5)
+
+    @pytest.mark.parametrize("family", [
+        power_family(MonomialIdeal(2, ((2, 0), (0, 3)))),
+        power_family(MonomialIdeal(3, ((2, 0, 0), (0, 1, 1), (0, 3, 0), (0, 0, 2)))),
+        valuation_family((1, 2)),
+        valuation_family(("3/2", 1, "5/2")),
+        saturation_family(MonomialIdeal(2, ((2, 0), (0, 3), (1, 1)))),
+        symbolic_family(MonomialIdeal(2, ((3, 0), (1, 1), (0, 2))),
+                        MonomialIdeal(2, ((1, 0), (0, 1)))),
+    ], ids=["power-d2", "power-d3", "valuation-d2", "valuation-d3",
+            "saturation", "symbolic"])
+    def test_default_box_is_madic_order_of_level_one(self, family):
+        # the paper's c: m^c inside I_1 gives m^{cn} inside I_1^n inside I_n.
+        # An m-primary saturation or symbolic level is the unit ideal, so
+        # those two run with c = 0
+        report, _ = counting_identity(family, 8)
+        assert report.beta == madic_order(family.ideal(1))
+        assert report.ok
 
     def test_scaled_counts_approach_limit(self):
         # the level counts recover the length asymptotics:
@@ -271,9 +290,3 @@ class TestSemigroupBridge:
         n, ell, box, members, ok = report.rows[-1]
         assert ok and ell == box - members
 
-
-class TestFracCeil:
-    def test_values(self):
-        assert frac_ceil(Fraction(7, 2)) == 4
-        assert frac_ceil(Fraction(-7, 2)) == -3
-        assert frac_ceil(Fraction(4)) == 4

@@ -22,7 +22,6 @@ from gradedlimits.monomial import (
     symbolic_core,
     unit_ideal,
     unit_nilpair,
-    zero_ideal,
 )
 from oracles import (
     colength_bruteforce,
@@ -31,6 +30,7 @@ from oracles import (
     is_m_primary_by_support,
     multiplicity_limit_sequence,
     saturate_by_colon_fixpoint,
+    saturation_quotient_bruteforce,
     symbolic_core_fixpoint,
 )
 
@@ -86,8 +86,8 @@ class TestArithmetic:
 
     def test_unit_and_zero(self):
         assert unit_ideal(2).is_unit()
-        assert zero_ideal(2).is_zero()
-        assert (zero_ideal(2) * ideal((1, 0))).is_zero()
+        assert MonomialIdeal(2, ()).is_zero()
+        assert (MonomialIdeal(2, ()) * ideal((1, 0))).is_zero()
 
     @given(st.integers(1, 3), st.data())
     @settings(max_examples=50, deadline=None)
@@ -237,7 +237,7 @@ class TestKernelOracles:
                 for i in pure]
         i = MonomialIdeal(d, tuple(gens + data.draw(exponent_sets(d, max_size=6))))
         assert i.is_m_primary() == is_m_primary_by_support(i)
-        for special in (zero_ideal(d), unit_ideal(d)):
+        for special in (MonomialIdeal(d, ()), unit_ideal(d)):
             assert special.is_m_primary() == is_m_primary_by_support(special)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -323,7 +323,7 @@ class TestColength:
         with pytest.raises(ValueError, match="infinite colength"):
             colength(ideal((1, 0)))
         with pytest.raises(ValueError, match="infinite colength"):
-            colength(zero_ideal(2))
+            colength(MonomialIdeal(2, ()))
 
     def test_against_bruteforce(self):
         rng = random.Random(31)
@@ -382,6 +382,15 @@ class TestSaturationQuotient:
 
     def test_principal_saturated(self):
         assert saturation_quotient_colength(ideal((1, 0))) == 0
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bruteforce(self, data, d):
+        # zero, unit, m-primary and non-m-primary ideals alike
+        small = st.lists(st.tuples(*[st.integers(0, 5)] * d), max_size=5)
+        gens = data.draw(st.one_of(st.just([]), st.just([(0,) * d]), small))
+        i = MonomialIdeal(d, tuple(gens))
+        assert saturation_quotient_colength(i) == saturation_quotient_bruteforce(i)
 
 
 class TestNilPair:

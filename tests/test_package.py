@@ -138,6 +138,15 @@ def test_colon_oracle_is_independent_of_the_kernel():
                          {"colon", "colon_monomial", "contains"}) == []
 
 
+def test_saturation_quotient_oracle_is_independent_of_the_kernel():
+    # saturation_quotient_bruteforce checks saturation_quotient_colength, so
+    # it must not reach the staircase kernels: no membership query, no
+    # colength, no private monomial helper
+    assert reached_names("gradedlimits.monomial", "saturation_quotient_bruteforce",
+                         {"contains", "contains_ideal", "colength",
+                          "saturation_quotient_colength"}) == []
+
+
 def test_fill_oracle_is_independent_of_the_fill():
     # brute_levels checks the bitset fill, so it must not reach it: no level
     # query, no Hermite basis, no private semigroup helper
