@@ -8,9 +8,11 @@ exceeded point budget or an input too deep for Python's recursion limit
 (one ``error:`` line on stderr).  Horizon, moduli and tol come from the
 flag, else the spec key, else the default, and are range-checked whichever
 source gave them; an explicit value such as ``--tol 0`` is used as given,
-never replaced by the spec default.  A subcommand imports the modules it
-runs when it runs: ``series`` here, and the rest inside the ``build_*``
-functions of ``specfiles`` and the experiments of ``experiments``.
+never replaced by the spec default.  The pset and truncate lists come from
+the flag, else the spec key, else ``1 2 4 8``; an empty list is a usage
+error.  A subcommand imports the modules it runs when it runs: ``series``
+here, and the rest inside the ``build_*`` functions of ``specfiles`` and the
+experiments of ``experiments``.
 """
 
 from __future__ import annotations
@@ -133,6 +135,18 @@ def _resolve(args, spec: dict, key: str, default):
     return value
 
 
+def _levels(args, spec: dict, key: str) -> list[int]:
+    """The ``--key`` list if given, even empty, else the spec key, else
+    1 2 4 8; raises on an empty list."""
+    value, source = getattr(args, key), f"--{key}"
+    if value is None:
+        value, source = _single(spec, key, "1 2 4 8"), f"spec key '{key}'"
+    levels = _int_list(value, source)
+    if not levels:
+        raise ValueError(f"{source} lists no values")
+    return levels
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -142,9 +156,7 @@ def _cmd_semigroup(args) -> int:
     s = build_semigroup(spec)
     horizon = _resolve(args, spec, "horizon", 200)
     tol = _resolve(args, spec, "tol", DEFAULT_TOL)
-    truncs = _int_list(args.truncate, "--truncate") if args.truncate else \
-        _int_list(_single(spec, "truncate", "1 2 4 8"), "spec key 'truncate'")
-    report = semigroup_limit_report(s, horizon, truncs, tol)
+    report = semigroup_limit_report(s, horizon, _levels(args, spec, "truncate"), tol)
     inv = report.invariants
     rows = [_row(record="invariant", detail=(f"m={inv.m};q={inv.q};ind={inv.ind};"
                                              f"volume={inv.body.volume}"),
@@ -202,8 +214,7 @@ def _cmd_volmult(args) -> int:
     spec = load_spec(args.spec)
     horizon = _resolve(args, spec, "horizon", 400)
     family = build_family(spec, Path(args.spec).parent, horizon)
-    pset = _int_list(args.pset, "--pset") if args.pset else \
-        _int_list(_single(spec, "pset", "1 2 4 8"), "spec key 'pset'")
+    pset = _levels(args, spec, "pset")
     tol = _resolve(args, spec, "tol", DEFAULT_TOL)
     report = volume_equals_multiplicity(family, pset, horizon)
     rows = [_row(record="meta",

@@ -185,7 +185,8 @@ def _weight_vector(weights: Sequence) -> tuple[Fraction, ...]:
 
 
 def valuation_gens(weights: tuple[Fraction, ...], n: int) -> tuple:
-    """Minimal exponent vectors a with <weights, a> >= n.
+    """Minimal exponent vectors a with <weights, a> >= n, sorted: the
+    canonical generators of the ideal they generate.
 
     The weights are scaled once to integers by the lcm of their
     denominators.  Enumerates the prefix box; candidates with equal last
@@ -228,7 +229,7 @@ def valuation_family(weights: Sequence) -> GradedFamily:
     d = len(lams)
 
     def provider(n: int) -> MonomialIdeal:
-        return MonomialIdeal._canonical(d, valuation_gens(lams, n))
+        return MonomialIdeal._of(d, valuation_gens(lams, n))
 
     return GradedFamily(name="valuation", dim=d, provider=provider)
 

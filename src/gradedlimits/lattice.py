@@ -2,9 +2,12 @@
 
 Integer lattices with canonical (Hermite-reduced) bases, lattice indices and
 saturations, exact rational convex hulls, and lattice-normalized polytope
-volumes.  Every predicate and every volume is computed over ``Fraction``;
-floating point never enters a decision.  Intended for small dimensions
-(hulls are practical up to ambient dimension ~6).
+volumes.  One integer row reduction, ``hermite_basis``, serves every rank,
+kernel, index and determinant; a rational row is first scaled to integers
+by the lcm of its denominators, which keeps its span and its kernel.  Points
+keep ``Fraction`` entries and floating point never enters a decision.
+Intended for small dimensions (hulls are practical up to ambient dimension
+~6).
 """
 
 from __future__ import annotations
@@ -30,86 +33,11 @@ def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
-# ---------------------------------------------------------------------------
-# rational Gaussian elimination
-# ---------------------------------------------------------------------------
-
-def _rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Reduced row echelon form over Q.  Returns (rows, pivot_columns,
-    pivot_product): the product of the pivots divided out, negated once per
-    row swap, so it is the determinant of a square input of full rank."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
-        return [], [], Fraction(1)
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    product = Fraction(1)
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            mat[r], mat[pr] = mat[pr], mat[r]
-            product = -product
-        pv = mat[r][c]
-        product *= pv
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots, product
-
-
-def rational_rank(rows: Iterable[Sequence]) -> int:
-    return len(_rref(rows)[0])
-
-
-def rational_combination(basis: Sequence[Sequence], target: Sequence):
-    """Coefficients c with sum(c[i] * basis[i]) == target, or None.
-
-    The combination is unique when the basis rows are independent; free
-    coefficients (dependent basis) are set to zero.
-    """
-    m = len(basis)
-    if m == 0:
-        return () if all(x == 0 for x in target) else None
-    n = len(target)
-    aug = [[Fraction(basis[j][i]) for j in range(m)] + [Fraction(target[i])]
-           for i in range(n)]
-    rref, pivots, _ = _rref(aug)
-    if m in pivots:
-        return None  # inconsistent system
-    coeffs = [Fraction(0)] * m
-    for row, col in zip(rref, pivots):
-        coeffs[col] = row[m]
-    return tuple(coeffs)
-
-
-def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix: the pivot product of its ``_rref``."""
-    reduced, _, product = _rref(rows)
-    return product if len(reduced) == len(rows) else Fraction(0)
-
-
-def _kernel_vector(rows: Sequence[Sequence]) -> tuple[Fraction, ...]:
-    """A nonzero kernel vector of a matrix with a one-dimensional kernel."""
-    ncols = len(rows[0])
-    rref, pivots, _ = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError("kernel is not one-dimensional")
-    j = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[j] = Fraction(1)
-    for row, col in zip(rref, pivots):
-        vec[col] = -row[j]
-    return tuple(vec)
+def _integral(row: Sequence) -> tuple[tuple[int, ...], int]:
+    """The rational row times the lcm of its denominators, and that factor.
+    Scaling a row keeps the span and the kernel of any matrix it is in."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return tuple(int(x * scale) for x in row), scale
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +55,9 @@ class IntegerLattice:
         for v in self.basis:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector has wrong dimension")
-        if self.basis and rational_rank(self.basis) != len(self.basis):
+            if any(x != int(x) for x in v):
+                raise ValueError("basis vector has a non-integer entry")
+        if hermite_basis(self.basis, self.ambient_dim).rank != len(self.basis):
             raise ValueError("basis vectors are linearly dependent")
 
     @classmethod
@@ -198,29 +128,36 @@ def hermite_basis(vectors: Iterable[Sequence], ambient_dim: int | None = None) -
     return IntegerLattice._echelon(ambient_dim, tuple(tuple(r) for r in rows[:pivot]))
 
 
+def _pivots(echelon: IntegerLattice) -> list[tuple[int, int]]:
+    """(column, value) of the first nonzero entry of each row of a Hermite
+    basis.  The columns depend only on the rational span."""
+    return [next((c, x) for c, x in enumerate(row) if x) for row in echelon.basis]
+
+
+def _covolume(echelon: IntegerLattice) -> int:
+    """The product of the pivots of a Hermite basis: |det| of a square one,
+    and the covolume of its projection onto the pivot columns."""
+    return math.prod(x for _, x in _pivots(echelon))
+
+
 def sublattice_index(sup: IntegerLattice, sub: IntegerLattice) -> int:
     """Group index [sup : sub] for a finite-index sublattice.
 
-    Computed as |det| of the sub basis written in sup coordinates.
-    Raises on a rank mismatch ("infinite index") and on vectors outside
-    sup ("not a sublattice").
+    sub lies in sup when adding its rows leaves the Hermite basis of sup
+    unchanged.  Equal ranks then give equal rational spans, so both Hermite
+    bases have the same pivot columns and the index is the ratio of their
+    pivot products.  Raises on a rank mismatch ("infinite index") and on
+    vectors outside sup ("not a sublattice").
     """
     if sup.ambient_dim != sub.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if sup.rank != sub.rank:
         raise ValueError("infinite index: lattice ranks differ")
-    if sub.rank == 0:
-        return 1
-    coords = []
-    for v in sub.basis:
-        c = rational_combination(sup.basis, v)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise ValueError("not a sublattice")
-        coords.append(c)
-    d = det(coords)
-    if d == 0:
-        raise ValueError("not a sublattice: dependent coordinates")
-    return abs(int(d))
+    n = sup.ambient_dim
+    outer = hermite_basis(sup.basis, n)
+    if hermite_basis(sup.basis + sub.basis, n) != outer:
+        raise ValueError("not a sublattice")
+    return _covolume(hermite_basis(sub.basis, n)) // _covolume(outer)
 
 
 def _integer_kernel(rows: Sequence[Sequence[int]], width: int) -> list[Vector]:
@@ -259,27 +196,38 @@ class RationalPolytope:
     affine_dim: int
 
 
-def _affine_frame(pts: Sequence[Point]):
-    """Base point, frame difference vectors, and their point indices."""
-    v0 = pts[0]
-    frame: list[tuple] = []
+def _affine_frame(pts: Sequence[Point]) -> tuple[list[int], IntegerLattice]:
+    """Indices of points that with pts[0] span the affine hull of pts, and
+    the Hermite basis of their integral differences from pts[0]."""
+    dim = len(pts[0])
+    span = hermite_basis((), dim)
     frame_idx: list[int] = []
-    for i, p in enumerate(pts):
-        if i == 0:
-            continue
-        d = vec_sub(p, v0)
-        if rational_rank(frame + [d]) > len(frame):
-            frame.append(d)
+    for i in range(1, len(pts)):
+        if span.rank == dim:
+            break
+        grown = hermite_basis(span.basis + (_integral(vec_sub(pts[i], pts[0]))[0],), dim)
+        if grown.rank > span.rank:
+            span = grown
             frame_idx.append(i)
-    return v0, frame, frame_idx
+    return frame_idx, span
+
+
+def _project(pts: Sequence[Point], echelon: IntegerLattice) -> list[Point]:
+    """The points restricted to the pivot columns of a Hermite basis: a map
+    injective on every translate of its rational span."""
+    cols = [c for c, _ in _pivots(echelon)]
+    return [tuple(p[c] for c in cols) for p in pts]
 
 
 def _facet(pts: Sequence[Point], idxs: Sequence[int], interior: Point):
     """Oriented supporting hyperplane through the given affinely independent
     points; the interior reference point lies strictly on the <= side."""
     sub = [pts[i] for i in idxs]
-    rows = [vec_sub(p, sub[0]) for p in sub[1:]]
-    normal = _kernel_vector(rows) if rows else (Fraction(1),)
+    rows = [_integral(vec_sub(p, sub[0]))[0] for p in sub[1:]]
+    kernel = _integer_kernel(rows, len(sub[0]))
+    if len(kernel) != 1:
+        raise ValueError("kernel is not one-dimensional")
+    normal = kernel[0]
     b = dot(normal, sub[0])
     side = dot(normal, interior)
     if side > b:
@@ -339,22 +287,17 @@ def convex_hull(points: Iterable[Sequence]) -> RationalPolytope:
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise ValueError("mixed point dimensions")
-    v0, frame, frame_idx = _affine_frame(pts)
-    q = len(frame)
+    frame_idx, span = _affine_frame(pts)
+    q = len(frame_idx)
     if q == 0:
-        return RationalPolytope(dim, (v0,), 0)
-    coords = [rational_combination(frame, vec_sub(p, v0)) for p in pts]
-    if q == 1:
-        lo = min(range(len(pts)), key=lambda i: coords[i][0])
-        hi = max(range(len(pts)), key=lambda i: coords[i][0])
-        verts = tuple(sorted({pts[lo], pts[hi]}))
-        return RationalPolytope(dim, verts, 1)
+        return RationalPolytope(dim, (pts[0],), 0)
+    coords = _project(pts, span)
     facets = _simplicial_hull(coords, [0] + frame_idx)
     corner_idxs = sorted(set().union(*(f[0] for f in facets.values())))
     verts = []
     for i in corner_idxs:
         normals = [a for (vs, a, _) in facets.values() if i in vs]
-        if rational_rank(normals) == q:
+        if hermite_basis(normals, q).rank == q:
             verts.append(pts[i])
     return RationalPolytope(dim, tuple(sorted(verts)), q)
 
@@ -369,8 +312,11 @@ def _fan_volume(pts: Sequence[Point], facets, q: int) -> Fraction:
     for verts, a, b in facets.values():
         if dot(a, apex) == b:
             continue
-        mat = [vec_sub(pts[i], apex) for i in sorted(verts)]
-        total += abs(det(mat))
+        # |det| of the rows: the Hermite pivot product of the integral rows
+        # over their scale factors; a facet off the apex gives full rank
+        rows = [_integral(vec_sub(pts[i], apex)) for i in sorted(verts)]
+        echelon = hermite_basis([row for row, _ in rows], q)
+        total += Fraction(_covolume(echelon), math.prod(scale for _, scale in rows))
     return total / math.factorial(q)
 
 
@@ -378,9 +324,10 @@ def lattice_volume(polytope: RationalPolytope, lat: IntegerLattice) -> Fraction:
     """Volume of a polytope measured in lattice units.
 
     The polytope's affine span must be a translate of the real span of the
-    lattice; vertices are rewritten in lattice-basis coordinates and the
-    Euclidean volume is taken there (unimodular-invariant).  Empty or
-    dimension-dropped polytopes have volume 0; a point has volume 1.
+    lattice.  The vertices are projected onto the pivot columns of the
+    lattice's Hermite basis, where the lattice has covolume the product of
+    its pivots; the volume is the Euclidean volume there over that product.
+    Empty or dimension-dropped polytopes have volume 0; a point has volume 1.
     """
     if polytope.affine_dim == -1:
         return Fraction(0)
@@ -391,19 +338,15 @@ def lattice_volume(polytope: RationalPolytope, lat: IntegerLattice) -> Fraction:
     if polytope.affine_dim == 0:
         return Fraction(1)
     base = polytope.vertices[0]
-    coords = []
-    for vtx in polytope.vertices:
-        c = rational_combination(lat.basis, vec_sub(vtx, base))
-        if c is None:
-            raise ValueError("span mismatch: vertex outside the lattice span")
-        coords.append(c)
+    echelon = hermite_basis(lat.basis, lat.ambient_dim)
+    diffs = [_integral(vec_sub(vtx, base))[0] for vtx in polytope.vertices]
+    if hermite_basis(echelon.basis + tuple(diffs), lat.ambient_dim).rank > lat.rank:
+        raise ValueError("span mismatch: vertex outside the lattice span")
     q = lat.rank
-    if q == 1:
-        vals = [c[0] for c in coords]
-        return max(vals) - min(vals)
-    v0, frame, frame_idx = _affine_frame(coords)
-    if len(frame) < q:
+    coords = _project(polytope.vertices, echelon)
+    frame_idx, _ = _affine_frame(coords)
+    if len(frame_idx) < q:
         return Fraction(0)
     facets = _simplicial_hull(coords, [0] + frame_idx)
-    return _fan_volume(coords, facets, q)
+    return _fan_volume(coords, facets, q) / _covolume(echelon)
 

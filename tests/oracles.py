@@ -6,9 +6,12 @@ way: brute-force enumeration (colengths, monomial colons, saturation
 quotients, semigroup levels, the m-primary support scan), fixpoint iteration,
 or the unimodular reduction ``invariants`` used before it read the
 degree-zero part off one Hermite basis.
-``lattice_contains`` and ``polytope_contains`` are exact membership tests
-built from the library's rational combination and convex hull;
-``check_level_containments`` tests the graded axiom on level point sets, and
+``lattice_contains`` and ``invariants_by_degree_kernel`` share no code with
+``gradedlimits.lattice``: they rest on sympy's solve, rank and Hermite
+normal form, Leibniz determinants and a scipy Delaunay triangulation.
+``polytope_contains`` is an exact membership test built from the library's
+convex hull; ``check_level_containments`` tests the graded axiom on level
+point sets, and
 ``empirical_limit`` lists the scaled level counts of a semigroup.
 ``closure_violations_by_tuples`` is the series closure check on (exponents,
 nil) tuples, the reference for the packed-int check; ``block_monomials`` and
@@ -31,17 +34,7 @@ from gradedlimits.experiments import (
     convergence_report,
     semigroup_limit_report,
 )
-from gradedlimits.lattice import (
-    IntegerLattice,
-    RationalPolytope,
-    convex_hull,
-    frac_point,
-    hermite_basis,
-    lattice_volume,
-    rational_combination,
-    saturate_lattice,
-    sublattice_index,
-)
+from gradedlimits.lattice import RationalPolytope, convex_hull, frac_point
 from gradedlimits.monomial import MonomialIdeal, colength, max_ideal_power, unit_ideal
 from gradedlimits.semigroup import GradedSemigroup, invariants
 from gradedlimits.series import PAIR_CAP, _block_rows
@@ -110,10 +103,56 @@ def brute_levels(dim, gens, horizon):
     return {n: frozenset(pts) for n, pts in levels.items()}
 
 
-def lattice_contains(lat: IntegerLattice, v: Sequence) -> bool:
-    """Whether v is an integer combination of the lattice basis."""
-    c = rational_combination(lat.basis, v)
-    return c is not None and all(x.denominator == 1 for x in c)
+def lattice_contains(lat, v: Sequence) -> bool:
+    """Whether v is an integer combination of the rows of ``lat.basis``:
+    sympy solves basis^T c = v over Q, and every c must be an integer."""
+    import sympy
+
+    if not lat.basis:
+        return not any(v)
+    try:
+        coeffs = sympy.Matrix(lat.basis).T.gauss_jordan_solve(sympy.Matrix(v))[0]
+    except ValueError:  # v lies outside the rational span
+        return False
+    return all(c.is_integer for c in coeffs)
+
+
+def leibniz_det(mat):
+    """Determinant as the signed sum over permutations; 1 for the 0x0 matrix."""
+    total = 0
+    for perm in itertools.permutations(range(len(mat))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        total += (-1) ** inversions * math.prod(row[c] for row, c in zip(mat, perm))
+    return total
+
+
+def maximal_minors(rows, width):
+    """Every len(rows) x len(rows) minor of the rows, by ``leibniz_det``."""
+    return [leibniz_det([[r[c] for c in cols] for r in rows])
+            for cols in itertools.combinations(range(width), len(rows))]
+
+
+def delaunay_volume(pts, q: int) -> Fraction:
+    """Euclidean volume of the hull of rational points spanning R^q, q >= 2.
+    qhull picks the triangulation and each simplex's volume is an exact
+    Leibniz determinant on the rational points.  Exactly q + 1 points are
+    one simplex, which qhull's joggle (QJ) refuses to triangulate."""
+    import numpy as np
+    from scipy.spatial import Delaunay
+
+    pts = sorted(set(pts))
+    if len(pts) == q + 1:
+        simplices = [tuple(range(q + 1))]
+    else:
+        arr = np.array([[float(x) for x in p] for p in pts])
+        tri = Delaunay(arr, qhull_options="QJ" if q >= 3 else None)
+        simplices = sorted(map(tuple, tri.simplices))
+    total = Fraction(0)
+    for simplex in simplices:
+        base = pts[simplex[0]]
+        total += abs(leibniz_det([[pts[i][c] - base[c] for c in range(q)]
+                                  for i in simplex[1:]]))
+    return total / math.factorial(q)
 
 
 def polytope_contains(polytope: RationalPolytope, point: Sequence) -> bool:
@@ -285,48 +324,56 @@ def semigroup_limit_suite(semigroups: Sequence[GradedSemigroup], horizon: int,
             for s in semigroups]
 
 
-def _degree_zero_part(basis: tuple[tuple, ...], ambient: int) -> IntegerLattice:
-    """The sublattice of integer combinations whose last coordinate vanishes."""
-    if not basis:
-        return IntegerLattice(ambient, ())
-    degrees = [row[-1] for row in basis]
-    r = len(basis)
-    # unimodular reduction of the degree column; rows mapping to 0 span the kernel
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    col = list(degrees)
+def degree_zero_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Generators of the degree-zero part of the group the rows span, the
+    degree (last coordinate) dropped.  A unimodular reduction of the degree
+    column leaves one row of degree gcd and rows of degree 0, which generate
+    that part."""
+    rows = [list(r) for r in rows]
     while True:
-        live = [i for i in range(r) if col[i] != 0]
+        live = sorted((i for i, r in enumerate(rows) if r[-1]), key=lambda i: abs(rows[i][-1]))
         if len(live) <= 1:
             break
-        live.sort(key=lambda i: abs(col[i]))
         i0 = live[0]
         for i in live[1:]:
-            q = col[i] // col[i0]
-            col[i] -= q * col[i0]
-            u[i] = [a - q * b for a, b in zip(u[i], u[i0])]
-    kernel_rows = []
-    for i in range(r):
-        if col[i] == 0:
-            vec = tuple(sum(u[i][j] * basis[j][c] for j in range(r)) for c in range(ambient))
-            if any(vec):
-                kernel_rows.append(vec)
-    return hermite_basis(kernel_rows, ambient)
+            k = rows[i][-1] // rows[i0][-1]
+            rows[i] = [a - k * b for a, b in zip(rows[i], rows[i0])]
+    return [tuple(r[:-1]) for r in rows if r[-1] == 0 and any(r)]
 
 
 def invariants_by_degree_kernel(s: GradedSemigroup) -> tuple[int, int, int, Fraction]:
-    """(m, q, ind, volume) with the degree as the last coordinate, m as a gcd
-    loop, and the degree-zero part from ``_degree_zero_part``."""
-    d = s.point_dim
+    """(m, q, ind, volume) by routes that share no code with ``invariants``:
+    m as the gcd of the degrees, q by sympy's rank, a basis B of the
+    degree-zero part from ``degree_zero_rows`` and sympy's Hermite normal
+    form, ind as the gcd of B's maximal minors, and the volume of the slice
+    at height m in B's coordinates (by ``delaunay_volume``) times ind, the
+    index of B's lattice in its saturation."""
+    import sympy
+    from sympy.matrices.normalforms import hermite_normal_form
+
     rows = [vec + (deg,) for vec, deg in s.generators]
-    group = hermite_basis(rows, d + 1)
-    q = group.rank - 1
-    m = 0
-    for _, deg in s.generators:
-        m = math.gcd(m, deg)
-    deg_zero = _degree_zero_part(group.basis, d + 1)
-    proj = hermite_basis([row[:-1] for row in deg_zero.basis], d)
-    boundary, _ = saturate_lattice(proj)
-    ind = sublattice_index(boundary, proj)
-    polytope = convex_hull([tuple(Fraction(m * x, deg) for x in vec)
-                            for vec, deg in s.generators])
-    return m, q, ind, lattice_volume(polytope, boundary)
+    q = sympy.Matrix(rows).rank() - 1
+    m = math.gcd(*(deg for vec, deg in s.generators))
+    kernel = degree_zero_rows(rows)
+    basis = []
+    if kernel:
+        hnf = hermite_normal_form(sympy.Matrix(kernel).T)
+        basis = [tuple(int(x) for x in hnf.col(j)) for j in range(hnf.cols)]
+        basis = [v for v in basis if any(v)]
+    assert len(basis) == q
+    ind = math.gcd(*maximal_minors(basis, s.point_dim))
+    if q == 0:
+        return m, q, ind, Fraction(1)
+    points = sorted({tuple(Fraction(m * x, deg) for x in vec) for vec, deg in s.generators})
+    # coordinates c with c . B = p - p0, through the left inverse of B^T
+    b_t = sympy.Matrix(basis).T
+    diffs = sympy.Matrix([[sympy.Rational(x - y) for x, y in zip(p, points[0])]
+                          for p in points]).T
+    solved = (b_t.T * b_t).inv() * b_t.T * diffs
+    coords = [tuple(Fraction(int(x.p), int(x.q)) for x in solved.col(j))
+              for j in range(solved.cols)]
+    if q == 1:
+        volume = max(coords)[0] - min(coords)[0]
+    else:
+        volume = delaunay_volume(coords, q)
+    return m, q, ind, volume * ind

@@ -150,12 +150,16 @@ class TestArgumentEdges:
         ("series", "series: full\nweights: 1 y\n", "spec key 'weights'"),
         ("family", "family: nilpair_sigma\ndim: 3000\n", "recursion depth"),
         ("family", "family: nilpair_sigma\ndim: 600\n", "recursion depth"),
+        ("volmult", "family: valuation\nlambda: 1 2\npset: ,\n", "spec key 'pset'"),
+        ("semigroup", "kind: semigroup\ngenerator: 0 1\ngenerator: 1 1\ntruncate: ,\n",
+         "spec key 'truncate'"),
     ], ids=["pset-line", "nilpair-dim0", "perturbed-dim0", "corrupted-dim0",
             "lambda-1/0", "tol-1/0", "tset-mod-0", "tset-mod-missing",
             "moduli-0", "moduli-negative", "family-horizon-0", "series-horizon-0",
             "volmult-horizon-0", "tol-negative", "tau-pulse-g0", "tau-pulse-g-negative",
             "dim-not-int", "schedule-not-int", "weights-not-int",
-            "nilpair-dim3000-too-deep", "nilpair-dim600-too-deep"])
+            "nilpair-dim3000-too-deep", "nilpair-dim600-too-deep", "pset-empty",
+            "truncate-empty"])
     def test_bad_spec_value(self, capsys, tmp_path, cmd, text, match):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)
@@ -175,6 +179,17 @@ class TestArgumentEdges:
         self.assert_usage_error(capsys, "volmult", SPECS / "volmult_valuation12.spec",
                                 "--pset", "2,x", "--out", tmp_path / "o.csv",
                                 match="--pset")
+
+    @pytest.mark.parametrize("cmd, spec, flag", [
+        ("volmult", "volmult_valuation12.spec", "--pset=,"),
+        ("volmult", "volmult_valuation12.spec", "--pset="),
+        ("semigroup", "semigroup_halfstep.spec", "--truncate=,"),
+        ("semigroup", "semigroup_halfstep.spec", "--truncate="),
+    ])
+    def test_empty_list_flag(self, capsys, tmp_path, cmd, spec, flag):
+        # an empty flag is not replaced by the spec's list
+        self.assert_usage_error(capsys, cmd, SPECS / spec, flag, "--out", tmp_path / "o.csv",
+                                match=flag.split("=")[0])
 
     def test_negative_exponent_keeps_scaled_exact(self, tmp_path):
         # dim/n^-2 = dim * n^2 is an integer; it must print as one, not as 8.0

@@ -20,7 +20,13 @@ from gradedlimits.families import (
     valuation_family,
     valuation_gens,
 )
-from gradedlimits.monomial import MonomialIdeal, madic_order, max_ideal_power, unit_ideal
+from gradedlimits.monomial import (
+    MonomialIdeal,
+    madic_order,
+    max_ideal_power,
+    minimal_generators,
+    unit_ideal,
+)
 from oracles import check_level_containments
 
 
@@ -113,6 +119,18 @@ class TestBuilders:
                    and not any(e and inside(a[:i] + (e - 1,) + a[i + 1:])
                                for i, e in enumerate(a))]
         assert valuation_gens(weights, n) == tuple(sorted(minimal))
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_valuation_gens_are_minimal_and_sorted(self, d, data):
+        # the valuation provider builds its ideal from them without re-minimalizing
+        weight = st.integers(1, 4).flatmap(
+            lambda q: st.integers(q, 12).map(lambda p: Fraction(p, q)))
+        weights = tuple(data.draw(weight) for _ in range(d))
+        n = data.draw(st.integers(0, 40 if d < 3 else 8))
+        gens = valuation_gens(weights, n)
+        assert minimal_generators(gens) == gens
+        assert valuation_family(weights).ideal(n) == MonomialIdeal(d, gens)
 
     def test_valuation_rejects_floats_and_small_weights(self):
         with pytest.raises(ValueError, match="rational"):

@@ -1,8 +1,6 @@
-import itertools
 import math
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,31 +8,56 @@ from hypothesis import given, settings, strategies as st
 from gradedlimits.lattice import (
     IntegerLattice,
     convex_hull,
-    det,
     hermite_basis,
     lattice_volume,
-    rational_combination,
-    rational_rank,
     saturate_lattice,
     standard_lattice,
     sublattice_index,
 )
-from oracles import lattice_contains, polytope_contains
+from oracles import (
+    delaunay_volume,
+    lattice_contains,
+    leibniz_det,
+    maximal_minors,
+    polytope_contains,
+)
 
 
-def leibniz_det(mat):
-    """Determinant as the signed sum over permutations; 1 for the 0x0 matrix."""
-    total = 0
-    for perm in itertools.permutations(range(len(mat))):
-        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
-        total += (-1) ** inversions * math.prod(row[c] for row, c in zip(mat, perm))
-    return total
+def sympy_rank(rows):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(rows).rank() if rows else 0
 
 
-def maximal_minors(rows, width):
-    """Every len(rows) x len(rows) minor of the rows, by ``leibniz_det``."""
-    return [leibniz_det([[r[c] for c in cols] for r in rows])
-            for cols in itertools.combinations(range(width), len(rows))]
+class TestIntegerLattice:
+    def test_accepts_independent_rows(self):
+        lat = IntegerLattice(3, ((2, 0, 1), (0, 3, 0)))
+        assert lat.rank == 2 and lat.basis == ((2, 0, 1), (0, 3, 0))
+        assert IntegerLattice(2, ()).rank == 0
+
+    @pytest.mark.parametrize("basis", [
+        ((1, 2), (2, 4)),
+        ((0, 0),),
+        ((1, 0, 1), (0, 1, 1), (1, 1, 2)),
+        ((3, 0), (0, 1), (1, 1)),
+    ])
+    def test_rejects_dependent_rows(self, basis):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            IntegerLattice(len(basis[0]), basis)
+
+    @pytest.mark.parametrize("dim, basis", [
+        (2, ((1, 0, 0),)),
+        (3, ((1, 0, 0), (0, 1))),
+        (1, ((),)),
+    ])
+    def test_rejects_wrong_length(self, dim, basis):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            IntegerLattice(dim, basis)
+
+    @pytest.mark.parametrize("basis", [((Fraction(3, 2),),), ((1, 0), (0, 0.5))])
+    def test_rejects_non_integer_entries(self, basis):
+        # the Hermite rank would see these rows truncated to integers
+        with pytest.raises(ValueError, match="non-integer"):
+            IntegerLattice(len(basis[0]), basis)
 
 
 class TestHermite:
@@ -71,7 +94,7 @@ class TestHermite:
         # hermite_basis skips the independence check of IntegerLattice, so
         # its rows must be independent by construction
         lat = hermite_basis(vecs, len(vecs[0]) if vecs else 2)
-        assert lat.rank == rational_rank(vecs)
+        assert lat.rank == sympy_rank(vecs)
         assert IntegerLattice(lat.ambient_dim, lat.basis) == lat
 
     def test_span_matches_sympy(self):
@@ -221,7 +244,7 @@ class TestHull:
             pts = sorted({tuple(rng.randint(0, 4) for _ in range(q))
                           for _ in range(rng.randint(q + 2, 14))})
             diffs = [tuple(b - a for a, b in zip(pts[0], p)) for p in pts[1:]]
-            if rational_rank(diffs) < q:
+            if sympy_rank(diffs) < q:
                 continue
             trials += 1
             mine = {tuple(int(x) for x in v) for v in convex_hull(pts).vertices}
@@ -257,34 +280,19 @@ class TestVolume:
         with pytest.raises(ValueError, match="span mismatch"):
             lattice_volume(tri, hermite_basis([(1, 0)], 2))
 
-    def _delaunay_volume(self, pts, q):
-        # independent oracle: Qhull picks the triangulation, determinants
-        # are recomputed exactly on the original rational points
-        scipy_spatial = pytest.importorskip("scipy.spatial")
-        import numpy as np
-        arr = np.array([[float(x) for x in p] for p in pts])
-        tri = scipy_spatial.Delaunay(arr, qhull_options="QJ" if q >= 3 else None)
-        total = Fraction(0)
-        for simplex in sorted(map(tuple, tri.simplices)):
-            base = pts[simplex[0]]
-            mat = [[pts[i][c] - base[c] for c in range(q)] for i in simplex[1:]]
-            total += abs(det(mat))
-        return total / factorial(q)
-
     def test_volume_matches_delaunay_oracle(self):
+        # rational vertices, like the Okounkov slice points m * v / deg
+        pytest.importorskip("scipy.spatial")
         rng = random.Random(13)
         for _ in range(25):
             q = rng.randint(2, 3)
-            pts = sorted({tuple(rng.randint(0, 6) for _ in range(q))
+            pts = sorted({tuple(Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(q))
                           for _ in range(rng.randint(q + 2, 10))})
-            pts = [tuple(Fraction(x) for x in p) for p in pts]
-            if rational_rank([tuple(b - a for a, b in zip(pts[0], p))
-                              for p in pts[1:]]) < q:
+            if sympy_rank([tuple(b - a for a, b in zip(pts[0], p)) for p in pts[1:]]) < q:
                 continue
             poly = convex_hull(pts)
             mine = lattice_volume(poly, standard_lattice(q))
-            oracle = self._delaunay_volume(pts, q)
-            assert mine == oracle
+            assert mine == delaunay_volume(pts, q)
 
     def test_unimodular_invariance(self):
         rng = random.Random(17)
@@ -310,25 +318,19 @@ class TestVolume:
             assert lattice_volume(convex_hull(pts), lat) == reference
 
 
-class TestRationalKernel:
-    def test_combination_unique(self):
-        c = rational_combination([(2, 0), (1, 1)], (4, 2))
-        assert c == (Fraction(1), Fraction(2))
-
-    def test_combination_inconsistent(self):
-        assert rational_combination([(1, 0)], (0, 1)) is None
-
-    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
-                    min_size=1, max_size=4))
-    @settings(max_examples=60, deadline=None)
-    def test_rank_bounds(self, rows):
-        r = rational_rank(rows)
-        assert 0 <= r <= min(len(rows), 2)
-
-
 class TestDeterminant:
+    """The |det| inside ``lattice_volume``: the simplex on the origin and the
+    rows of a q x q matrix has volume |det| / q! in Z^q, and 0 below full
+    rank, where the hull drops a dimension."""
+
+    @staticmethod
+    def simplex_volume(mat):
+        q = len(mat)
+        return lattice_volume(convex_hull([(0,) * q] + [tuple(r) for r in mat]),
+                              standard_lattice(q))
+
     def test_empty_matrix(self):
-        assert det([]) == 1 == leibniz_det([])
+        assert self.simplex_volume([]) == 1 == leibniz_det([])
 
     @pytest.mark.parametrize("mat", [
         [[0]],
@@ -337,7 +339,7 @@ class TestDeterminant:
         [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
     ])
     def test_singular(self, mat):
-        assert det(mat) == 0 == leibniz_det(mat)
+        assert self.simplex_volume(mat) == 0 == leibniz_det(mat)
 
     @given(st.integers(1, 4).flatmap(lambda q: st.tuples(
         st.lists(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=q, max_size=q),
@@ -351,6 +353,7 @@ class TestDeterminant:
             # replace the last row by a rational combination of the others
             mat[-1] = [sum((c * row[j] for c, row in zip(coeffs, mat[:-1])), Fraction(0))
                        for j in range(len(mat))]
-        assert det(mat) == leibniz_det(mat)
+        volume = self.simplex_volume(mat)
+        assert volume == abs(leibniz_det(mat)) / math.factorial(len(mat))
         if singular:
-            assert det(mat) == 0
+            assert volume == 0

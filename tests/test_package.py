@@ -152,3 +152,16 @@ def test_fill_oracle_is_independent_of_the_fill():
     # query, no Hermite basis, no private semigroup helper
     assert reached_names("gradedlimits.semigroup", "brute_levels",
                          {"level", "level_sizes", "hermite_basis"}) == []
+
+
+def test_lattice_oracles_are_independent_of_lattice():
+    # lattice_contains and invariants_by_degree_kernel check gradedlimits.lattice,
+    # so neither they nor the helpers they call may reach it: no lattice call,
+    # no name oracles.py imports from it, no private helper
+    lattice_names = {name.rsplit(".", 1)[1] for name in imported_modules(ORACLES)
+                     if name.startswith("gradedlimits.lattice.")}
+    banned = lattice_names | {"hermite_basis", "convex_hull", "lattice_volume",
+                              "saturate_lattice", "sublattice_index"}
+    for oracle in ("lattice_contains", "invariants_by_degree_kernel", "degree_zero_rows",
+                   "delaunay_volume", "maximal_minors", "leibniz_det"):
+        assert reached_names("gradedlimits.lattice", oracle, banned) == [], oracle
