@@ -52,11 +52,8 @@ class IntegerLattice:
     basis: tuple[Vector, ...]
 
     def __post_init__(self):
-        for v in self.basis:
-            if len(v) != self.ambient_dim:
-                raise ValueError("basis vector has wrong dimension")
-            if any(x != int(x) for x in v):
-                raise ValueError("basis vector has a non-integer entry")
+        if any(len(v) != self.ambient_dim for v in self.basis):
+            raise ValueError("basis vector has wrong dimension")
         if hermite_basis(self.basis, self.ambient_dim).rank != len(self.basis):
             raise ValueError("basis vectors are linearly dependent")
 
@@ -85,9 +82,13 @@ def hermite_basis(vectors: Iterable[Sequence], ambient_dim: int | None = None) -
 
     Row-style Hermite reduction: echelon shape, positive pivots, entries
     above each pivot reduced into [0, pivot).  The empty input yields the
-    rank-0 lattice (``ambient_dim`` is then required).
+    rank-0 lattice (``ambient_dim`` is then required).  Entries must be
+    integers; an integral ``Fraction`` or float counts as one.
     """
-    vecs = [tuple(int(x) for x in v) for v in vectors]
+    given = [tuple(v) for v in vectors]
+    vecs = [tuple(map(int, v)) for v in given]
+    if vecs != given:
+        raise ValueError("vector has a non-integer entry")
     if ambient_dim is None:
         if not vecs:
             raise ValueError("ambient_dim is required for empty input")

@@ -6,10 +6,12 @@ canonical generators form a staircase: x strictly increases and y strictly
 decreases along the tuple.  Minimalization there is one sweep after a lex
 sort, membership is one ``bisect`` on that order, and the colength and the
 largest standard degree are closed forms in the staircase corners.  In
-d >= 3 minimalization is the degree-bucketed dominance scan, and each ideal
-builds one slice index along its last variable on first use: membership is
-one bisect for the slice and a (d-1)-variable query inside it, and colengths
-sum the slice colengths over the slice widths, down to the d = 2 closed form.
+d >= 3 one sweep minimalizes the (d-1)-variable slices along the last
+variable, down to the d = 2 sweep.  Minimalization keeps the generators new
+in their slice, and each ideal keeps the slices as its index on first use:
+membership is one bisect for the slice and a (d-1)-variable query inside
+it, and colengths sum the slice colengths over the slice widths, down to
+the d = 2 closed form.
 """
 
 from __future__ import annotations
@@ -45,43 +47,40 @@ def minimal_generators(candidates) -> tuple[Exponent, ...]:
 
     In d <= 2 this is the staircase sweep: after a lex sort a candidate is
     kept exactly when its last exponent is strictly below that of every
-    candidate before it.  In d >= 3 candidates are processed by ascending
-    degree (equal degrees never divide); a divisor one degree below is a
-    direct predecessor, found by set lookup, and only deeper degree gaps
-    fall back to a scan.
+    candidate before it.  In d >= 3 a candidate (p, t) is kept exactly when
+    p is a generator of the slice at t of ``_slice_sweep`` and not of the
+    slice below it.  Input too deep for ``check_stack_depth`` is refused.
     """
     uniq = set(candidates)
     if not uniq:
         return ()
-    if len(next(iter(uniq))) in (1, 2):
+    d = len(next(iter(uniq)))
+    if d in (1, 2):
         kept = []
         for g in sorted(uniq):
             if not kept or g[-1] < kept[-1][-1]:
                 kept.append(g)
         return tuple(kept)
-    uniq = sorted(uniq, key=sum)
-    kept: list = []
-    by_degree: dict[int, set] = {}
-    for g in uniq:
-        dg = sum(g)
-        redundant = False
-        prev = by_degree.get(dg - 1)
-        if prev:
-            for i, e in enumerate(g):
-                if e and g[:i] + (e - 1,) + g[i + 1:] in prev:
-                    redundant = True
-                    break
-        if not redundant and len(by_degree) > (1 if prev else 0):
-            for dk, group in by_degree.items():
-                if dk >= dg - 1:
-                    continue
-                if any(all(a <= b for a, b in zip(k, g)) for k in group):
-                    redundant = True
-                    break
-        if not redundant:
-            kept.append(g)
-            by_degree.setdefault(dg, set()).add(g)
+    check_stack_depth(d)
+    kept, below = [], set()
+    for t, gens in _slice_sweep(uniq):
+        kept.extend(p + (t,) for p in gens if p not in below)
+        below = set(gens)
     return tuple(sorted(kept))
+
+
+def _slice_sweep(gens):
+    """(t, minimal generators of the projections of every g with g[-1] <= t)
+    for each distinct last exponent t of the d >= 3 tuples ``gens``, t
+    increasing.  Each slice is the one below plus the projections at t,
+    minimalized one variable down."""
+    by_top: dict[int, list[Exponent]] = {}
+    for g in gens:
+        by_top.setdefault(g[-1], []).append(g[:-1])
+    below: tuple[Exponent, ...] = ()
+    for t in sorted(by_top):
+        below = minimal_generators(below + tuple(by_top[t]))
+        yield t, below
 
 
 @dataclass(frozen=True)
@@ -171,15 +170,10 @@ class MonomialIdeal:
         slice is built.
         """
         check_stack_depth(self.num_vars)
-        by_top: dict[int, list[Exponent]] = {}
-        for g in self.gens:
-            by_top.setdefault(g[-1], []).append(g[:-1])
-        tops = sorted(by_top)
-        slices: list[MonomialIdeal] = []
-        kept: tuple[Exponent, ...] = ()
-        for t in tops:
-            slices.append(MonomialIdeal._canonical(self.num_vars - 1, kept + tuple(by_top[t])))
-            kept = slices[-1].gens
+        tops, slices = [], []
+        for t, gens in _slice_sweep(self.gens):
+            tops.append(t)
+            slices.append(MonomialIdeal._of(self.num_vars - 1, gens))
         return tops, slices
 
     def length(self) -> int:
@@ -190,20 +184,19 @@ class MonomialIdeal:
         """True iff every variable carries a pure-power generator.
 
         In d = 1 that is any non-zero ideal; in d = 2 the staircase must
-        start on the y-axis and end on the x-axis.
+        start on the y-axis and end on the x-axis.  In d >= 3 the pure powers
+        of x_1..x_{d-1} have last exponent 0, so they make the bottom slice
+        (at t = 0) m-primary, and a pure power of x_d makes the top slice
+        the unit ideal.
         """
         if self.num_vars == 1:
             return bool(self.gens)
         if self.num_vars == 2:
             return bool(self.gens) and self.gens[0][0] == 0 and self.gens[-1][1] == 0
-        if self.is_unit():
-            return True
-        covered = set()
-        for g in self.gens:
-            support = [i for i, e in enumerate(g) if e > 0]
-            if len(support) == 1:
-                covered.add(support[0])
-        return len(covered) == self.num_vars
+        if not self.gens:
+            return False
+        tops, slices = self._slices
+        return tops[0] == 0 and slices[0].is_m_primary() and slices[-1].is_unit()
 
     def max_exponent(self) -> int:
         return max((e for g in self.gens for e in g), default=0)
@@ -292,10 +285,10 @@ class MonomialIdeal:
 
 def check_stack_depth(num_vars: int) -> None:
     """Refuse ``num_vars`` variables when the slice recursion of a d >= 3
-    ideal cannot fit on the stack.  The colength and degree sweeps recurse
-    through the slices, two frames (the sweep and its generator) per
-    variable, so the variables must all fit below the recursion limit from
-    the caller's frame."""
+    ideal cannot fit on the stack.  Minimalization and the colength and
+    degree sweeps recurse through the slices, two frames (the sweep and its
+    generator) per variable, so the variables must all fit below the
+    recursion limit from the caller's frame."""
     depth, frame = 0, sys._getframe(1)
     while frame is not None:
         depth, frame = depth + 1, frame.f_back

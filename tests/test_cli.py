@@ -150,6 +150,8 @@ class TestArgumentEdges:
         ("series", "series: full\nweights: 1 y\n", "spec key 'weights'"),
         ("family", "family: nilpair_sigma\ndim: 3000\n", "recursion depth"),
         ("family", "family: nilpair_sigma\ndim: 600\n", "recursion depth"),
+        ("eps", "".join(" ".join("1" if i == j else "0" for i in range(1500)) + "\n"
+                        for j in range(3)), "in 1500 variables is too deep"),
         ("volmult", "family: valuation\nlambda: 1 2\npset: ,\n", "spec key 'pset'"),
         ("semigroup", "kind: semigroup\ngenerator: 0 1\ngenerator: 1 1\ntruncate: ,\n",
          "spec key 'truncate'"),
@@ -158,8 +160,8 @@ class TestArgumentEdges:
             "moduli-0", "moduli-negative", "family-horizon-0", "series-horizon-0",
             "volmult-horizon-0", "tol-negative", "tau-pulse-g0", "tau-pulse-g-negative",
             "dim-not-int", "schedule-not-int", "weights-not-int",
-            "nilpair-dim3000-too-deep", "nilpair-dim600-too-deep", "pset-empty",
-            "truncate-empty"])
+            "nilpair-dim3000-too-deep", "nilpair-dim600-too-deep", "ideal-1500-vars-too-deep",
+            "pset-empty", "truncate-empty"])
     def test_bad_spec_value(self, capsys, tmp_path, cmd, text, match):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)

@@ -55,7 +55,7 @@ class TestIntegerLattice:
 
     @pytest.mark.parametrize("basis", [((Fraction(3, 2),),), ((1, 0), (0, 0.5))])
     def test_rejects_non_integer_entries(self, basis):
-        # the Hermite rank would see these rows truncated to integers
+        # refused by the Hermite reduction the constructor ranks them with
         with pytest.raises(ValueError, match="non-integer"):
             IntegerLattice(len(basis[0]), basis)
 
@@ -76,6 +76,15 @@ class TestHermite:
 
     def test_empty_input(self):
         assert hermite_basis([], ambient_dim=3).rank == 0
+
+    @pytest.mark.parametrize("vecs", [[(1.5, 0)], [(Fraction(3, 2), 0)]])
+    def test_rejects_non_integer_entries(self, vecs):
+        # int() would truncate both to the basis ((1, 0),)
+        with pytest.raises(ValueError, match="non-integer"):
+            hermite_basis(vecs)
+
+    def test_accepts_integral_fractions(self):
+        assert hermite_basis([(Fraction(4, 2), 0)]).basis == ((2, 0),)
 
     def test_idempotent(self):
         rng = random.Random(7)

@@ -126,15 +126,16 @@ def staircases(d):
 
 
 class TestKernelOracles:
-    """Staircase (d <= 2) and degree-bucketed (d = 3) kernels against brute force."""
+    """Staircase (d <= 2) and last-variable slice sweep (d >= 3) kernels against
+    brute force."""
 
-    @given(st.data(), st.integers(1, 3))
+    @given(st.data(), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
     def test_minimal_generators(self, data, d):
         cands = data.draw(exponent_sets(d, max_size=20))
         assert minimal_generators(cands) == oracle_minimal(cands)
 
-    @given(st.data(), st.integers(1, 3))
+    @given(st.data(), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
     def test_contains(self, data, d):
         i = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
@@ -221,14 +222,18 @@ class TestKernelOracles:
         assert i.contains_ideal(j) == (expected is None)
 
     def test_too_many_variables_for_the_stack(self):
-        # membership alone would fit (one frame per variable), but the colength
-        # sweep would not, so the ideal is refused before any slice is built
+        # membership alone would fit (one frame per variable), but the
+        # minimalization and colength sweeps would not: the constructor
+        # refuses the ideal, and an ideal built without minimalization is
+        # refused before any slice is built
         d = sys.getrecursionlimit() * 2 // 3
         with pytest.raises(RecursionError, match="too deep for the recursion depth"):
             unit_ideal(d).contains((0,) * d)
+        with pytest.raises(RecursionError, match="too deep for the recursion depth"):
+            max_ideal_power(d, 1).contains((0,) * d)
         assert unit_ideal(40).contains((0,) * 40)
 
-    @given(st.data(), st.integers(1, 3))
+    @given(st.data(), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
     def test_m_primary(self, data, d):
         # zero, unit, m-primary and not m-primary ideals alike

@@ -147,6 +147,14 @@ def test_saturation_quotient_oracle_is_independent_of_the_kernel():
                           "saturation_quotient_colength"}) == []
 
 
+def test_m_primary_oracle_is_independent_of_the_kernel():
+    # is_m_primary_by_support checks the slice test of is_m_primary, so it
+    # must not reach it: no m-primary test, no membership query, no private
+    # monomial helper
+    assert reached_names("gradedlimits.monomial", "is_m_primary_by_support",
+                         {"is_m_primary", "contains", "contains_ideal"}) == []
+
+
 def test_fill_oracle_is_independent_of_the_fill():
     # brute_levels checks the bitset fill, so it must not reach it: no level
     # query, no Hermite basis, no private semigroup helper
