@@ -34,7 +34,10 @@ Exponent = tuple  # ints, one per variable
 
 def _exponent(num_vars: int, g) -> Exponent:
     """g as a tuple of num_vars non-negative ints, else ValueError."""
-    t = tuple(int(e) for e in g)
+    given = tuple(g)
+    t = tuple(map(int, given))
+    if t != given:
+        raise ValueError("generator has a non-integer exponent")
     if len(t) != num_vars:
         raise ValueError("generator has wrong number of variables")
     if any(e < 0 for e in t):

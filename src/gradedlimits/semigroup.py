@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 from typing import Iterable, Iterator
 
 from .lattice import (
@@ -51,39 +51,40 @@ class SemigroupInvariants:
 
 
 class _Level:
-    """A fill level: the points anchor + (i, *key) . B for every key of
-    ``rows`` and every set bit i of rows[key], B the basis of L.
-    ``count`` is the number of set bits (of points), ``positions`` the sum
-    of the row bit lengths (the lattice positions the bitsets span)."""
+    """Fill level n: one int per key, the last rank(L) - 1 coordinates in
+    B, whose bit i is the point (n/m) w + (low + i, *key) . B.  ``count``
+    is the number of set bits (of points), ``positions`` the sum of the row
+    bit lengths (the lattice positions the bitsets span)."""
 
-    __slots__ = ("anchor", "rows", "count", "positions")
+    __slots__ = ("low", "rows", "count", "positions")
 
-    def __init__(self, anchor: tuple, rows: dict, count: int, positions: int):
-        self.anchor, self.rows, self.count, self.positions = anchor, rows, count, positions
+    def __init__(self, low: int, rows: dict, count: int, positions: int):
+        self.low, self.rows, self.count, self.positions = low, rows, count, positions
 
 
-_EMPTY = _Level(None, {}, 0, 0)  # every empty level
+_EMPTY = _Level(0, {}, 0, 0)  # every empty level
 
 
 class GradedSemigroup:
     """Sub-semigroup of Z^d x N generated by finitely many (vector, degree).
 
     The levels are filled bottom-up, each level once, as the union of
-    S_{n-deg} + v over the generators (v, deg).  Two points of one level
-    differ by an element of L, the degree-zero part of the group the
-    generators span, so a level is stored as bitsets in the coordinates of
-    L's Hermite basis B (see ``_Level``): one int per value of the last
-    rank(L) - 1 coordinates, bit i standing for the first coordinate i.
-    Only a window of the last max(deg) levels is kept, so counting up to a
-    horizon needs memory for a few levels, not all of them.  ``level(n)``
-    reads the points of level n off the window as a frozenset of tuples,
-    and ``level_sizes`` streams the counts; a request ahead of the window
-    continues the fill, one below it restarts the fill from level 1.
-    Nothing is memoized: the library asks for each level once.
+    S_{n-deg} + v over the generators (v, deg).  The degree-first Hermite
+    basis of the group the generators span is a row (m, w), m the gcd of
+    the degrees, over a basis B of L, the group's degree-zero part.  So a
+    point of level n is (n/m) w + c . B for integer coordinates c, each
+    generator moves c by a vector solved once, and a level is stored as
+    bitsets in c (see ``_Level``).  Only a window of the last max(deg)
+    levels is kept, so counting up to a horizon needs memory for a few
+    levels, not all of them.  ``level(n)`` reads the points of level n off
+    the window as a frozenset of tuples, and ``level_sizes`` streams the
+    counts; a request ahead of the window continues the fill, one below it
+    restarts the fill from level 1.  Nothing is memoized: the library asks
+    for each level once.
 
     ``point_budget`` caps the window points, and the window's bitsets at 64
     positions per budgeted point; going over either raises ``MemoryError``.
-    Coordinates must stay below 2^63 in absolute value.  The object is not
+    Entries must be integers, as in ``hermite_basis``.  The object is not
     thread-safe.
     """
 
@@ -91,30 +92,33 @@ class GradedSemigroup:
                  point_budget: int = DEFAULT_POINT_BUDGET):
         self.point_dim = point_dim
         self.point_budget = point_budget
-        gens = []
+        rows = []
         for vec, deg in generators:
-            v = tuple(int(x) for x in vec)
-            if len(v) != point_dim:
+            rows.append((deg, *vec))
+            if len(rows[-1]) != point_dim + 1:
                 raise ValueError("generator point has wrong dimension")
             if deg < 0:
                 raise ValueError("negative degree")
-            gens.append((v, int(deg)))
-        self.generators = tuple(sorted(gens))
+        # degree first, so the first Hermite row is (m, w) once a degree is
+        # positive and the rows of degree 0 are the basis B of L
+        self._group = hermite_basis(rows, point_dim + 1)
+        self.generators = tuple(sorted((tuple(map(int, r[1:])), int(r[0])) for r in rows))
+        self._basis = tuple(row[1:] for row in self._group.basis if row[0] == 0)
+        # a generator's coordinates in the group basis, by a triangular
+        # solve on the echelon pivots; past (m, w) they are its move
+        # (first, rest) in B, with first = 0 when rank(L) = 0
+        group = self._group.basis
+        pivots = [next(i for i, x in enumerate(row) if x) for row in group]
         by_degree: dict[int, list[tuple]] = {}
         for v, deg in self.generators:
-            by_degree.setdefault(deg, []).append(v)
+            vec, coords = (deg,) + v, []
+            for row, p in zip(group, pivots):
+                coords.append(vec[p] // row[p])
+                vec = tuple(a - coords[-1] * b for a, b in zip(vec, row))
+            first, *rest = coords[len(group) - len(self._basis):] or [0]
+            by_degree.setdefault(deg, []).append((first, tuple(rest)))
         self._by_degree = sorted(by_degree.items())
         self._span = max([1, *by_degree])
-        bound = max((abs(x) for v, _ in self.generators for x in v), default=0)
-        # k * bound < 2^63 keeps every level-k coordinate in range
-        self._max_level = (2**63 - 1) // max(bound, 1)
-        # degree first: the rows below the first Hermite pivot have
-        # degree 0 and are the basis B of L
-        self._group = hermite_basis([(deg,) + v for v, deg in self.generators],
-                                    point_dim + 1)
-        self._basis = tuple(row[1:] for row in self._group.basis if row[0] == 0)
-        self._pivots = tuple(next(i for i, x in enumerate(row) if x)
-                             for row in self._basis)
         self._restart_fill()
 
     # -- basic structure ----------------------------------------------------
@@ -126,7 +130,7 @@ class GradedSemigroup:
 
     def level(self, n: int) -> frozenset:
         """The level set S_n as a frozenset of integer tuples."""
-        return self._points(self._fill(n)) if n > 0 else frozenset()
+        return self._points(n, self._fill(n)) if n > 0 else frozenset()
 
     def level_sizes(self, n_max: int) -> Iterator[tuple[int, int]]:
         """Yield (n, #S_n) for n = 1 .. n_max."""
@@ -141,7 +145,7 @@ class GradedSemigroup:
         # levels below 0 are empty
         origin_key = (0,) * max(len(self._basis) - 1, 0)
         self._window = [_EMPTY] * self._span
-        self._window[0] = _Level((0,) * self.point_dim, {origin_key: 1}, 1, 1)
+        self._window[0] = _Level(0, {origin_key: 1}, 1, 1)
         self._window_points = self._window_positions = 1
         self._top = 0
 
@@ -154,9 +158,6 @@ class GradedSemigroup:
         window, span = self._window, self._span
         while self._top < n:
             k = self._top + 1
-            if k > self._max_level:
-                raise ValueError(f"level {k}: generator coordinates could reach 2^63, "
-                                 "beyond the supported coordinate range")
             old = window[k % span]
             new = window[k % span] = self._next_level(k)
             self._window_points += new.count - old.count
@@ -168,28 +169,18 @@ class GradedSemigroup:
 
     def _next_level(self, k: int) -> _Level:
         """S_k as the union of the shifted source levels S_{k-deg} + v."""
-        window, span, basis = self._window, self._span, self._basis
+        window, span = self._window, self._span
         # (first coordinate, offset of the other coordinates, source level)
-        # of each translate's anchor, relative to the first translate's
+        # of each translate's bit 0
         parts = []
-        ref = None
-        for deg, vecs in self._by_degree:
+        for deg, moves in self._by_degree:
             prev = window[(k - deg) % span]
-            if not prev.count:
-                continue
-            for v in vecs:
-                start = tuple(map(add, prev.anchor, v))
-                if ref is None:
-                    ref = start
-                    coords = [0] * len(basis)
-                else:
-                    coords = self._coords(tuple(map(sub, start, ref)))
-                parts.append((coords[0] if coords else 0, tuple(coords[1:]), prev))
+            if prev.count:
+                parts += [(prev.low + first, rest, prev) for first, rest in moves]
         if not parts:
             return _EMPTY
-        low = min(first for first, _, _ in parts)
-        anchor = tuple(a + low * b for a, b in zip(ref, basis[0])) if low else ref
-        parts = [(first - low, offset, prev) for first, offset, prev in parts]
+        low = min(start for start, _, _ in parts)
+        parts = [(start - low, rest, prev) for start, rest, prev in parts]
         self._check_width(parts)
         rows: dict[tuple, int] = {}
         for shift, offset, prev in parts:
@@ -199,19 +190,8 @@ class GradedSemigroup:
                     key = tuple(map(add, key, offset))
                 rows[key] = rows.get(key, 0) | (mask << shift)
         masks = rows.values()
-        return _Level(anchor, rows, sum(map(int.bit_count, masks)),
+        return _Level(low, rows, sum(map(int.bit_count, masks)),
                       sum(map(int.bit_length, masks)))
-
-    def _coords(self, vec: tuple) -> list[int]:
-        """The coordinates of a vector of L in B: a triangular solve on the
-        echelon pivots, exact because vec lies in L."""
-        coords = []
-        for row, p in zip(self._basis, self._pivots):
-            c = vec[p] // row[p]
-            if c:
-                vec = tuple(a - c * b for a, b in zip(vec, row))
-            coords.append(c)
-        return coords
 
     def _check_width(self, parts: list) -> None:
         """Raise ``MemoryError`` before a fill that would leave the window
@@ -231,16 +211,16 @@ class GradedSemigroup:
         if held + sum(ends.values()) > limit:
             raise MemoryError("semigroup points exceed the point budget")
 
-    def _points(self, lvl: _Level) -> frozenset:
-        """The points of a fill level, read off the bits by a string scan."""
+    def _points(self, n: int, lvl: _Level) -> frozenset:
+        """The points of fill level n, read off the bits by a string scan."""
         if not lvl.count:
             return frozenset()
-        if not self._basis:
-            return frozenset([lvl.anchor])
-        first, others = self._basis[0], self._basis[1:]
+        m, *w = self._group.basis[0]  # a level has points: every degree is positive
+        first, *others = self._basis or [(0,) * self.point_dim]
+        start = tuple((n // m) * a + lvl.low * b for a, b in zip(w, first))
         out = []
         for key, mask in lvl.rows.items():
-            base = lvl.anchor
+            base = start
             for c, row in zip(key, others):
                 base = tuple(a + c * b for a, b in zip(base, row))
             bits = bin(mask)[:1:-1]  # bit i at index i
@@ -257,8 +237,7 @@ def _degree_index(s: GradedSemigroup) -> int:
         raise ValueError("invariants require at least one generator")
     if not s.strongly_nonnegative():
         raise ValueError("invariants require strictly positive degrees")
-    # in the degree-first Hermite basis of the group the first pivot is
-    # m = gcd of the degrees, and the rows below it are the fill's basis of L
+    # the first pivot of the degree-first Hermite basis of the group
     return s._group.basis[0][0]
 
 

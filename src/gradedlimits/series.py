@@ -60,6 +60,13 @@ class WeightedAmbient:
     nil_annihilates_base: bool = False
 
     def __post_init__(self):
+        # integers by the rule of ``hermite_basis``: an integral Fraction or
+        # float counts as one
+        given = tuple(self.weights)
+        ints = tuple(map(int, given))
+        if ints != given:
+            raise ValueError("weight is not an integer")
+        object.__setattr__(self, "weights", ints)
         if not self.weights or self.weights[0] != 1:
             raise ValueError("first weight must be 1")
         if any(w < 1 for w in self.weights):
@@ -145,6 +152,14 @@ class SeriesInvariants:
     horizon_dependent: bool
 
 
+def _horizon(requested: int | None, default: int, series: MonomialLinearSeries) -> int:
+    """``requested``, or ``default`` for None, capped at the series horizon;
+    an explicit horizon below 1 raises ``ValueError``."""
+    if requested is not None and requested < 1:
+        raise ValueError("horizon must be at least 1")
+    return min(default if requested is None else requested, series.horizon)
+
+
 def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
     """Kodaira-Iitaka dimension: rank of the lattice of (exponents, level)
     points of the non-nil monomials, minus one; -inf when none occur.
@@ -154,7 +169,7 @@ def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
     (their squares vanish).  Returns (kappa, horizon_dependent): the flag is
     set when the rank still grew in the final quarter of the horizon.
     """
-    horizon = min(horizon or series.horizon, series.horizon)
+    horizon = _horizon(horizon, series.horizon, series)
     basis: tuple = ()
     width = len(series.ambient.weights) + 1
     growth_marks: list[int] = []
@@ -178,7 +193,7 @@ def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
 def index_estimate(series: MonomialLinearSeries, n_max: int | None = None) -> int:
     """gcd of the levels with a nonzero space; monotone nonincreasing in the
     horizon, so an upper estimate of the true index."""
-    n_max = min(n_max or series.horizon, series.horizon)
+    n_max = _horizon(n_max, series.horizon, series)
     g = 0
     for n in range(1, n_max + 1):
         if series.dim(n):
@@ -194,7 +209,7 @@ def series_invariants(series: MonomialLinearSeries,
                       horizon: int | None = None) -> SeriesInvariants:
     # kappa scans whole level sets; a modest default horizon keeps the scan
     # cheap, and the horizon-dependence flag reports when it was too small
-    horizon = min(horizon or min(series.horizon, 64), series.horizon)
+    horizon = _horizon(horizon, 64, series)
     kappa, dependent = kodaira_iitaka(series, horizon)
     try:
         idx = index_estimate(series, horizon)
@@ -333,8 +348,8 @@ def make_tset(spec) -> Callable[[int], bool]:
 
 def full_weighted_series(weights: Iterable[int], horizon: int = 200) -> MonomialLinearSeries:
     """The full section model: every monomial of weighted degree n at level n."""
-    ws = tuple(int(w) for w in weights)
-    ambient = WeightedAmbient(ws)
+    ambient = WeightedAmbient(weights)
+    ws = ambient.weights
 
     def provider(n: int):
         return [Block((0,) * len(ws), False, len(ws), n)]
@@ -442,13 +457,14 @@ def sigma_growth_series(s, r: int, schedule: BlockSchedule | None = None,
     schedule = schedule or BlockSchedule.default(horizon)
     nil_only = s is None
     s_int = -1 if nil_only else int(s)
-    ws = tuple(int(w) for w in weights) if weights is not None else (1,) * (r + 1)
+    ambient = WeightedAmbient((1,) * (r + 1) if weights is None else weights,
+                              nil_degree=e)
+    ws = ambient.weights
     if len(ws) < r + 1:
         raise ValueError("need at least r+1 weights")
     if not nil_only and not 0 <= s_int <= r:
         raise ValueError("need 0 <= s <= r")
     f = math.lcm(*ws, e)
-    ambient = WeightedAmbient(ws, nil_degree=e)
     twist = 2 * f
     zeros = (0,) * (len(ws) - 1)
 

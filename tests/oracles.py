@@ -168,7 +168,8 @@ def polytope_contains(polytope: RationalPolytope, point: Sequence) -> bool:
 
 def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
     """I : J as the intersection of the colons by the generators of J."""
-    ideal._check(other)
+    if ideal.num_vars != other.num_vars:
+        raise ValueError("number of variables mismatch")
     if other.is_zero():
         return unit_ideal(ideal.num_vars)
     parts = [ideal.colon_monomial(u) for u in other.gens]
@@ -215,7 +216,8 @@ def saturation_quotient_bruteforce(ideal: MonomialIdeal) -> int:
 
 def symbolic_core_fixpoint(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:
     """Reference route: iterate the colon by J until it stabilizes."""
-    ideal._check(other)
+    if ideal.num_vars != other.num_vars:
+        raise ValueError("number of variables mismatch")
     current = ideal ** n
     while True:
         nxt = colon(current, other)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from fractions import Fraction
 from functools import reduce
 from math import comb
 
@@ -79,6 +80,14 @@ class TestArithmetic:
                 i.colon_monomial(u)
             else:
                 colon_monomial_infinity(i, u)
+
+    def test_non_integer_exponent_rejected(self):
+        # an integral Fraction counts as an integer; anything else is refused
+        assert MonomialIdeal(2, ((Fraction(2, 1), 0), (0, 2))).gens == ((0, 2), (2, 0))
+        with pytest.raises(ValueError, match="non-integer"):
+            MonomialIdeal(2, ((1.5, 0), (0, 2)))
+        with pytest.raises(ValueError, match="non-integer"):
+            ideal((2, 0), (1, 1)).colon_monomial((Fraction(1, 2), 0))
 
     def test_mismatched_vars(self):
         with pytest.raises(ValueError, match="variables"):

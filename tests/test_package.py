@@ -102,25 +102,47 @@ def test_families_and_series_do_not_import_semigroup():
     assert found == []
 
 
+def oracle_functions() -> dict[str, ast.FunctionDef]:
+    """The top-level functions of oracles.py by name."""
+    tree = ast.parse(ORACLES.read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def called_oracles(oracle_name: str) -> set[str]:
+    """``oracle_name`` and every oracles.py function its body names, followed
+    transitively."""
+    functions = oracle_functions()
+    reached, todo = set(), [oracle_name]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(functions[name])
+                     if isinstance(node, ast.Name) and node.id in functions]
+    return reached
+
+
 def reached_names(module: str, oracle_name: str, banned_calls: set) -> list[str]:
     """The private names of ``module`` that oracles.py imports, plus the
-    banned calls and the private names inside the oracle's body."""
+    banned calls and the private names inside the oracle's body and the
+    bodies of the oracles.py functions it calls."""
     tree = ast.parse(ORACLES.read_text())
     reached = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == module
                for alias in node.names if alias.name.startswith("_")]
-    oracle = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == oracle_name)
-    for node in ast.walk(oracle):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            if name in banned_calls:
-                reached.append(name)
-        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
-            reached.append(node.attr)
-        if isinstance(node, ast.Name) and node.id.startswith("_"):
-            reached.append(node.id)
+    functions = oracle_functions()
+    for name in sorted(called_oracles(oracle_name)):
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called in banned_calls:
+                    reached.append(called)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                reached.append(node.attr)
+            if (isinstance(node, ast.Name) and node.id.startswith("_")
+                    and node.id not in functions):
+                reached.append(node.id)
     return reached
 
 
@@ -170,6 +192,15 @@ def test_lattice_oracles_are_independent_of_lattice():
                      if name.startswith("gradedlimits.lattice.")}
     banned = lattice_names | {"hermite_basis", "convex_hull", "lattice_volume",
                               "saturate_lattice", "sublattice_index"}
-    for oracle in ("lattice_contains", "invariants_by_degree_kernel", "degree_zero_rows",
-                   "delaunay_volume", "maximal_minors", "leibniz_det"):
+    for oracle in ("lattice_contains", "invariants_by_degree_kernel"):
         assert reached_names("gradedlimits.lattice", oracle, banned) == [], oracle
+
+
+def test_oracle_walk_follows_helpers():
+    # the guards above see the helpers an oracle calls, through any depth
+    assert called_oracles("invariants_by_degree_kernel") == {
+        "invariants_by_degree_kernel", "degree_zero_rows", "delaunay_volume",
+        "maximal_minors", "leibniz_det"}
+    assert called_oracles("lattice_contains") == {"lattice_contains"}
+    assert called_oracles("saturation_quotient_bruteforce") == {
+        "saturation_quotient_bruteforce", "saturate_by_colon_fixpoint", "colon"}

@@ -125,14 +125,28 @@ class TestLevels:
         assert list(s.level_sizes(1)) == [(1, 200)]
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_packing_guard(self, sign):
-        # level k has coordinates up to k * 2^62, which reaches 2^63 at k = 2
+    def test_coordinates_past_two_to_63(self, sign):
+        # level k is k * w with w = (0, ±2^62): past 2^63 from k = 2 on
         s = GradedSemigroup(2, generators=[((0, sign * 2**62), 1)])
-        assert s.level(1) == {(0, sign * 2**62)}
-        with pytest.raises(ValueError, match="level 2"):
-            s.level(2)
-        with pytest.raises(ValueError, match="level 2"):
-            list(s.level_sizes(3))
+        for k in range(1, 5):
+            assert s.level(k) == {(0, sign * k * 2**62)}
+        assert list(s.level_sizes(4)) == [(k, 1) for k in range(1, 5)]
+
+    def test_mixed_signs_past_two_to_63(self):
+        # level k is {j * (2^62, -2^62) : j = -k, -k + 2, .., k}
+        big = 2**62
+        s = GradedSemigroup(2, generators=[((big, -big), 1), ((-big, big), 1)])
+        for k in range(1, 5):
+            assert s.level(k) == {(j * big, -j * big) for j in range(-k, k + 1, 2)}
+
+    def test_non_integer_input_rejected(self):
+        # an integral Fraction counts as an integer; anything else is refused
+        s = GradedSemigroup(1, generators=[((Fraction(2, 1),), 1), ((0,), Fraction(1))])
+        assert s.generators == (((0,), 1), ((2,), 1))
+        assert all(type(x) is int for v, deg in s.generators for x in (*v, deg))
+        for gens in ([((Fraction(1, 2),), 1), ((1,), 1)], [((0,), 1), ((1,), 1.5)]):
+            with pytest.raises(ValueError, match="non-integer"):
+                GradedSemigroup(1, generators=gens)
 
 
 def generator_lists(dim, coords=st.integers(-3, 3)):
@@ -192,6 +206,8 @@ class TestFillOracle:
         (2, [((-1, 2), 1), ((3, -1), 2), ((0, 1), 1)]),                   # L = Z(0, 1)
         (2, [((1, 2), 1), ((2, 4), 2)]),                                  # L = 0
         (3, [((0, 0, 0), 1), ((1, 0, 1), 1), ((0, 1, 1), 1), ((1, 1, 2), 2)]),  # a plane
+        (2, [((-3, 5), 2)]),                                              # a ray, L = 0
+        (2, [((-2, -1), 1), ((-1, -3), 2), ((-4, 0), 1), ((-5, -5), 3)]),  # negative entries
     ])
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)

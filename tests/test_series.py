@@ -103,6 +103,18 @@ class TestBuilders:
         s = full_weighted_series((1, 1), 50)
         assert dims(s, 10) == list(range(2, 12))
 
+    def test_non_integer_weights_rejected(self):
+        # an integral Fraction counts as an integer; anything else is refused
+        assert full_weighted_series((1, Fraction(2, 1)), 10).ambient.weights == (1, 2)
+        with pytest.raises(ValueError, match="weight is not an integer"):
+            full_weighted_series((1, 1.5))
+        with pytest.raises(ValueError, match="weight is not an integer"):
+            WeightedAmbient((1, Fraction(1, 2)))
+        assert sigma_growth_series(0, 1, SCHEDULE, weights=(1, Fraction(1)),
+                                   horizon=10).ambient.weights == (1, 1)
+        with pytest.raises(ValueError, match="weight is not an integer"):
+            sigma_growth_series(0, 1, SCHEDULE, weights=(1, Fraction(3, 2)), horizon=10)
+
     def test_nil_hyperplane_dims(self):
         s = nil_hyperplane_series(("mod", 3, (0,)), 2, 100)
         for n in range(1, 60):
@@ -270,6 +282,16 @@ class TestIndex:
         assert index_estimate(s, 5) == 4
         assert index_estimate(s, 10) == 2
         assert index_estimate(s, 5) % index_estimate(s, 10) == 0
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_explicit_horizon_below_one_rejected(self, horizon):
+        # only None means the default horizon; an explicit 0 is not swapped for it
+        s = full_weighted_series((1, 1), 50)
+        for scan in (kodaira_iitaka, index_estimate, series_invariants):
+            with pytest.raises(ValueError, match="horizon must be at least 1"):
+                scan(s, horizon)
+        assert series_invariants(s).horizon == 50
+        assert series_invariants(s, 1).horizon == 1
 
 
 class TestClosure:
