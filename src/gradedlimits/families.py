@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -21,13 +22,12 @@ from .monomial import (
     MonomialIdeal,
     NilPairIdeal,
     _degree_tuples,
+    _integer,
     check_stack_depth,
     madic_order,
-    max_ideal_power,
     minimal_generators,
     symbolic_core,
     unit_ideal,
-    unit_nilpair,
 )
 
 
@@ -71,19 +71,13 @@ class BlockSchedule:
     def _block(self, n: int) -> int:
         if n < 1 or n > self.limit:
             raise ValueError(f"schedule only covers 1..{self.limit}")
-        j = 0
-        for bp in self.breakpoints:
-            if bp <= n:
-                j += 1
-        return j
+        return bisect_right(self.breakpoints, n)
 
     def sigma(self, n: int) -> int:
         if n == 1:
             return 1
-        j = self._block(n)
-        if j == 0:
-            raise ValueError("sigma undefined below the first breakpoint")
-        return self.breakpoints[j - 1] // 2
+        # the first breakpoint is 2, so every n >= 2 lies in a block j >= 1
+        return self.breakpoints[self._block(n) - 1] // 2
 
     def sigma_capped(self, n: int) -> int:
         # capped at n - 1 so exponent bookkeeping stays nonnegative at n = 1
@@ -237,17 +231,15 @@ def valuation_family(weights: Sequence) -> GradedFamily:
 def _nilpair_family(name: str, dim: int, offset: Callable[[int], int],
                     schedule: BlockSchedule | None = None) -> GradedFamily:
     """Pairs (m^n, y*m^{n - offset(n)}) in the square-zero extension of
-    polynomial(dim).  Each pair's constructor tests membership, so a dim too
-    deep for the slice index is refused here, before any level is built."""
+    polynomial(dim).  Nothing here recurses, but a dim too deep for the slice
+    index is still refused before any level is built, as the CLI pins."""
+    dim = _integer(dim, "dim is not an integer")
     if dim < 1:
         raise ValueError(f"nilpotent-pair families need dim >= 1, got {dim}")
     check_stack_depth(dim)
 
     def provider(n: int) -> NilPairIdeal:
-        if n == 0:
-            return unit_nilpair(dim)
-        return NilPairIdeal(max_ideal_power(dim, n),
-                            max_ideal_power(dim, max(0, n - offset(n))))
+        return NilPairIdeal(dim, n, max(0, n - offset(n)) if n else 0)
 
     return GradedFamily(name=name, dim=dim, provider=provider, schedule=schedule)
 
@@ -282,6 +274,7 @@ def artin_tau_family(t: int, schedule: BlockSchedule | None = None) -> GradedFam
     and the containments I_a * I_b inside I_{a+b} are the same over k[y] as
     over the quotient.  The ring has dimension 0.
     """
+    t = _integer(t, "socle degree t is not an integer")
     if t < 1:
         raise ValueError("socle degree t must be positive")
     schedule = schedule or BlockSchedule.default()

@@ -17,6 +17,7 @@ the d = 2 closed form.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -32,12 +33,17 @@ if TYPE_CHECKING:
 Exponent = tuple  # ints, one per variable
 
 
+def _integer(value, message: str) -> int:
+    """``value`` as an int by the rule of ``hermite_basis``: an integral
+    Fraction or float counts as one; anything else raises ``message``."""
+    if not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(message)
+    return int(value)
+
+
 def _exponent(num_vars: int, g) -> Exponent:
     """g as a tuple of num_vars non-negative ints, else ValueError."""
-    given = tuple(g)
-    t = tuple(map(int, given))
-    if t != given:
-        raise ValueError("generator has a non-integer exponent")
+    t = tuple(_integer(e, "generator has a non-integer exponent") for e in g)
     if len(t) != num_vars:
         raise ValueError("generator has wrong number of variables")
     if any(e < 0 for e in t):
@@ -52,19 +58,23 @@ def minimal_generators(candidates) -> tuple[Exponent, ...]:
     kept exactly when its last exponent is strictly below that of every
     candidate before it.  In d >= 3 a candidate (p, t) is kept exactly when
     p is a generator of the slice at t of ``_slice_sweep`` and not of the
-    slice below it.  Input too deep for ``check_stack_depth`` is refused.
+    slice below it.  Input too deep for ``check_stack_depth`` is refused,
+    once, before the sweep recurses.
     """
     uniq = set(candidates)
-    if not uniq:
-        return ()
-    d = len(next(iter(uniq)))
-    if d in (1, 2):
+    if len(next(iter(uniq), ())) > 2:
+        check_stack_depth(len(next(iter(uniq))))
+    return _minimal(uniq)
+
+
+def _minimal(uniq: set) -> tuple[Exponent, ...]:
+    # minimal_generators without the depth check: the slice sweep recurses here
+    if len(next(iter(uniq), ())) <= 2:
         kept = []
         for g in sorted(uniq):
             if not kept or g[-1] < kept[-1][-1]:
                 kept.append(g)
         return tuple(kept)
-    check_stack_depth(d)
     kept, below = [], set()
     for t, gens in _slice_sweep(uniq):
         kept.extend(p + (t,) for p in gens if p not in below)
@@ -82,7 +92,7 @@ def _slice_sweep(gens):
         by_top.setdefault(g[-1], []).append(g[:-1])
     below: tuple[Exponent, ...] = ()
     for t in sorted(by_top):
-        below = minimal_generators(below + tuple(by_top[t]))
+        below = _minimal({*below, *by_top[t]})
         yield t, below
 
 
@@ -144,9 +154,6 @@ class MonomialIdeal:
         tops, slices = self._slices
         k = bisect_right(tops, m[-1]) - 1
         return k >= 0 and slices[k]._covers(m[:-1])
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return other.first_escape(self) is None
 
     def first_escape(self, target: "MonomialIdeal") -> str | None:
         """The first generator of self outside ``target``, described as
@@ -435,51 +442,54 @@ def saturation_quotient_colength(ideal: MonomialIdeal) -> int:
 
 @dataclass(frozen=True)
 class NilPairIdeal:
-    """Ideal (A, yB) of k[x_1..x_d, y]/(y^2) as a pair of monomial ideals.
+    """The ideal m^base + y*m^socle of k[x_1..x_d, y]/(y^2), m = (x_1..x_d).
 
-    A must be contained in B: multiplying A by y must land in yB for the
-    pair to be an ideal.
+    Both parts of the pair (A, yB) are powers of m, so it is two exponents;
+    ``max_ideal_power`` gives their generators.  yA must lie in yB for the
+    pair to be an ideal: 0 <= socle <= base.
     """
 
-    base: MonomialIdeal
-    socle: MonomialIdeal
+    num_vars: int
+    base: int
+    socle: int
 
     def __post_init__(self):
-        if self.base.num_vars != self.socle.num_vars:
-            raise ValueError("base and socle over different variable counts")
-        if not self.socle.contains_ideal(self.base):
-            raise ValueError("base must be contained in socle")
-
-    @property
-    def num_vars(self) -> int:
-        return self.base.num_vars
+        for field in ("num_vars", "base", "socle"):
+            value = _integer(getattr(self, field), f"{field} is not an integer")
+            object.__setattr__(self, field, value)
+        if self.num_vars < 1:
+            raise ValueError("need at least one variable")
+        if not 0 <= self.socle <= self.base:
+            raise ValueError("base must be contained in socle: need 0 <= socle <= base")
 
     def length(self) -> int:
-        """Colength in the square-zero extension ring."""
-        return colength(self.base) + colength(self.socle)
+        """Colength in the square-zero extension ring; m^n misses C(n+d-1, d)."""
+        d = self.num_vars
+        return math.comb(self.base + d - 1, d) + math.comb(self.socle + d - 1, d)
 
     def is_unit(self) -> bool:
         # the socle contains the base, so a unit base makes both units
-        return self.base.is_unit()
+        return self.base == 0
 
     def first_escape(self, target: "NilPairIdeal") -> str | None:
         """The first generator of self outside ``target``, base part first,
         described as ``"base monomial g"`` or ``"socle monomial g"``, or None
-        when self is inside ``target``."""
-        witness = self.base.first_escape(target.base)
-        if witness is not None:
-            return f"base {witness}"
-        witness = self.socle.first_escape(target.socle)
-        return None if witness is None else f"socle {witness}"
+        when self is inside ``target``.  m^e is inside m^f iff e >= f, and
+        the lex-first generator of m^e is (0, ..., 0, e)."""
+        if self.num_vars != target.num_vars:
+            raise ValueError("number of variables mismatch")
+        for part, mine, theirs in (("base", self.base, target.base),
+                                   ("socle", self.socle, target.socle)):
+            if mine < theirs:
+                return f"{part} monomial {(0,) * (self.num_vars - 1) + (mine,)}"
+        return None
 
     def __mul__(self, other: "NilPairIdeal") -> "NilPairIdeal":
-        return NilPairIdeal(self.base * other.base,
-                            self.base * other.socle + other.base * self.socle)
-
-
-def unit_nilpair(num_vars: int) -> NilPairIdeal:
-    u = unit_ideal(num_vars)
-    return NilPairIdeal(u, u)
+        """(m^a + y m^b)(m^a' + y m^b') = m^{a+a'} + y m^{min(a+b', a'+b)}."""
+        if self.num_vars != other.num_vars:
+            raise ValueError("number of variables mismatch")
+        return NilPairIdeal(self.num_vars, self.base + other.base,
+                            min(self.base + other.socle, other.base + self.socle))
 
 
 # ---------------------------------------------------------------------------

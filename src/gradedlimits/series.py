@@ -24,6 +24,7 @@ from typing import Callable, Collection, Iterable, NamedTuple
 
 from .families import BlockSchedule
 from .lattice import hermite_basis
+from .monomial import _integer
 
 NEG_INF = float("-inf")
 
@@ -60,13 +61,8 @@ class WeightedAmbient:
     nil_annihilates_base: bool = False
 
     def __post_init__(self):
-        # integers by the rule of ``hermite_basis``: an integral Fraction or
-        # float counts as one
-        given = tuple(self.weights)
-        ints = tuple(map(int, given))
-        if ints != given:
-            raise ValueError("weight is not an integer")
-        object.__setattr__(self, "weights", ints)
+        object.__setattr__(self, "weights",
+                           tuple(_integer(w, "weight is not an integer") for w in self.weights))
         if not self.weights or self.weights[0] != 1:
             raise ValueError("first weight must be 1")
         if any(w < 1 for w in self.weights):
@@ -456,7 +452,7 @@ def sigma_growth_series(s, r: int, schedule: BlockSchedule | None = None,
     """
     schedule = schedule or BlockSchedule.default(horizon)
     nil_only = s is None
-    s_int = -1 if nil_only else int(s)
+    s_int = -1 if nil_only else _integer(s, "s is not an integer")
     ambient = WeightedAmbient((1,) * (r + 1) if weights is None else weights,
                               nil_degree=e)
     ws = ambient.weights

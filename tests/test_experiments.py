@@ -30,7 +30,7 @@ from gradedlimits.series import (
     WeightedAmbient,
     sigma_growth_series,
 )
-from oracles import semigroup_limit_suite, smallest_converging_modulus, weighted_monomials
+from oracles import semigroup_limit_suite, smallest_converging_modulus
 
 SCHEDULE = BlockSchedule.default(210)
 
@@ -154,7 +154,7 @@ class TestVerdictSoundness:
 
         def provider(n):
             from gradedlimits.series import Block
-            out = [Block(e, False) for e in weighted_monomials((1, 1, 1), n)]
+            out = [Block((0, 0, 0), False, 3, n)]
             if SCHEDULE.tau(n):
                 out.append(Block((n - 1, 0, 0), True))
             return out

@@ -22,6 +22,7 @@ from gradedlimits.families import (
 )
 from gradedlimits.monomial import (
     MonomialIdeal,
+    NilPairIdeal,
     madic_order,
     max_ideal_power,
     minimal_generators,
@@ -144,9 +145,8 @@ class TestBuilders:
 
     def test_nilpair_sigma_level(self):
         f = nilpair_sigma_family(1, SCHEDULE)
-        pair = f.ideal(6)
-        assert pair.base == max_ideal_power(1, 6)
-        assert pair.socle == max_ideal_power(1, 3)
+        assert f.ideal(6) == NilPairIdeal(1, 6, 3)
+        assert f.ideal(0) == NilPairIdeal(1, 0, 0)
 
     def test_nilpair_lengths(self):
         f = nilpair_sigma_family(1, SCHEDULE)
@@ -166,16 +166,25 @@ class TestBuilders:
                                        corrupted_sigma_family])
     def test_nilpair_too_deep_refused_before_any_level(self, monkeypatch, build):
         # a dim whose slice index cannot fit on the stack is refused by the
-        # builder itself; no m^n of that dim (9M tuple slots at 3000) is made
+        # builder itself, before any level is built
         import gradedlimits.families as families
 
         def no_level(*args):
             raise AssertionError("a level was built")
 
-        monkeypatch.setattr(families, "max_ideal_power", no_level)
+        monkeypatch.setattr(families, "NilPairIdeal", no_level)
         for dim in (600, 3000):
             with pytest.raises(RecursionError, match="recursion depth"):
                 build(dim)
+
+    def test_builders_refuse_non_integer_parameters(self):
+        # an integral Fraction or float counts as an integer; anything else is refused
+        assert artin_tau_family(2.0, SCHEDULE).length(2) == 3
+        assert nilpair_sigma_family(Fraction(2), SCHEDULE).dim == 2
+        with pytest.raises(ValueError, match="is not an integer"):
+            artin_tau_family(1.5, SCHEDULE)
+        with pytest.raises(ValueError, match="is not an integer"):
+            nilpair_sigma_family(1.5, SCHEDULE)
 
     def test_artin_lengths(self):
         f = artin_tau_family(2, SCHEDULE)

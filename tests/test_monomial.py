@@ -22,7 +22,6 @@ from gradedlimits.monomial import (
     saturation_quotient_colength,
     symbolic_core,
     unit_ideal,
-    unit_nilpair,
 )
 from oracles import (
     colength_bruteforce,
@@ -214,9 +213,9 @@ class TestKernelOracles:
         shifted = MonomialIdeal(d, tuple(tuple(e + data.draw(st.integers(0, 2)) for e in g)
                                          for g in i.gens))
         for other in (j, shifted):
-            assert i.contains_ideal(other) == all(any(divides(g, h) for g in i.gens)
-                                                  for h in other.gens)
-        assert i.contains_ideal(shifted)
+            assert (other.first_escape(i) is None) == all(any(divides(g, h) for g in i.gens)
+                                                          for h in other.gens)
+        assert shifted.first_escape(i) is None
 
     @given(st.data(), st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
@@ -228,7 +227,6 @@ class TestKernelOracles:
         assert j.first_escape(i) == expected
         rejected = [g for g in j.gens if not i.contains(g)]
         assert expected == (f"monomial {rejected[0]}" if rejected else None)
-        assert i.contains_ideal(j) == (expected is None)
 
     def test_too_many_variables_for_the_stack(self):
         # membership alone would fit (one frame per variable), but the
@@ -241,6 +239,18 @@ class TestKernelOracles:
         with pytest.raises(RecursionError, match="too deep for the recursion depth"):
             max_ideal_power(d, 1).contains((0,) * d)
         assert unit_ideal(40).contains((0,) * 40)
+
+    def test_stack_checked_once_per_minimalization(self, monkeypatch):
+        # the slice sweep recurses once per variable without walking the stack again
+        import gradedlimits.monomial as monomial
+
+        calls = []
+        real = monomial.check_stack_depth
+        monkeypatch.setattr(monomial, "check_stack_depth",
+                            lambda d: calls.append(d) or real(d))
+        units = [tuple(int(i == j) for i in range(40)) for j in range(8)]
+        assert minimal_generators(units) == tuple(sorted(units))
+        assert calls == [40]
 
     @given(st.data(), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
@@ -277,7 +287,7 @@ class TestSaturation:
             i = MonomialIdeal(d, tuple(gens))
             s = i.saturate()
             assert s.saturate() == s
-            assert s.contains_ideal(i)
+            assert i.first_escape(s) is None
 
     def test_matches_colon_fixpoint(self):
         rng = random.Random(29)
@@ -351,7 +361,7 @@ class TestColength:
             d = rng.randint(1, 3)
             i = random_m_primary(rng, d)
             j = i + MonomialIdeal(d, (tuple(rng.randint(0, 5) for _ in range(d)),))
-            assert j.contains_ideal(i)
+            assert i.first_escape(j) is None
             assert colength(i) >= colength(j)
 
     def test_madic_order(self):
@@ -362,9 +372,9 @@ class TestColength:
         for _ in range(40):
             i = random_m_primary(rng, rng.randint(1, 3), emax=4)
             c = madic_order(i)
-            assert i.contains_ideal(max_ideal_power(i.num_vars, c))
+            assert max_ideal_power(i.num_vars, c).first_escape(i) is None
             if c:
-                assert not i.contains_ideal(max_ideal_power(i.num_vars, c - 1))
+                assert max_ideal_power(i.num_vars, c - 1).first_escape(i) is not None
 
     def test_max_standard_degree_bruteforce(self):
         rng = random.Random(43)
@@ -409,31 +419,44 @@ class TestSaturationQuotient:
 
 class TestNilPair:
     def test_lengths(self):
-        pair = NilPairIdeal(max_ideal_power(1, 2), max_ideal_power(1, 1))
+        pair = NilPairIdeal(1, 2, 1)
         assert pair.length() == 3
-        assert unit_nilpair(2).length() == 0
+        assert NilPairIdeal(2, 0, 0).length() == 0
 
     def test_containment_enforced(self):
         with pytest.raises(ValueError, match="contained"):
-            NilPairIdeal(max_ideal_power(1, 1), max_ideal_power(1, 2))
+            NilPairIdeal(1, 1, 2)
+        with pytest.raises(ValueError, match="contained"):
+            NilPairIdeal(1, 1, -1)
+        with pytest.raises(ValueError, match="at least one variable"):
+            NilPairIdeal(0, 1, 1)
+
+    def test_fields_are_integers(self):
+        # an integral Fraction or float counts as an integer; anything else is refused
+        pair = NilPairIdeal(Fraction(2), 3.0, 1)
+        assert pair == NilPairIdeal(2, 3, 1)
+        assert type(pair.num_vars) is int and type(pair.base) is int
+        for bad in ((1, 2.5, 1), (1, 2, Fraction(1, 2)), ("1", 2, 1), (None, 2, 1)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                NilPairIdeal(*bad)
 
     def test_product_exponents(self):
-        def pair(a, b):
-            return NilPairIdeal(max_ideal_power(1, a), max_ideal_power(1, b))
-
-        p = pair(3, 1) * pair(5, 4)
-        assert p.base == max_ideal_power(1, 8)
-        assert p.socle == max_ideal_power(1, min(3 + 4, 5 + 1))
+        p = NilPairIdeal(1, 3, 1) * NilPairIdeal(1, 5, 4)
+        assert p == NilPairIdeal(1, 8, min(3 + 4, 5 + 1))
+        with pytest.raises(ValueError, match="mismatch"):
+            NilPairIdeal(1, 1, 1) * NilPairIdeal(2, 1, 1)
 
     def test_first_escape_names_the_part(self):
         def pair(a, b):
-            return NilPairIdeal(max_ideal_power(1, a), max_ideal_power(1, b))
+            return NilPairIdeal(1, a, b)
 
         # both parts escape; the base is reported
         assert pair(1, 1).first_escape(pair(2, 2)) == "base monomial (1,)"
         assert pair(3, 1).first_escape(pair(3, 2)) == "socle monomial (1,)"
         assert pair(3, 2).first_escape(pair(2, 1)) is None
-        assert unit_nilpair(2).is_unit() and not pair(1, 0).is_unit()
+        assert NilPairIdeal(3, 4, 2).first_escape(NilPairIdeal(3, 4, 3)) == \
+            "socle monomial (0, 0, 2)"
+        assert NilPairIdeal(2, 0, 0).is_unit() and not pair(1, 0).is_unit()
 
     def test_associative(self):
         rng = random.Random(47)
@@ -441,10 +464,30 @@ class TestNilPair:
             pairs = []
             for _ in range(3):
                 a = rng.randint(1, 5)
-                pairs.append(NilPairIdeal(max_ideal_power(1, a),
-                                          max_ideal_power(1, rng.randint(0, a))))
+                pairs.append(NilPairIdeal(1, a, rng.randint(0, a)))
             x, y, z = pairs
             assert (x * y) * z == x * (y * z)
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_generator_arithmetic(self, d, data):
+        # each pair (m^a, y m^b) against its generator form on max_ideal_power
+        def draw_pair():
+            a = data.draw(st.integers(0, 8))
+            return NilPairIdeal(d, a, data.draw(st.integers(0, a)))
+
+        def gens(pair):
+            return max_ideal_power(d, pair.base), max_ideal_power(d, pair.socle)
+
+        p, q = draw_pair(), draw_pair()
+        (pa, pb), (qa, qb) = gens(p), gens(q)
+        assert p.length() == colength(pa) + colength(pb)
+        assert p.is_unit() == pa.is_unit()
+        assert gens(p * q) == (pa * qa, pa * qb + qa * pb)
+        base, socle = pa.first_escape(qa), pb.first_escape(qb)
+        expected = (f"base {base}" if base is not None
+                    else f"socle {socle}" if socle is not None else None)
+        assert p.first_escape(q) == expected
 
 
 class TestMultiplicity:

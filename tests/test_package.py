@@ -150,7 +150,7 @@ def test_colength_oracle_is_independent_of_the_kernel():
     # colength_bruteforce checks the staircase kernels, so it must not reach
     # them: no membership query, no colength, no private monomial helper
     assert reached_names("gradedlimits.monomial", "colength_bruteforce",
-                         {"contains", "contains_ideal", "colength"}) == []
+                         {"contains", "first_escape", "colength"}) == []
 
 
 def test_colon_oracle_is_independent_of_the_kernel():
@@ -165,7 +165,7 @@ def test_saturation_quotient_oracle_is_independent_of_the_kernel():
     # it must not reach the staircase kernels: no membership query, no
     # colength, no private monomial helper
     assert reached_names("gradedlimits.monomial", "saturation_quotient_bruteforce",
-                         {"contains", "contains_ideal", "colength",
+                         {"contains", "first_escape", "colength",
                           "saturation_quotient_colength"}) == []
 
 
@@ -174,7 +174,7 @@ def test_m_primary_oracle_is_independent_of_the_kernel():
     # must not reach it: no m-primary test, no membership query, no private
     # monomial helper
     assert reached_names("gradedlimits.monomial", "is_m_primary_by_support",
-                         {"is_m_primary", "contains", "contains_ideal"}) == []
+                         {"is_m_primary", "contains", "first_escape"}) == []
 
 
 def test_fill_oracle_is_independent_of_the_fill():
@@ -204,3 +204,17 @@ def test_oracle_walk_follows_helpers():
     assert called_oracles("lattice_contains") == {"lattice_contains"}
     assert called_oracles("saturation_quotient_bruteforce") == {
         "saturation_quotient_bruteforce", "saturate_by_colon_fixpoint", "colon"}
+
+
+def test_nilpair_is_its_exponents():
+    # NilPairIdeal is the closed form in two exponents, and the generator
+    # arithmetic on max_ideal_power is its oracle: its body names none of it
+    tree = ast.parse((PACKAGE / "monomial.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "NilPairIdeal")
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    named |= {node.value for node in ast.walk(body) if isinstance(node, ast.Constant)}
+    banned = {"MonomialIdeal", "max_ideal_power", "colength", "_degree_tuples",
+              "minimal_generators"}
+    assert named & banned == set()

@@ -115,6 +115,14 @@ class TestBuilders:
         with pytest.raises(ValueError, match="weight is not an integer"):
             sigma_growth_series(0, 1, SCHEDULE, weights=(1, Fraction(3, 2)), horizon=10)
 
+    def test_sigma_growth_refuses_non_integer_s(self):
+        # s = 0.5 must not build the s = 0 series through a truncation
+        exact = sigma_growth_series(Fraction(1), 1, SCHEDULE, horizon=20)
+        assert dims(exact, 5) == dims(sigma_growth_series(1, 1, SCHEDULE, horizon=20), 5)
+        for s in (0.5, Fraction(1, 2), "0"):
+            with pytest.raises(ValueError, match="s is not an integer"):
+                sigma_growth_series(s, 1, SCHEDULE, horizon=20)
+
     def test_nil_hyperplane_dims(self):
         s = nil_hyperplane_series(("mod", 3, (0,)), 2, 100)
         for n in range(1, 60):
