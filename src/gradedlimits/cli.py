@@ -64,9 +64,9 @@ def _row(**kw) -> dict:
     return row
 
 
-def _convergence_rows(args, spec: dict, seq, report, moduli: int) -> tuple[list[dict], bool]:
+def _convergence_rows(args, spec: dict, seq, report) -> tuple[list[dict], bool]:
     """Value, verdict and summary rows of a scaled sequence and its report,
-    and whether every verdict up to ``moduli`` matches the expectation."""
+    and whether every verdict matches the expectation."""
     rows = [_row(record="meta", detail=f"scaled={seq.normalization}")]
     for n, raw, scaled in seq.entries:
         rows.append(_row(record="value", n=n, raw=_ff(raw), scaled=_ff(scaled),
@@ -79,7 +79,7 @@ def _convergence_rows(args, spec: dict, seq, report, moduli: int) -> tuple[list[
                          limit=_ff(c.limit_estimate),
                          detail=f"points={c.points}"))
     expect = args.expect or _single(spec, "expect")
-    ok = expect is None or report.all_verdicts(expect, moduli)
+    ok = expect is None or report.all_verdicts(expect)
     rows.append(_row(record="summary", verdict="ok" if ok else "mismatch",
                      liminf=_ff(report.liminf_est), limsup=_ff(report.limsup_est),
                      detail=f"expect={expect or 'none'}"))
@@ -187,7 +187,7 @@ def _cmd_family(args) -> int:
     moduli = _resolve(args, spec, "moduli", 4)
     seq = length_sequence(family, horizon)
     report = convergence_report(seq, moduli, _resolve(args, spec, "tol", DEFAULT_TOL))
-    rows, ok = _convergence_rows(args, spec, seq, report, moduli)
+    rows, ok = _convergence_rows(args, spec, seq, report)
     return _emit(rows, ok, args, f"{Path(args.spec).stem}__family.csv")
 
 
@@ -206,7 +206,7 @@ def _cmd_series(args) -> int:
     rows = [_row(record="invariant",
                  detail=(f"kappa={kappa};index={inv.index_estimate};"
                          f"horizon_dependent={'yes' if inv.horizon_dependent else 'no'}"))]
-    more, ok = _convergence_rows(args, spec, seq, report, moduli)
+    more, ok = _convergence_rows(args, spec, seq, report)
     return _emit(rows + more, ok, args, f"{Path(args.spec).stem}__series.csv")
 
 
@@ -240,7 +240,7 @@ def _cmd_eps(args) -> int:
     moduli = _resolve(args, {}, "moduli", 4)
     tol = _resolve(args, {}, "tol", DEFAULT_TOL)
     report = epsilon_multiplicity_report(ideal, horizon, moduli, tol)
-    rows, ok = _convergence_rows(args, {}, report.sequence, report.convergence, moduli)
+    rows, ok = _convergence_rows(args, {}, report.sequence, report.convergence)
     return _emit(rows, ok, args, f"{Path(args.ideal).stem}__eps.csv")
 
 

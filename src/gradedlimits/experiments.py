@@ -154,9 +154,8 @@ class ConvergenceReport:
     def limsup_est(self) -> Fraction | None:
         return self.overall.limsup_est
 
-    def all_verdicts(self, expected: str, max_modulus: int | None = None) -> bool:
-        return all(c.verdict == expected for c in self.classes
-                   if max_modulus is None or c.modulus <= max_modulus)
+    def all_verdicts(self, expected: str) -> bool:
+        return all(c.verdict == expected for c in self.classes)
 
 
 def _mean(values: Sequence[Fraction]) -> Fraction:

@@ -266,11 +266,6 @@ class MonomialIdeal:
                  for g in self.gens for h in other.gens}
         return MonomialIdeal._canonical(self.num_vars, joins)
 
-    def colon_monomial(self, u) -> "MonomialIdeal":
-        u = _exponent(self.num_vars, u)
-        quots = {tuple(max(a - b, 0) for a, b in zip(g, u)) for g in self.gens}
-        return MonomialIdeal._canonical(self.num_vars, quots)
-
     def saturate(self) -> "MonomialIdeal":
         """Saturation with respect to the maximal ideal, I : m^infty.
 

@@ -7,9 +7,10 @@ is an exponent vector over the weighted variables plus a flag marking a
 factor of the square-zero generator.  Nil-flagged monomials multiply to zero
 with each other (and, in the annihilator model, with everything).
 
-Providers describe a level as a few ``Block``s, each a shifted set of all
-monomials of one weighted degree in the leading variables.  The degree and
-sign of a level are checked once per block, never per monomial.
+Providers describe a level as a few disjoint ``Block``s, each a shifted set
+of all monomials of one weighted degree in the leading variables.  The degree
+and sign of a level are checked once per block, never per monomial, and a
+level's dimension is the sum of its blocks' sizes.
 """
 
 from __future__ import annotations
@@ -67,8 +68,11 @@ class WeightedAmbient:
             raise ValueError("first weight must be 1")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be positive")
-        if self.nil_degree is not None and self.nil_degree < 1:
-            raise ValueError("nilpotent degree must be positive")
+        if self.nil_degree is not None:
+            object.__setattr__(self, "nil_degree", _integer(
+                self.nil_degree, "nilpotent degree is not an integer"))
+            if self.nil_degree < 1:
+                raise ValueError("nilpotent degree must be positive")
 
     def product_vanishes(self, nil_a: bool, nil_b: bool) -> bool:
         if nil_a and nil_b:
@@ -79,27 +83,23 @@ class WeightedAmbient:
 class MonomialLinearSeries:
     """Level-indexed monomial bases L_n; levels are built on each call.
 
-    ``provider(n)`` returns the level's blocks.  ``expected_dim`` is an
-    optional closed-form level dimension used by reports as an independent
-    cross-check; ``dim`` always counts the actual monomial set.
+    ``provider(n)`` returns the level's blocks, which must be disjoint: the
+    level is their union, and ``dim`` sums their sizes without expanding them.
     """
 
     def __init__(self, name: str, ambient: WeightedAmbient, twist: int,
                  provider: Callable[[int], Iterable[Block]],
-                 horizon: int,
-                 expected_dim: Callable[[int], int] | None = None,
-                 declared_kappa=None, natural_exponent: int = 0):
+                 horizon: int, natural_exponent: int = 0):
         self.name = name
         self.ambient = ambient
         self.twist = twist
         self.horizon = horizon
-        self.expected_dim = expected_dim
-        self.declared_kappa = declared_kappa
         self.natural_exponent = natural_exponent
         self._provider = provider
 
     def blocks(self, n: int) -> list[Block]:
-        """The provider's blocks of level n, each checked for sign and degree."""
+        """The provider's blocks of level n, each checked for integrality, sign,
+        degree and at least one monomial, and all checked to be disjoint."""
         if n < 0:
             raise ValueError("negative level")
         if n > self.horizon:
@@ -107,12 +107,14 @@ class MonomialLinearSeries:
         weights = self.ambient.weights
         out = []
         for shift, nil, free, degree in self._provider(n):
-            shift, nil = tuple(int(e) for e in shift), bool(nil)
+            shift = tuple(_integer(e, f"level {n} shift {shift} is not integral") for e in shift)
             if len(shift) != len(weights) or not 0 <= free <= len(weights):
                 raise ValueError(f"level {n} block {shift} does not fit the "
                                  f"{len(weights)} weighted variables")
             if any(e < 0 for e in shift):
                 raise ValueError(f"level {n} monomial {shift} has a negative exponent")
+            if degree < 0 or (degree and not free):
+                raise ValueError(f"level {n} block {shift} holds no monomial")
             deg = sum(w * e for w, e in zip(weights, shift)) + degree
             if nil:
                 if self.ambient.nil_degree is None:
@@ -122,7 +124,8 @@ class MonomialLinearSeries:
             if deg != self.twist * n:
                 raise ValueError(f"level {n} monomial {shift} has degree {deg}, "
                                  f"expected {self.twist * n}")
-            out.append(Block(shift, nil, free, degree))
+            out.append(Block(shift, bool(nil), free, degree))
+        _check_disjoint(n, out, weights)
         return out
 
     def _rows(self, n: int):
@@ -137,7 +140,35 @@ class MonomialLinearSeries:
         return frozenset(m for row, nil in self._rows(n) for m in zip(row, repeat(nil)))
 
     def dim(self, n: int) -> int:
-        return len(self.level(n))
+        return sum(count_weighted_monomials(self.ambient.weights[:b.free], b.degree)
+                   for b in self.blocks(n))
+
+
+def _check_disjoint(n: int, blocks: list[Block], weights: tuple[int, ...]) -> None:
+    """Raise ValueError naming level n and two of its blocks that overlap.
+
+    Points overlap only when equal.  Blocks a and b, ``a.free <= b.free``,
+    meet when their shifts agree past ``b.free``, a's reaches b's up to it,
+    and the least monomial both allow fits a's degree: the rest goes to z_0,
+    of weight 1, and the level's one degree puts that monomial in b too.
+    """
+    points, spans = set(), []
+    for block in blocks:
+        if block.free:
+            spans.append(block)
+        elif block in points:
+            raise ValueError(f"level {n} blocks {block} and {block} overlap")
+        else:
+            points.add(block)
+    for i, span in enumerate(spans):
+        for other in [*spans[:i], *points]:
+            a, b = sorted((other, span), key=lambda blk: blk.free)
+            lo, hi = a.free, b.free
+            if (a.nil == b.nil and a.shift[hi:] == b.shift[hi:]
+                    and all(x >= y for x, y in zip(a.shift[lo:hi], b.shift[lo:hi]))
+                    and sum(w * max(y - x, 0) for w, x, y
+                            in zip(weights[:lo], a.shift, b.shift)) <= a.degree):
+                raise ValueError(f"level {n} blocks {other} and {span} overlap")
 
 
 @dataclass(frozen=True)
@@ -217,7 +248,8 @@ def series_invariants(series: MonomialLinearSeries,
 def closure_violations(series: MonomialLinearSeries,
                        horizon: int) -> list[tuple[int, int, str]]:
     """Check L_a * L_b inside L_{a+b} on a deterministic sample of monomial
-    pairs (up to PAIR_CAP per level pair; exhaustive when small).
+    pairs (up to PAIR_CAP per level pair; exhaustive when small), taken in
+    the sorted order of each level's keys, distinct because blocks are.
 
     Each monomial is tested as the packed int ``2 * sum(e_i * K**(d-1-i)) +
     nil``.  Every exponent of a level n <= horizon is at most twist * n
@@ -249,11 +281,7 @@ def closure_violations(series: MonomialLinearSeries,
             keys.extend([sum(map(mul, exps, place)) + nil for exps in row])
         levels[n] = frozenset(keys)
         if n < horizon:
-            if len(keys) == len(levels[n]):
-                keys.sort()  # a few sorted runs, one per block
-            else:
-                keys = sorted(levels[n])  # overlapping blocks
-            ordered[n] = keys
+            ordered[n] = sorted(keys)
     for total in range(2, horizon + 1):
         for a in range(1, total // 2 + 1):
             b = total - a
@@ -330,10 +358,11 @@ def make_tset(spec) -> Callable[[int], bool]:
         return spec
     if isinstance(spec, tuple) and spec and spec[0] == "mod":
         _, r, residues = spec
-        rs = frozenset(int(x) % r for x in residues)
+        rs = frozenset(_integer(x, "level-set residue is not an integer") % r
+                       for x in residues)
         return lambda n: (n % r) in rs
     if isinstance(spec, Collection):
-        members = frozenset(int(x) for x in spec)
+        members = frozenset(_integer(x, "level-set member is not an integer") for x in spec)
         return lambda n: n in members
     raise ValueError("unrecognized level-set specification")
 
@@ -351,8 +380,6 @@ def full_weighted_series(weights: Iterable[int], horizon: int = 200) -> Monomial
         return [Block((0,) * len(ws), False, len(ws), n)]
 
     return MonomialLinearSeries("full", ambient, 1, provider, horizon,
-                                expected_dim=lambda n: count_weighted_monomials(ws, n),
-                                declared_kappa=len(ws) - 1,
                                 natural_exponent=len(ws) - 1)
 
 
@@ -376,11 +403,7 @@ def nil_hyperplane_series(tset, dim: int = 2, horizon: int = 200) -> MonomialLin
             return []
         return [Block((n - 1,) + (0,) * (dim - 1), True, dim, n)]
 
-    def expected(n: int) -> int:
-        return math.comb(n + dim - 1, dim - 1) if member(n) else 0
-
     return MonomialLinearSeries("nil_hyperplane", ambient, 2, provider, horizon,
-                                expected_dim=expected, declared_kappa=NEG_INF,
                                 natural_exponent=dim - 1)
 
 
@@ -423,17 +446,13 @@ def log_nil_series(tset, horizon: int = 200) -> MonomialLinearSeries:
     member = make_tset(tset)
     ambient = WeightedAmbient((1, 1), nil_degree=1)
 
-    def lam(n: int) -> int:
-        return ceil_log(n) if member(n) else ceil_log(n, 2)
-
     def provider(n: int):
         if n == 0:
             return [Block((0, 0), False)]
-        return [Block((n - k, k - 1), True) for k in range(1, lam(n) + 1)]
+        lam = ceil_log(n) if member(n) else ceil_log(n, 2)
+        return [Block((n - k, k - 1), True) for k in range(1, lam + 1)]
 
-    return MonomialLinearSeries("log_nil", ambient, 1, provider, horizon,
-                                expected_dim=lam, declared_kappa=NEG_INF,
-                                natural_exponent=0)
+    return MonomialLinearSeries("log_nil", ambient, 1, provider, horizon)
 
 
 def sigma_growth_series(s, r: int, schedule: BlockSchedule | None = None,
@@ -473,15 +492,8 @@ def sigma_growth_series(s, r: int, schedule: BlockSchedule | None = None,
             return [nil_part]
         return [Block((n * f,) + zeros, False, s_int + 1, n * f), nil_part]
 
-    def expected(n: int) -> int:
-        sig = schedule.sigma_capped(n)
-        low = 0 if nil_only else count_weighted_monomials(ws[:s_int + 1], n * f)
-        return low + count_weighted_monomials(ws[:r + 1], (n + sig) * f)
-
-    kappa = NEG_INF if nil_only else s_int
     return MonomialLinearSeries("sigma_growth", ambient, twist, provider,
-                                horizon, expected_dim=expected,
-                                declared_kappa=kappa, natural_exponent=r)
+                                horizon, natural_exponent=r)
 
 
 def tau_pulse_series(schedule: BlockSchedule | None = None, e: int = 1,
@@ -506,12 +518,7 @@ def tau_pulse_series(schedule: BlockSchedule | None = None, e: int = 1,
             out.append(Block((n * deg - e,), True))
         return out
 
-    def expected(n: int) -> int:
-        return 1 + schedule.tau(n)
-
-    return MonomialLinearSeries("tau_pulse", ambient, deg, provider, horizon,
-                                expected_dim=expected, declared_kappa=0,
-                                natural_exponent=0)
+    return MonomialLinearSeries("tau_pulse", ambient, deg, provider, horizon)
 
 
 def artin_tau_series(t: int, schedule: BlockSchedule | None = None,
@@ -538,11 +545,5 @@ def artin_tau_series(t: int, schedule: BlockSchedule | None = None,
             out.append(Block((n - 1,), True))
         return out
 
-    def expected(n: int) -> int:
-        return (1 if with_unit else 0) + (1 - schedule.tau(n))
-
     return MonomialLinearSeries("artin_tau_unit" if with_unit else "artin_tau",
-                                ambient, 1, provider, horizon,
-                                expected_dim=expected,
-                                declared_kappa=0 if with_unit else NEG_INF,
-                                natural_exponent=0)
+                                ambient, 1, provider, horizon)

@@ -13,6 +13,8 @@ normal form, Leibniz determinants and a scipy Delaunay triangulation.
 convex hull; ``check_level_containments`` tests the graded axiom on level
 point sets, and
 ``empirical_limit`` lists the scaled level counts of a semigroup.
+``monomial_colon`` and ``colon`` are the colons by a monomial and by an
+ideal that the fixpoint oracles iterate.
 ``closure_violations_by_tuples`` is the series closure check on (exponents,
 nil) tuples, the reference for the packed-int check; ``block_monomials`` and
 ``weighted_monomials`` flatten the row-wise block expansion for the tests.
@@ -166,13 +168,21 @@ def polytope_contains(polytope: RationalPolytope, point: Sequence) -> bool:
     return merged.vertices == polytope.vertices
 
 
+def monomial_colon(ideal: MonomialIdeal, u: Sequence[int]) -> MonomialIdeal:
+    """I : u, generated by max(g - u, 0) over the generators g of I; u is
+    checked as a generator would be."""
+    u = MonomialIdeal(ideal.num_vars, (u,)).gens[0]
+    return MonomialIdeal(ideal.num_vars,
+                         tuple(tuple(max(a - b, 0) for a, b in zip(g, u)) for g in ideal.gens))
+
+
 def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
     """I : J as the intersection of the colons by the generators of J."""
     if ideal.num_vars != other.num_vars:
         raise ValueError("number of variables mismatch")
     if other.is_zero():
         return unit_ideal(ideal.num_vars)
-    parts = [ideal.colon_monomial(u) for u in other.gens]
+    parts = [monomial_colon(ideal, u) for u in other.gens]
     return reduce(lambda a, b: a.intersect(b), parts)
 
 

@@ -226,8 +226,11 @@ def test_c10_sigma_series_dimension_formula():
     for s, r in ((0, 1), (1, 2), (None, 1)):
         series = sigma_growth_series(s, r, SCHEDULE, horizon=210)
         dims_list = [series.dim(n) for n in range(1, 211)]
-        expected = [series.expected_dim(n) for n in range(1, 211)]
-        if dims_list != expected:
+        # C(n+s, s) reduced monomials and C(n+sigma+r, r) nil ones
+        expected = [(0 if s is None else comb(n + s, s))
+                    + comb(n + SCHEDULE.sigma_capped(n) + r, r) for n in range(1, 211)]
+        enumerated = [len(series.level(n)) for n in range(1, 211)]
+        if not dims_list == enumerated == expected:
             failures.append(f"({s},{r}): dims deviate from the two-part count")
         entries = tuple((n, Fraction(v), Fraction(v, n ** r))
                         for n, v in enumerate(dims_list, 1))

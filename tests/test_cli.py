@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedlimits import cli
 from gradedlimits.cli import main
+from gradedlimits.series import MonomialLinearSeries
 
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "specs"
@@ -114,6 +115,18 @@ class TestArgumentEdges:
         monkeypatch.setattr(cli, "build_semigroup", small_budget)
         self.assert_usage_error(capsys, "semigroup", SPECS / "semigroup_halfstep.spec",
                                 "--out", tmp_path / "o.csv", match="point budget")
+
+    def test_overlapping_series_blocks(self, capsys, monkeypatch, tmp_path):
+        build = cli.build_series
+
+        def repeated_block(spec, horizon):
+            s = build(spec, horizon)
+            return MonomialLinearSeries(s.name, s.ambient, s.twist,
+                                        lambda n: s.blocks(n) + s.blocks(n)[-1:], s.horizon)
+
+        monkeypatch.setattr(cli, "build_series", repeated_block)
+        self.assert_usage_error(capsys, "series", SPECS / "series_sigma_s0r1.spec",
+                                "--out", tmp_path / "o.csv", match="overlap")
 
     def test_width_guard(self, capsys, tmp_path):
         # level 1 spans 10^9 + 1 lattice positions: past the default budget

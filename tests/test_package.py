@@ -154,19 +154,19 @@ def test_colength_oracle_is_independent_of_the_kernel():
 
 
 def test_colon_oracle_is_independent_of_the_kernel():
-    # colon_bruteforce checks colon_monomial, so it must not reach it: no
+    # colon_bruteforce checks monomial_colon, so it must not reach it: no
     # colon, no membership query, no private monomial helper
     assert reached_names("gradedlimits.monomial", "colon_bruteforce",
-                         {"colon", "colon_monomial", "contains"}) == []
+                         {"colon", "monomial_colon", "colon_monomial", "contains"}) == []
 
 
 def test_saturation_quotient_oracle_is_independent_of_the_kernel():
     # saturation_quotient_bruteforce checks saturation_quotient_colength, so
     # it must not reach the staircase kernels: no membership query, no
-    # colength, no private monomial helper
+    # colength, no library colon, no private monomial helper
     assert reached_names("gradedlimits.monomial", "saturation_quotient_bruteforce",
                          {"contains", "first_escape", "colength",
-                          "saturation_quotient_colength"}) == []
+                          "saturation_quotient_colength", "colon_monomial"}) == []
 
 
 def test_m_primary_oracle_is_independent_of_the_kernel():
@@ -203,7 +203,8 @@ def test_oracle_walk_follows_helpers():
         "maximal_minors", "leibniz_det"}
     assert called_oracles("lattice_contains") == {"lattice_contains"}
     assert called_oracles("saturation_quotient_bruteforce") == {
-        "saturation_quotient_bruteforce", "saturate_by_colon_fixpoint", "colon"}
+        "saturation_quotient_bruteforce", "saturate_by_colon_fixpoint", "colon",
+        "monomial_colon"}
 
 
 def test_nilpair_is_its_exponents():
@@ -218,3 +219,16 @@ def test_nilpair_is_its_exponents():
     banned = {"MonomialIdeal", "max_ideal_power", "colength", "_degree_tuples",
               "minimal_generators"}
     assert named & banned == set()
+
+
+def test_series_dim_counts_blocks():
+    # dim sums closed-form block counts; c10 and the series tests compare it
+    # with the expanded level, so its body names none of the expansion
+    tree = ast.parse((PACKAGE / "series.py").read_text())
+    series = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "MonomialLinearSeries")
+    body = next(node for node in series.body
+                if isinstance(node, ast.FunctionDef) and node.name == "dim")
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert named & {"level", "_rows", "_block_rows"} == set()

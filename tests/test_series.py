@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from gradedlimits.series import (
     index_estimate,
     kodaira_iitaka,
     log_nil_series,
+    make_tset,
     nil_hyperplane_series,
     series_invariants,
     sigma_growth_series,
@@ -48,9 +50,23 @@ def veronese(series: MonomialLinearSeries, e: int) -> MonomialLinearSeries:
         twist=series.twist * e,
         provider=lambda n: series.blocks(e * n),
         horizon=series.horizon // e,
-        expected_dim=(lambda n: series.expected_dim(e * n)) if series.expected_dim else None,
-        declared_kappa=series.declared_kappa,
         natural_exponent=series.natural_exponent)
+
+
+def members(weights, block: Block) -> list[tuple]:
+    """The exponent vectors of one block, by the row-wise expansion."""
+    return block_monomials(weights, block.shift, block.free, block.degree)
+
+
+def drawn_block(data, weights, n: int, nil: bool) -> Block:
+    """A block of level n of a twist-1 series with a degree-1 square-zero
+    generator: a monomial of the level with its first ``free`` exponents
+    lowered, the degree lowered becoming the block's degree."""
+    free = data.draw(st.integers(0, len(weights)))
+    top = data.draw(st.sampled_from(weighted_monomials(weights, n - nil)))
+    low = [data.draw(st.integers(0, e)) for e in top[:free]]
+    shift = tuple(e - x for e, x in zip(top, low)) + top[free:]
+    return Block(shift, nil, free, sum(w * x for w, x in zip(weights, low)))
 
 
 def series_levels(series: MonomialLinearSeries, n_max: int) -> tuple[dict, bool]:
@@ -140,13 +156,16 @@ class TestBuilders:
         s = sigma_growth_series(0, 1, SCHEDULE, horizon=210)
         for n in range(1, 211):
             sig = SCHEDULE.sigma_capped(n)
-            assert s.dim(n) == 1 + (n + sig + 1)
-            assert s.dim(n) == s.expected_dim(n)
+            assert len(s.level(n)) == s.dim(n) == 1 + (n + sig + 1)
 
     def test_sigma_series_levels_are_weighted_correct(self):
+        # f = lcm(1, 1, 2, 3) = 6: the reduced part is the 6n + 1 monomials of
+        # degree 6n in z_0, z_1; the nil part has weighted degree 2k,
+        # k = 3(n + sigma), in weights (1, 1, 2), which (k + 1)^2 monomials have
         s = sigma_growth_series(1, 2, SCHEDULE, weights=(1, 1, 2), e=3, horizon=30)
         for n in (1, 2, 9, 30):
-            assert s.dim(n) == s.expected_dim(n)
+            k = 3 * (n + SCHEDULE.sigma_capped(n))
+            assert len(s.level(n)) == s.dim(n) == 6 * n + 1 + (k + 1) ** 2
 
     def test_tau_pulse_dims(self):
         s = tau_pulse_series(SCHEDULE, horizon=210)
@@ -161,6 +180,11 @@ class TestBuilders:
         for n in range(1, 211):
             assert unit.dim(n) == bare.dim(n) + 1
             assert bare.dim(n) in (0, 1)
+
+    def test_dim_is_the_expanded_level_size(self):
+        for s in all_builders(40):
+            for n in range(41):
+                assert s.dim(n) == len(s.level(n)), (s.name, n)
 
     def test_degree_consistency_is_enforced(self):
         ambient = WeightedAmbient((1, 1))
@@ -197,6 +221,40 @@ class TestBlocks:
             for n in range(21):
                 check_level_degrees(v, n, v.level(n))
 
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_overlap_rule_matches_enumeration(self, data, d):
+        # blocks refuses a pair exactly when the expanded blocks meet
+        weights = (1,) + data.draw(st.tuples(*[st.integers(1, 3)] * (d - 1)))
+        n = data.draw(st.integers(1, 6))
+        pair = [drawn_block(data, weights, n, data.draw(st.booleans())) for _ in range(2)]
+        a, b = pair
+        series = MonomialLinearSeries("pair", WeightedAmbient(weights, 1), 1,
+                                      lambda m: pair, n)
+        if a.nil == b.nil and not set(members(weights, a)).isdisjoint(members(weights, b)):
+            first, second = re.escape(str(a)), re.escape(str(b))
+            named = f"({first} and {second}|{second} and {first})"
+            with pytest.raises(ValueError, match=f"level {n} blocks {named} overlap"):
+                series.blocks(n)
+        else:
+            assert series.blocks(n) == pair
+
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_dim_counts_disjoint_blocks(self, data, d):
+        weights = (1,) + data.draw(st.tuples(*[st.integers(1, 3)] * (d - 1)))
+        n = data.draw(st.integers(1, 6))
+        kept, covered = [], set()
+        for _ in range(data.draw(st.integers(1, 8))):
+            block = drawn_block(data, weights, n, data.draw(st.booleans()))
+            monomials = {(e, block.nil) for e in members(weights, block)}
+            if covered.isdisjoint(monomials):
+                kept.append(block)
+                covered |= monomials
+        series = MonomialLinearSeries("disjoint", WeightedAmbient(weights, 1), 1,
+                                      lambda m: kept, n)
+        assert series.dim(n) == len(series.level(n)) == len(covered)
+
     def test_malformed_blocks_are_rejected(self):
         # the degree adds up, but the block holds a negative exponent
         ambient = WeightedAmbient((1, 1))
@@ -212,6 +270,12 @@ class TestBlocks:
                                        lambda n: [Block((n, 0), True)], 10)
         with pytest.raises(ValueError, match="square-zero"):
             reduced.level(1)
+        # the degree adds up, but a point of positive degree or a block of
+        # negative degree holds no monomial
+        for empty in (Block((0, 0), False, 0, 1), Block((2, 0), False, 2, -1)):
+            series = MonomialLinearSeries("empty", ambient, 1, lambda n: [empty], 10)
+            with pytest.raises(ValueError, match="holds no monomial"):
+                series.dim(1)
 
     def test_block_degree_is_checked(self):
         ambient = WeightedAmbient((1, 2))
@@ -222,6 +286,36 @@ class TestBlocks:
                                    lambda n: [Block((n, 0), False, 2, n + 1)], 10)
         with pytest.raises(ValueError, match="degree"):
             bad.level(2)
+
+
+class TestIntegerInput:
+    """Series input accepts an integral Fraction and refuses a non-integer."""
+
+    def test_block_shift(self):
+        def shifted(x):
+            return MonomialLinearSeries("shifted", WeightedAmbient((1, 1)), 1,
+                                        lambda n: [Block((n + x, 0), False)], 5)
+
+        assert shifted(Fraction(0)).level(2) == {((2, 0), False)}
+        with pytest.raises(ValueError, match="shift .* is not integral"):
+            shifted(0.5).level(2)
+
+    def test_level_set_residue(self):
+        member = make_tset(("mod", 3, (Fraction(3),)))
+        assert [n for n in range(7) if member(n)] == [0, 3, 6]
+        with pytest.raises(ValueError, match="residue is not an integer"):
+            make_tset(("mod", 3, (0.5,)))
+
+    def test_level_set_member(self):
+        member = make_tset({Fraction(3), 1})
+        assert [n for n in range(5) if member(n)] == [1, 3]
+        with pytest.raises(ValueError, match="member is not an integer"):
+            make_tset({1.7, 3})
+
+    def test_nil_degree(self):
+        assert WeightedAmbient((1,), nil_degree=Fraction(2)).nil_degree == 2
+        with pytest.raises(ValueError, match="nilpotent degree is not an integer"):
+            WeightedAmbient((1,), nil_degree=1.5)
 
 
 class TestKappa:
@@ -247,8 +341,9 @@ class TestKappa:
             assert kodaira_iitaka(v, 30)[0] == kappa
 
     def test_matches_declared(self):
-        for s in all_builders(60):
-            assert kodaira_iitaka(s, 60)[0] == s.declared_kappa
+        # the dimension each construction of ``all_builders`` is built to have
+        declared = [1, 2, NEG_INF, NEG_INF, 0, 1, NEG_INF, 0, NEG_INF, 0]
+        assert [kodaira_iitaka(s, 60)[0] for s in all_builders(60)] == declared
 
     def test_late_rank_growth_flags_horizon(self):
         # z_0^n alone up to level 29; z_0^(n-1) z_1 joins from level 30 on
@@ -346,8 +441,7 @@ class TestClosure:
     @pytest.mark.parametrize("shuffle", [
         lambda mons: mons[::-1],
         lambda mons: mons[1::2] + mons[::2],
-        lambda mons: mons[::-1] + mons[:3],  # overlapping points
-    ], ids=["reversed", "interleaved", "repeated"])
+    ], ids=["reversed", "interleaved"])
     def test_witnesses_do_not_depend_on_provider_order(self, shuffle):
         # the sampled pairs follow the sorted level, whatever order the
         # provider lists its blocks in
@@ -370,11 +464,27 @@ class TestClosure:
             (6, 6, "((2, 2, 2), False) * ((4, 2, 0), False) escapes level 12"),
         ]
 
+    def test_repeated_monomial_is_refused(self):
+        # a level lists each monomial once: a repeated point is an overlap
+        def provider(n):
+            mons = [Block((a, b, n - a - b), False)
+                    for a in range(n + 1) for b in range(n - a + 1)]
+            return mons[::-1] + mons[:3]
+
+        repeated = MonomialLinearSeries("repeated", WeightedAmbient((1, 1, 1)), 1,
+                                        provider, 12)
+        point = Block((0, 0, 1), False)
+        message = re.escape(f"level 1 blocks {point} and {point} overlap")
+        with pytest.raises(ValueError, match=message):
+            closure_violations(repeated, 12)
+        with pytest.raises(ValueError, match=message):
+            repeated.dim(1)
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_packed_check_matches_tuple_oracle(self, data):
-        # full, nil and shifted blocks, an overlapping point and one dropped
-        # monomial, in the reduced, square-zero and annihilator models
+        # full, nil and shifted blocks, points and one dropped monomial, in
+        # the reduced, square-zero and annihilator models
         d = data.draw(st.integers(1, 3))
         weights = (1,) + data.draw(st.tuples(*[st.integers(1, 3)] * (d - 1)))
         nil_degree = data.draw(st.none() | st.integers(1, 3))
@@ -382,24 +492,28 @@ class TestClosure:
         twist = data.draw(st.integers(1, 3))
         horizon = data.draw(st.integers(2, 8))
         shift = data.draw(st.tuples(*[st.integers(0, 3)] * d))
-        free = data.draw(st.integers(0, d))
-        overlap = data.draw(st.booleans())
+        free = data.draw(st.integers(1, d))
+        shifted = data.draw(st.booleans())
         dropped_level = data.draw(st.integers(0, horizon))
         dropped_index = data.draw(st.integers(0, 200))
 
         def provider(n):
             deg = twist * n
-            blocks = [Block((0,) * d, False, d, deg)]
+            blocks = []
             if nil_degree is not None and deg >= nil_degree:
                 blocks.append(Block((0,) * d, True, d, deg - nil_degree))
             shift_deg = sum(w * e for w, e in zip(weights, shift))
-            if shift_deg <= deg:
-                blocks.append(Block(shift, False, free, deg - shift_deg))
-            if overlap:
-                blocks.append(Block((deg,) + (0,) * (d - 1), False))
+            if shifted and shift_deg <= deg:
+                # the shifted block, and the rest of the full block as points
+                inner = Block(shift, False, free, deg - shift_deg)
+                inside = set(members(weights, inner))
+                blocks.append(inner)
+                blocks += [Block(e, False) for e in weighted_monomials(weights, deg)
+                           if e not in inside]
+            else:
+                blocks.append(Block((0,) * d, False, d, deg))
             if n == dropped_level:
-                points = sorted({(e, b.nil) for b in blocks
-                                 for e in block_monomials(weights, b.shift, b.free, b.degree)})
+                points = sorted((e, b.nil) for b in blocks for e in members(weights, b))
                 del points[dropped_index % len(points)]
                 blocks = [Block(e, nil) for e, nil in points]
             return blocks

@@ -1,5 +1,8 @@
+from math import comb
+
 import pytest
 
+from gradedlimits.families import BlockSchedule
 from gradedlimits.monomial import MonomialIdeal
 from gradedlimits.specfiles import (
     SpecError,
@@ -93,7 +96,11 @@ class TestBuilders:
 
     def test_series_sigma(self):
         s = build_series(parse_spec("series: sigma_growth\ns: 0\nr: 1\n"), 100)
-        assert s.dim(2) == s.expected_dim(2)
+        # the spec's default schedule is the one for horizon 210
+        schedule = BlockSchedule.default(210)
+        for n in (1, 2, 50, 100):
+            sig = schedule.sigma_capped(n)
+            assert len(s.level(n)) == s.dim(n) == comb(n, 0) + comb(n + sig + 1, 1)
 
     def test_series_neg_inf(self):
         s = build_series(parse_spec("series: sigma_growth\ns: -inf\nr: 1\n"), 50)
