@@ -274,6 +274,7 @@ class MonomialIdeal:
         a monomial with w * x_i^{k_i} in I for each i satisfies
         w * m^{sum k_i} in I.  In d = 1 that is the unit ideal; in d = 2 it
         is (x^a) meet (y^b) = (x^a y^b), a and b read off the staircase ends.
+        A variable in no generator has I : x_i^infty = I, so then I^sat = I.
         """
         if self.is_zero():
             return self
@@ -281,6 +282,8 @@ class MonomialIdeal:
             return MonomialIdeal._canonical(1, ((0,),))
         if self.num_vars == 2:
             return MonomialIdeal._canonical(2, ((self.gens[0][0], self.gens[-1][1]),))
+        if not all(map(any, zip(*self.gens))):
+            return self
         parts = []
         for i in range(self.num_vars):
             dropped = {g[:i] + (0,) + g[i + 1:] for g in self.gens}

@@ -10,7 +10,7 @@ with each other (and, in the annihilator model, with everything).
 Providers describe a level as a few disjoint ``Block``s, each a shifted set
 of all monomials of one weighted degree in the leading variables.  The degree
 and sign of a level are checked once per block, never per monomial, and a
-level's dimension is the sum of its blocks' sizes.
+level's dimension, Kodaira-Iitaka lattice and closure are read off its blocks.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
+from itertools import islice, product
+from operator import add, ge
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .families import BlockSchedule
@@ -28,11 +28,6 @@ from .lattice import hermite_basis
 from .monomial import _integer
 
 NEG_INF = float("-inf")
-
-# monomial pairs sampled per level pair by ``closure_violations``
-PAIR_CAP = 64
-
-Monomial = tuple  # (exponents tuple, nil flag)
 
 
 class Block(NamedTuple):
@@ -128,16 +123,8 @@ class MonomialLinearSeries:
         _check_disjoint(n, out, weights)
         return out
 
-    def _rows(self, n: int):
-        """Level n expanded block by block, as (row of exponent vectors, nil
-        flag) pairs; the rows of one block concatenate to one sorted run."""
-        weights = self.ambient.weights
-        for shift, nil, free, degree in self.blocks(n):
-            for row in _block_rows(weights, shift, free, degree):
-                yield row, nil
-
     def level(self, n: int) -> frozenset:
-        return frozenset(m for row, nil in self._rows(n) for m in zip(row, repeat(nil)))
+        return _expand(self.ambient.weights, self.blocks(n))
 
     def dim(self, n: int) -> int:
         return sum(count_weighted_monomials(self.ambient.weights[:b.free], b.degree)
@@ -195,13 +182,23 @@ def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
     lattice rank, and nil monomials never witness algebraic independence
     (their squares vanish).  Returns (kappa, horizon_dependent): the flag is
     set when the rank still grew in the final quarter of the horizon.
+
+    A block of degree D adds ``shift + D z_0`` and, for each free i >= 1 with
+    w_i <= D, ``shift + (D - w_i) z_0 + z_i``: as w_0 = 1, these span the
+    lattice of the block's monomials.
     """
     horizon = _horizon(horizon, series.horizon, series)
     basis: tuple = ()
-    width = len(series.ambient.weights) + 1
+    weights = series.ambient.weights
+    width = len(weights) + 1
     growth_marks: list[int] = []
     for n in range(1, horizon + 1):
-        rows = [exps + (n,) for exps, nil in series.level(n) if not nil]
+        rows = []
+        for shift, nil, free, degree in series.blocks(n):
+            if not nil:
+                top = (shift[0] + degree,) + shift[1:] + (n,)
+                rows += [top] + [(top[0] - w,) + top[1:i] + (top[i] + 1,) + top[i + 1:]
+                                 for i, w in enumerate(weights[1:free], 1) if w <= degree]
         if not rows:
             continue
         # integer rank equals rational rank, so a Hermite basis tracks it
@@ -247,59 +244,44 @@ def series_invariants(series: MonomialLinearSeries,
 
 def closure_violations(series: MonomialLinearSeries,
                        horizon: int) -> list[tuple[int, int, str]]:
-    """Check L_a * L_b inside L_{a+b} on a deterministic sample of monomial
-    pairs (up to PAIR_CAP per level pair; exhaustive when small), taken in
-    the sorted order of each level's keys, distinct because blocks are.
+    """Check L_a * L_b inside L_{a+b} for every pair of monomials, block pair
+    by block pair, with the lex-first escaping pair of each (a, b) as witness.
 
-    Each monomial is tested as the packed int ``2 * sum(e_i * K**(d-1-i)) +
-    nil``.  Every exponent of a level n <= horizon is at most twist * n
-    (weights are at least 1 and ``blocks`` checks each level's degree), so
-    with K = 2 * twist * horizon + 1 the digits of a sum of two keys never
-    carry: a product is ``u + v``, key order is the order of (exps, nil),
-    and a key is unpacked only to write a witness.
+    Blocks x and y multiply to monomials ``corner + m``, ``corner = x.shift +
+    y.shift`` and m of weighted degree ``x.degree + y.degree`` in the first
+    ``max(x.free, y.free)`` variables.  A target block of the same nil flag
+    holds every such monomial when it frees at least those variables, agrees
+    with the corner past its own free ones and lies below it on them.  A
+    span product held so is settled unexpanded; any other pair is multiplied
+    out against the target level, expanded once when first needed.
     """
-    d = len(series.ambient.weights)
-    base = 2 * series.twist * horizon + 1
-    place = [2 * base ** (d - 1 - i) for i in range(d)]
-    vanishes = [[series.ambient.product_vanishes(bool(a), bool(b)) for b in (0, 1)]
-                for a in (0, 1)]
-
-    def monomial(key: int) -> Monomial:
-        exps, rest = [], key >> 1
-        for _ in range(d):
-            rest, e = divmod(rest, base)
-            exps.append(e)
-        return tuple(reversed(exps)), bool(key & 1)
-
+    weights = series.ambient.weights
+    levels = {n: series.blocks(n) for n in range(1, horizon + 1)}
+    expanded: dict[int, frozenset] = {}
     out = []
-    # each level is expanded, packed and sorted once; the strided pair order
-    # below indexes into the sorted lists and tests membership in the sets
-    levels, ordered = {}, {}
-    for n in range(1, horizon + 1):
-        keys: list[int] = []
-        for row, nil in series._rows(n):
-            keys.extend([sum(map(mul, exps, place)) + nil for exps in row])
-        levels[n] = frozenset(keys)
-        if n < horizon:
-            ordered[n] = sorted(keys)
     for total in range(2, horizon + 1):
+        target = levels[total]
         for a in range(1, total // 2 + 1):
-            b = total - a
-            la, lb = ordered[a], ordered[b]
-            if not la or not lb:
-                continue
-            target = levels[total]
-            nb = len(lb)
-            pairs = len(la) * nb
-            stride = max(1, pairs // PAIR_CAP)
-            for k in range(0, pairs, stride):
-                u = la[k // nb]
-                v = lb[k % nb]
-                if vanishes[u & 1][v & 1]:
+            escapes = []
+            for x, y in product(levels[a], levels[total - a]):
+                if series.ambient.product_vanishes(x.nil, y.nil):
                     continue
-                if u + v not in target:
-                    out.append((a, b, f"{monomial(u)} * {monomial(v)} escapes level {total}"))
-                    break
+                corner = tuple(map(add, x.shift, y.shift))
+                free, nil = max(x.free, y.free), x.nil or y.nil
+                if free and any(t.nil == nil and free <= t.free
+                                and corner[t.free:] == t.shift[t.free:]
+                                and all(map(ge, corner, t.shift[:t.free])) for t in target):
+                    continue
+                if total not in expanded:
+                    expanded[total] = _expand(weights, target)
+                second = list(_block_rows(weights, y.shift, y.free, y.degree))
+                escapes += islice((((u, x.nil), (v, y.nil))
+                                   for u in _block_rows(weights, x.shift, x.free, x.degree)
+                                   for v in second
+                                   if (tuple(map(add, u, v)), nil) not in expanded[total]), 1)
+            if escapes:
+                u, v = min(escapes)
+                out.append((a, total - a, f"{u} * {v} escapes level {total}"))
     return out
 
 
@@ -318,21 +300,27 @@ def count_weighted_monomials(weights: tuple[int, ...], degree: int) -> int:
     return table[degree]
 
 
+def _expand(weights, blocks: Iterable[Block]) -> frozenset:
+    """The (exponent vector, nil flag) monomials of the blocks."""
+    return frozenset((exps, b.nil) for b in blocks
+                     for exps in _block_rows(weights, b.shift, b.free, b.degree))
+
+
 def _block_rows(weights, shift, free, degree):
     """The exponent vectors ``shift + (m, 0, ..., 0)`` with m of weighted
-    degree ``degree`` in ``weights[:free]``, as lists that concatenate to lex
-    order: one list per setting of the free exponents before the last two,
+    degree ``degree`` in ``weights[:free]``, in lex order, built a row at a
+    time: one list per setting of the free exponents before the last two,
     whose list comprehension runs over the second-to-last (the last is
     fixed by what is left of the degree)."""
     if degree < 0 or free == 0:
         if degree == 0:
-            yield [shift]
+            yield shift
         return
     tail = shift[free:]
     w_last, s_last = weights[free - 1], shift[free - 1]
     if free == 1:
         if not degree % w_last:
-            yield [(s_last + degree // w_last,) + tail]
+            yield (s_last + degree // w_last,) + tail
         return
     w, s = weights[free - 2], shift[free - 2]
     # depth-first over the leading exponents, smallest first
@@ -344,8 +332,8 @@ def _block_rows(weights, shift, free, degree):
             stack.extend((prefix + (shift[i] + a,), rest - a * weights[i])
                          for a in range(rest // weights[i], -1, -1))
             continue
-        yield [prefix + (s + a, s_last + (rest - a * w) // w_last) + tail
-               for a in range(rest // w + 1) if not (rest - a * w) % w_last]
+        yield from [prefix + (s + a, s_last + (rest - a * w) // w_last) + tail
+                    for a in range(rest // w + 1) if not (rest - a * w) % w_last]
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +346,9 @@ def make_tset(spec) -> Callable[[int], bool]:
         return spec
     if isinstance(spec, tuple) and spec and spec[0] == "mod":
         _, r, residues = spec
+        r = _integer(r, "level-set modulus is not an integer")
+        if r < 1:
+            raise ValueError("level-set modulus must be positive")
         rs = frozenset(_integer(x, "level-set residue is not an integer") % r
                        for x in residues)
         return lambda n: (n % r) in rs
@@ -472,6 +463,7 @@ def sigma_growth_series(s, r: int, schedule: BlockSchedule | None = None,
     schedule = schedule or BlockSchedule.default(horizon)
     nil_only = s is None
     s_int = -1 if nil_only else _integer(s, "s is not an integer")
+    r = _integer(r, "r is not an integer")
     ambient = WeightedAmbient((1,) * (r + 1) if weights is None else weights,
                               nil_degree=e)
     ws = ambient.weights
@@ -504,6 +496,7 @@ def tau_pulse_series(schedule: BlockSchedule | None = None, e: int = 1,
     on odd blocks, one nil monomial.  h lies in the annihilator of the
     square-zero generator, so mixed products vanish (annihilator model).
     """
+    g = _integer(g, "pulse degree g is not an integer")
     if g < 1:
         raise ValueError("pulse degree g must be positive")
     schedule = schedule or BlockSchedule.default(horizon)
@@ -530,7 +523,7 @@ def artin_tau_series(t: int, schedule: BlockSchedule | None = None,
     second ring component is added (kappa = 0, dims 2/1), the nonirreducible
     zero-dimensional counterexample.
     """
-    if t < 1:
+    if _integer(t, "socle degree t is not an integer") < 1:
         raise ValueError("socle degree t must be positive")
     schedule = schedule or BlockSchedule.default(horizon)
     ambient = WeightedAmbient((1,), nil_degree=1, nil_annihilates_base=True)

@@ -16,8 +16,8 @@ point sets, and
 ``monomial_colon`` and ``colon`` are the colons by a monomial and by an
 ideal that the fixpoint oracles iterate.
 ``closure_violations_by_tuples`` is the series closure check on (exponents,
-nil) tuples, the reference for the packed-int check; ``block_monomials`` and
-``weighted_monomials`` flatten the row-wise block expansion for the tests.
+nil) tuples, the reference for the block-pair check; ``block_monomials`` and
+``weighted_monomials`` list the block expansion for the tests.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from gradedlimits.experiments import (
 from gradedlimits.lattice import RationalPolytope, convex_hull, frac_point
 from gradedlimits.monomial import MonomialIdeal, colength, max_ideal_power, unit_ideal
 from gradedlimits.semigroup import GradedSemigroup, invariants
-from gradedlimits.series import PAIR_CAP, _block_rows
+from gradedlimits.series import _block_rows
 
 
 def colength_bruteforce(ideal: MonomialIdeal) -> int:
@@ -250,23 +250,16 @@ def check_level_degrees(series, n: int, monomials) -> None:
 
 def closure_violations_by_tuples(series, horizon: int) -> list[tuple[int, int, str]]:
     """``closure_violations`` with every monomial an (exponents, nil) tuple:
-    the same strided sample of at most PAIR_CAP pairs per level pair over
-    the sorted levels, each product built as a tuple and looked up in the
-    target level's set."""
+    every pair of the sorted levels a and b, the first escaping pair in that
+    lex order the witness of (a, b), each product built as a tuple and looked
+    up in the target level's set."""
     out = []
     levels = {n: series.level(n) for n in range(1, horizon + 1)}
     ordered = {n: sorted(level) for n, level in levels.items()}
     for total in range(2, horizon + 1):
         for a in range(1, total // 2 + 1):
             b = total - a
-            la, lb = ordered[a], ordered[b]
-            if not la or not lb:
-                continue
-            pairs = len(la) * len(lb)
-            stride = max(1, pairs // PAIR_CAP)
-            for k in range(0, pairs, stride):
-                u = la[k // len(lb)]
-                v = lb[k % len(lb)]
+            for u, v in itertools.product(ordered[a], ordered[b]):
                 if series.ambient.product_vanishes(u[1], v[1]):
                     continue
                 prod = (tuple(x + y for x, y in zip(u[0], v[0])), u[1] or v[1])
@@ -277,8 +270,8 @@ def closure_violations_by_tuples(series, horizon: int) -> list[tuple[int, int, s
 
 
 def block_monomials(weights, shift, free, degree) -> list[tuple]:
-    """The rows of one block's expansion, concatenated."""
-    return [exps for row in _block_rows(weights, shift, free, degree) for exps in row]
+    """One block's expansion, as a list."""
+    return list(_block_rows(weights, shift, free, degree))
 
 
 def weighted_monomials(weights, degree: int) -> list[tuple]:

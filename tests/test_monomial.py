@@ -307,6 +307,16 @@ class TestSaturation:
         i = MonomialIdeal(d, tuple(gens))
         assert i.saturate() == saturate_by_colon_fixpoint(i)
 
+    @given(st.data(), st.integers(3, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_unused_variables_match_colon_fixpoint(self, data, d):
+        # the variables drawn here appear in no generator, so I^sat = I
+        unused = data.draw(st.sets(st.integers(0, d - 1)))
+        gens = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=1, max_size=6))
+        i = MonomialIdeal(d, tuple(tuple(0 if j in unused else e for j, e in enumerate(g))
+                                   for g in gens))
+        assert i.saturate() == saturate_by_colon_fixpoint(i)
+
     def test_symbolic_core(self):
         assert symbolic_core(ideal((2, 0), (1, 1)), ideal((1, 0), (0, 1)), 2).gens == ((2, 0),)
         assert symbolic_core(ideal((1, 0)), ideal((0, 1)), 3).gens == ((3, 0),)

@@ -221,6 +221,12 @@ def test_nilpair_is_its_exponents():
     assert named & banned == set()
 
 
+def names_in(node: ast.AST) -> set[str]:
+    """The names and attribute names used anywhere under ``node``."""
+    named = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+    return named | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def test_series_dim_counts_blocks():
     # dim sums closed-form block counts; c10 and the series tests compare it
     # with the expanded level, so its body names none of the expansion
@@ -229,6 +235,13 @@ def test_series_dim_counts_blocks():
                   if isinstance(node, ast.ClassDef) and node.name == "MonomialLinearSeries")
     body = next(node for node in series.body
                 if isinstance(node, ast.FunctionDef) and node.name == "dim")
-    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
-    named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
-    assert named & {"level", "_rows", "_block_rows"} == set()
+    assert names_in(body) & {"level", "_rows", "_block_rows"} == set()
+
+
+def test_series_kappa_reads_blocks():
+    # kappa spans each block's lattice from a few rows of its own, so its
+    # body names none of the expansion
+    tree = ast.parse((PACKAGE / "series.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "kodaira_iitaka")
+    assert names_in(body) & {"level", "_rows", "_block_rows"} == set()

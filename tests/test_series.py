@@ -2,11 +2,14 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradedlimits.series as series_module
 from gradedlimits.families import BlockSchedule
+from gradedlimits.lattice import hermite_basis
 from gradedlimits.series import (
     NEG_INF,
     Block,
@@ -35,6 +38,12 @@ from oracles import (
 )
 
 SCHEDULE = BlockSchedule.default(210)
+
+# the closure witnesses of the degree-12 level of three variables without
+# the monomials divisible by z_0^6
+LEX_FIRST_WITNESSES = [
+    (a, 12 - a, f"((0, 0, {a}), False) * ((6, 0, {6 - a}), False) escapes level 12")
+    for a in range(1, 7)]
 
 
 def dims(series: MonomialLinearSeries, n_max: int) -> list[int]:
@@ -67,6 +76,48 @@ def drawn_block(data, weights, n: int, nil: bool) -> Block:
     low = [data.draw(st.integers(0, e)) for e in top[:free]]
     shift = tuple(e - x for e, x in zip(top, low)) + top[free:]
     return Block(shift, nil, free, sum(w * x for w, x in zip(weights, low)))
+
+
+def drawn_model(data):
+    """(d, weights, ambient, twist, horizon) of a random closure check: the
+    reduced, square-zero or annihilator model on up to three variables."""
+    d = data.draw(st.integers(1, 3))
+    weights = (1,) + data.draw(st.tuples(*[st.integers(1, 3)] * (d - 1)))
+    nil_degree = data.draw(st.none() | st.integers(1, 3))
+    annihilates = nil_degree is not None and data.draw(st.booleans())
+    ambient = WeightedAmbient(weights, nil_degree, annihilates)
+    return d, weights, ambient, data.draw(st.integers(1, 3)), data.draw(st.integers(2, 8))
+
+
+def full_blocks(ambient: WeightedAmbient, d: int, deg: int) -> list[Block]:
+    """The full nil block, when the ambient has one that fits degree deg,
+    then the full reduced block."""
+    blocks = []
+    if ambient.nil_degree is not None and deg >= ambient.nil_degree:
+        blocks.append(Block((0,) * d, True, d, deg - ambient.nil_degree))
+    return blocks + [Block((0,) * d, False, d, deg)]
+
+
+def split(weights, block: Block) -> list[Block]:
+    """A span as one sub-block per exponent of its last free variable; a
+    point as itself."""
+    shift, nil, free, degree = block
+    if not free:
+        return [block]
+    w = weights[free - 1]
+    return [Block(shift[:free - 1] + (shift[free - 1] + k,) + shift[free:], nil,
+                  free - 1, degree - k * w)
+            for k in range(degree // w + 1) if free > 1 or degree == k * w]
+
+
+def peel(weights, block: Block) -> list[Block]:
+    """A span of positive degree as z_0 times its span one degree lower, and
+    its monomials with no more z_0 than the shift as points."""
+    shift, nil, free, degree = block
+    if not degree:
+        return [block]
+    return [Block((shift[0] + 1,) + shift[1:], nil, free, degree - 1)] + [
+        Block(e, nil) for e in members(weights, block) if e[0] == shift[0]]
 
 
 def series_levels(series: MonomialLinearSeries, n_max: int) -> tuple[dict, bool]:
@@ -306,6 +357,30 @@ class TestIntegerInput:
         with pytest.raises(ValueError, match="residue is not an integer"):
             make_tset(("mod", 3, (0.5,)))
 
+    def test_level_set_modulus(self):
+        member = make_tset(("mod", Fraction(2), (0,)))
+        assert [n for n in range(5) if member(n)] == [0, 2, 4]
+        with pytest.raises(ValueError, match="modulus is not an integer"):
+            make_tset(("mod", 2.5, (0,)))
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            nil_hyperplane_series(("mod", 0, (0,)))
+
+    def test_pulse_degree(self):
+        assert tau_pulse_series(SCHEDULE, g=Fraction(2), horizon=10).twist == 2
+        with pytest.raises(ValueError, match="pulse degree g is not an integer"):
+            tau_pulse_series(SCHEDULE, g=1.5, horizon=10)
+
+    def test_socle_degree(self):
+        assert artin_tau_series(Fraction(2), SCHEDULE, horizon=10).dim(1) == 1
+        with pytest.raises(ValueError, match="socle degree t is not an integer"):
+            artin_tau_series(1.5, SCHEDULE, horizon=10)
+
+    def test_sigma_growth_r(self):
+        exact = sigma_growth_series(0, Fraction(1), SCHEDULE, horizon=20)
+        assert dims(exact, 5) == dims(sigma_growth_series(0, 1, SCHEDULE, horizon=20), 5)
+        with pytest.raises(ValueError, match="r is not an integer"):
+            sigma_growth_series(0, 1.5, SCHEDULE, horizon=20)
+
     def test_level_set_member(self):
         member = make_tset({Fraction(3), 1})
         assert [n for n in range(5) if member(n)] == [1, 3]
@@ -344,6 +419,30 @@ class TestKappa:
         # the dimension each construction of ``all_builders`` is built to have
         declared = [1, 2, NEG_INF, NEG_INF, 0, 1, NEG_INF, 0, NEG_INF, 0]
         assert [kodaira_iitaka(s, 60)[0] for s in all_builders(60)] == declared
+
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_block_rows_span_the_block(self, data, d):
+        # the rows fed to the Hermite basis for one block have the rank of
+        # the block's monomials, and span the same lattice
+        import sympy
+
+        weights = (1,) + data.draw(st.tuples(*[st.integers(1, 3)] * (d - 1)))
+        n = data.draw(st.integers(1, 6))
+        block = drawn_block(data, weights, n, False)
+        series = MonomialLinearSeries("one_block", WeightedAmbient(weights), 1,
+                                      lambda m: [block] if m == n else [], n)
+        fed = []
+
+        def recording(vectors, ambient_dim):
+            fed.append(vectors)
+            return hermite_basis(vectors, ambient_dim)
+
+        with mock.patch.object(series_module, "hermite_basis", recording):
+            kodaira_iitaka(series, n)
+        monomials = [exps + (n,) for exps in members(weights, block)]
+        assert sympy.Matrix(fed[0]).rank() == sympy.Matrix(monomials).rank()
+        assert hermite_basis(fed[0], d + 1) == hermite_basis(monomials, d + 1)
 
     def test_late_rank_growth_flags_horizon(self):
         # z_0^n alone up to level 29; z_0^(n-1) z_1 joins from level 30 on
@@ -416,9 +515,9 @@ class TestClosure:
             (1, 1, "((1, 0), False) * ((1, 0), False) escapes level 2"),
         ]
 
-    def test_violations_under_stride_sampling(self):
-        # level pairs here exceed the 64-pair cap, so the reported witness
-        # of each (a, b) is the first escaping pair in the strided order
+    def test_witness_is_the_lex_first_escape(self):
+        # z_0^6 and up leave level 12, so the witness of each (a, b) is the
+        # least monomial of level a times the least of level b with z_0^6
         ambient = WeightedAmbient((1, 1, 1))
 
         def provider(n):
@@ -428,23 +527,16 @@ class TestClosure:
                 mons = [m for m in mons if m[0][0] < 6]
             return mons
 
-        broken = MonomialLinearSeries("sampled", ambient, 1, provider, 12)
-        assert closure_violations(broken, 12) == [
-            (1, 11, "((0, 0, 1), False) * ((6, 0, 5), False) escapes level 12"),
-            (2, 10, "((0, 0, 2), False) * ((6, 3, 1), False) escapes level 12"),
-            (3, 9, "((0, 0, 3), False) * ((6, 3, 0), False) escapes level 12"),
-            (4, 8, "((0, 0, 4), False) * ((6, 1, 1), False) escapes level 12"),
-            (5, 7, "((0, 0, 5), False) * ((6, 0, 1), False) escapes level 12"),
-            (6, 6, "((2, 2, 2), False) * ((4, 2, 0), False) escapes level 12"),
-        ]
+        broken = MonomialLinearSeries("lex_first", ambient, 1, provider, 12)
+        assert closure_violations(broken, 12) == LEX_FIRST_WITNESSES
 
     @pytest.mark.parametrize("shuffle", [
         lambda mons: mons[::-1],
         lambda mons: mons[1::2] + mons[::2],
     ], ids=["reversed", "interleaved"])
     def test_witnesses_do_not_depend_on_provider_order(self, shuffle):
-        # the sampled pairs follow the sorted level, whatever order the
-        # provider lists its blocks in
+        # the witness is lex-first among all escaping pairs, whatever order
+        # the provider lists its blocks in
         ambient = WeightedAmbient((1, 1, 1))
 
         def provider(n):
@@ -455,14 +547,7 @@ class TestClosure:
             return shuffle(mons)
 
         broken = MonomialLinearSeries("shuffled", ambient, 1, provider, 12)
-        assert closure_violations(broken, 12) == [
-            (1, 11, "((0, 0, 1), False) * ((6, 0, 5), False) escapes level 12"),
-            (2, 10, "((0, 0, 2), False) * ((6, 3, 1), False) escapes level 12"),
-            (3, 9, "((0, 0, 3), False) * ((6, 3, 0), False) escapes level 12"),
-            (4, 8, "((0, 0, 4), False) * ((6, 1, 1), False) escapes level 12"),
-            (5, 7, "((0, 0, 5), False) * ((6, 0, 1), False) escapes level 12"),
-            (6, 6, "((2, 2, 2), False) * ((4, 2, 0), False) escapes level 12"),
-        ]
+        assert closure_violations(broken, 12) == LEX_FIRST_WITNESSES
 
     def test_repeated_monomial_is_refused(self):
         # a level lists each monomial once: a repeated point is an overlap
@@ -482,15 +567,10 @@ class TestClosure:
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_packed_check_matches_tuple_oracle(self, data):
+    def test_block_check_matches_tuple_oracle(self, data):
         # full, nil and shifted blocks, points and one dropped monomial, in
         # the reduced, square-zero and annihilator models
-        d = data.draw(st.integers(1, 3))
-        weights = (1,) + data.draw(st.tuples(*[st.integers(1, 3)] * (d - 1)))
-        nil_degree = data.draw(st.none() | st.integers(1, 3))
-        annihilates = nil_degree is not None and data.draw(st.booleans())
-        twist = data.draw(st.integers(1, 3))
-        horizon = data.draw(st.integers(2, 8))
+        d, weights, ambient, twist, horizon = drawn_model(data)
         shift = data.draw(st.tuples(*[st.integers(0, 3)] * d))
         free = data.draw(st.integers(1, d))
         shifted = data.draw(st.booleans())
@@ -499,35 +579,86 @@ class TestClosure:
 
         def provider(n):
             deg = twist * n
-            blocks = []
-            if nil_degree is not None and deg >= nil_degree:
-                blocks.append(Block((0,) * d, True, d, deg - nil_degree))
+            blocks = full_blocks(ambient, d, deg)
             shift_deg = sum(w * e for w, e in zip(weights, shift))
             if shifted and shift_deg <= deg:
                 # the shifted block, and the rest of the full block as points
                 inner = Block(shift, False, free, deg - shift_deg)
                 inside = set(members(weights, inner))
-                blocks.append(inner)
+                blocks = blocks[:-1] + [inner]
                 blocks += [Block(e, False) for e in weighted_monomials(weights, deg)
                            if e not in inside]
-            else:
-                blocks.append(Block((0,) * d, False, d, deg))
             if n == dropped_level:
                 points = sorted((e, b.nil) for b in blocks for e in members(weights, b))
                 del points[dropped_index % len(points)]
                 blocks = [Block(e, nil) for e, nil in points]
             return blocks
 
-        ambient = WeightedAmbient(weights, nil_degree, annihilates)
         series = MonomialLinearSeries("random", ambient, twist, provider, horizon)
         assert closure_violations(series, horizon) == \
             closure_violations_by_tuples(series, horizon)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_split_spans_match_tuple_oracle(self, data):
+        # spans cut into sub-blocks by the exponent of their last free
+        # variable, up to twice, or peeled, and one block dropped: products
+        # that no single block holds reach the monomial-by-monomial fallback
+        d, weights, ambient, twist, horizon = drawn_model(data)
+        cuts = {n: data.draw(st.integers(0, 3)) for n in range(1, horizon + 1)}
+        dropped_level = data.draw(st.integers(1, horizon))
+        dropped_index = data.draw(st.integers(0, 200))
+
+        def provider(n):
+            blocks = full_blocks(ambient, d, twist * n)
+            if cuts.get(n) == 3:
+                blocks = [sub for b in blocks for sub in peel(weights, b)]
+            for _ in range(cuts.get(n, 0) % 3):
+                blocks = [sub for b in blocks for sub in split(weights, b)]
+            if n == dropped_level and blocks:
+                del blocks[dropped_index % len(blocks)]
+            return blocks
+
+        series = MonomialLinearSeries("split", ambient, twist, provider, horizon)
+        assert closure_violations(series, horizon) == \
+            closure_violations_by_tuples(series, horizon)
+
+    @pytest.mark.parametrize("level_two, witness", [
+        ([Block((1, 0), False, 2, 1)], "((0, 1), False) * ((0, 1), False)"),
+        ([Block((0, 0), False, 1, 2), Block((0, 2), False, 1, 0)],
+         "((0, 1), False) * ((1, 0), False)"),
+    ], ids=["shift-above-corner", "tail-off-corner"])
+    def test_a_block_holds_only_whole_products(self, level_two, witness):
+        # level 2 misses z_1^2 or z_0 z_1, so its span must not settle the
+        # product z_1 * z_1, whose corner (0, 2) is not above its shift
+        # (1, 0), nor z_0 * z_1, whose corner (0, 1) differs from its shift
+        # (0, 0) past its one free variable
+        def provider(n):
+            return level_two if n == 2 else [Block((0, k), False, 1, n - k)
+                                             for k in range(n + 1)]
+
+        series = MonomialLinearSeries("gap", WeightedAmbient((1, 1)), 1, provider, 2)
+        want = [(1, 1, f"{witness} escapes level 2")]
+        assert closure_violations(series, 2) == want
+        assert closure_violations_by_tuples(series, 2) == want
+
+    def test_builders_expand_no_span(self):
+        # every span product of a shipped builder is settled by one block
+        expand = series_module._block_rows
+
+        def points_only(weights, shift, free, degree):
+            assert not free, f"span {shift} of degree {degree} expanded"
+            return expand(weights, shift, free, degree)
+
+        with mock.patch.object(series_module, "_block_rows", points_only):
+            for s in all_builders(50):
+                assert closure_violations(s, 50) == [], s.name
+
     @pytest.mark.parametrize("dropped", [False, True])
     def test_exponent_sums_reach_twist_times_horizon(self, dropped):
         # twist 3: the pure powers z_1^(3a) * z_1^(3b) reach the exponent
-        # 3 * 9 in the last (lowest) packed digit of the top level; each is
-        # the first pair of its sample, and escapes only if z_1^27 is dropped
+        # 3 * 9 of the top level; each is the lex-first pair of its level
+        # pair, and escapes only if z_1^27 is dropped
         ambient = WeightedAmbient((1, 1))
 
         def provider(n):
