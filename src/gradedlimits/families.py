@@ -24,9 +24,9 @@ from .monomial import (
     _degree_tuples,
     _integer,
     check_stack_depth,
+    colon_ideal_infinity,
     madic_order,
     minimal_generators,
-    symbolic_core,
     unit_ideal,
 )
 
@@ -159,9 +159,10 @@ def saturation_family(ideal: MonomialIdeal) -> GradedFamily:
 def symbolic_family(ideal: MonomialIdeal, other: MonomialIdeal) -> GradedFamily:
     """I_n = I^n : J^infty, the symbolic powers along J."""
     ideal._check(other)
+    power = _incremental_powers(ideal)
 
     def provider(n: int) -> MonomialIdeal:
-        return symbolic_core(ideal, other, n) if n else unit_ideal(ideal.num_vars)
+        return colon_ideal_infinity(power(n), other)
 
     return GradedFamily(name="symbolic", dim=ideal.num_vars, provider=provider)
 

@@ -5,7 +5,10 @@ sorted), so structural equality is mathematical equality.  In d <= 2 the
 canonical generators form a staircase: x strictly increases and y strictly
 decreases along the tuple.  Minimalization there is one sweep after a lex
 sort, membership is one ``bisect`` on that order, and the colength and the
-largest standard degree are closed forms in the staircase corners.  In
+largest standard degree are closed forms in the staircase corners.  A
+product sums packed corners; stretches of corners with one step, such as
+the corners of (x^a, y^b)^n, are summed as arithmetic progressions, not
+pair by pair.  In
 d >= 3 one sweep minimalizes the (d-1)-variable slices along the last
 variable, down to the d = 2 sweep.  Minimalization keeps the generators new
 in their slice, and each ideal keeps the slices as its index on first use:
@@ -221,12 +224,45 @@ class MonomialIdeal:
         self._check(other)
         return MonomialIdeal._canonical(self.num_vars, self.gens + other.gens)
 
+    @cached_property
+    def _runs(self) -> tuple[list[tuple[int, ...]], list[Exponent]]:
+        """(runs, lone corners) of a d = 2 staircase.
+
+        A run (x, y, dx, dy, n) is a maximal stretch of n >= 3 corners
+        (x + i*dx, y + i*dy), i < n.  Read left to right, a corner that
+        starts no such stretch is a lone corner.  (x^a, y^b)^n is one run,
+        and so is the valuation ideal of weights (1, w), after one lone
+        corner when w does not divide n.
+        """
+        gens, runs, lone = self.gens, [], []
+        steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(gens, gens[1:])]
+        i = 0
+        while i < len(gens):
+            # steps i..j-1 are equal, so corners i..j are a stretch
+            j = i + 1
+            while j < len(steps) and steps[j] == steps[i]:
+                j += 1
+            if j - i >= 2:
+                runs.append((*gens[i], *steps[i], j - i + 1))
+                i = j + 1
+            else:
+                lone.append(gens[i])
+                i += 1
+        return runs, lone
+
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The product ideal.  In d <= 2 each staircase generator (x, y) is
         packed as the int x*K + y with K above the largest sum of two y's
         (the y of each first generator), so int order is lex order and sums
         never carry; the sorted distinct sums are swept as staircase
-        candidates and only the kept corners are unpacked."""
+        candidates and only the kept corners are unpacked.
+
+        Packing is linear, so a run of ``_runs`` packs to an arithmetic
+        progression a + i*s.  Two runs with the same step sum to the single
+        progression a + b + k*s, k < n + m - 1; a run plus a lone corner is
+        a shifted progression; runs with different steps are summed one row
+        at a time.  Lone corners of self are summed with every generator of
+        other."""
         self._check(other)
         d = self.num_vars
         if d > 2:
@@ -238,10 +274,28 @@ class MonomialIdeal:
         if d == 1:
             return MonomialIdeal._of(1, ((self.gens[0][0] + other.gens[0][0],),))
         k = 1 + self.gens[0][1] + other.gens[0][1]
-        mine = [x * k + y for x, y in self.gens]
-        theirs = [x * k + y for x, y in other.gens]
+        my_runs, my_lone = self._runs
+        sums = set()
+        if my_lone:
+            mine = [x * k + y for x, y in my_lone]
+            theirs = [x * k + y for x, y in other.gens]
+            sums = {p + q for p in mine for q in theirs}
+        if my_runs:
+            runs, lone = other._runs
+            their_runs = [(x * k + y, dx * k + dy, m) for x, y, dx, dy, m in runs]
+            their_lone = [x * k + y for x, y in lone]
+            for x, y, dx, dy, n in my_runs:
+                a, s = x * k + y, dx * k + dy
+                for b, t, m in their_runs:
+                    if s == t:
+                        sums.update(range(a + b, a + b + (n + m - 1) * s, s))
+                    else:
+                        for row in range(a + b, a + b + n * s, s):
+                            sums.update(range(row, row + m * t, t))
+                for c in their_lone:
+                    sums.update(range(a + c, a + c + n * s, s))
         kept, low = [], k
-        for s in sorted({p + q for p in mine for q in theirs}):
+        for s in sorted(sums):
             y = s % k
             if y < low:
                 kept.append(s)
@@ -337,19 +391,23 @@ def colon_monomial_infinity(ideal: MonomialIdeal, u) -> MonomialIdeal:
     return MonomialIdeal._canonical(ideal.num_vars, gens)
 
 
-def symbolic_core(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:
-    """I^n : J^infty, the symbolic power of I along J.
+def colon_ideal_infinity(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
+    """I : J^infty.
 
-    Equals the intersection over the generators u of J of I^n : u^infty
+    Equals the intersection over the generators u of J of I : u^infty
     (a power of J contains a high power of a single generator by
     pigeonhole, and conversely).
     """
     ideal._check(other)
-    current = ideal ** n
     if other.is_zero():
         return unit_ideal(ideal.num_vars)
-    parts = [colon_monomial_infinity(current, u) for u in other.gens]
+    parts = [colon_monomial_infinity(ideal, u) for u in other.gens]
     return reduce(lambda a, b: a.intersect(b), parts)
+
+
+def symbolic_core(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:
+    """I^n : J^infty, the symbolic power of I along J."""
+    return colon_ideal_infinity(ideal ** n, other)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +544,14 @@ class NilPairIdeal:
         """(m^a + y m^b)(m^a' + y m^b') = m^{a+a'} + y m^{min(a+b', a'+b)}."""
         if self.num_vars != other.num_vars:
             raise ValueError("number of variables mismatch")
-        return NilPairIdeal(self.num_vars, self.base + other.base,
-                            min(self.base + other.socle, other.base + self.socle))
+        # the factors are valid, so a + a' >= min(a + b', a' + b) >= 0: the
+        # product is built unchecked
+        pair = object.__new__(NilPairIdeal)
+        object.__setattr__(pair, "num_vars", self.num_vars)
+        object.__setattr__(pair, "base", self.base + other.base)
+        object.__setattr__(pair, "socle", min(self.base + other.socle,
+                                              other.base + self.socle))
+        return pair
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from gradedlimits.monomial import (
     minimal_generators,
     unit_ideal,
 )
-from oracles import check_level_containments
+from oracles import check_level_containments, symbolic_core_fixpoint
 
 
 SCHEDULE = BlockSchedule.default(210)
@@ -203,6 +203,29 @@ class TestBuilders:
                             MonomialIdeal(2, ((1, 0), (0, 1))))
         # I^2 = x^2 (x,y)^2 saturates to the bare (x^2)
         assert f.ideal(2) == MonomialIdeal(2, ((2, 0),))
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_symbolic_family_matches_colon_fixpoint(self, d, data):
+        # the levels read the incremental powers; J = 0 included
+        def draw_ideal(emax, size):
+            return MonomialIdeal(d, tuple(data.draw(st.lists(
+                st.tuples(*[st.integers(0, emax)] * d), min_size=size, max_size=3))))
+
+        i, j = draw_ideal(3, 1), draw_ideal(2, 0)
+        f = symbolic_family(i, j)
+        for n in range(5):
+            assert f.ideal(n) == symbolic_core_fixpoint(i, j, n)
+
+    @pytest.mark.parametrize("n", [4, 7, 30, 101])
+    def test_powers_and_valuations_are_runs(self, n):
+        # every corner of (x^2, y^3)^n is on one run, and every corner of a
+        # (1, 2) valuation ideal but perhaps the first: the d = 2 product
+        # sums these as progressions
+        power = power_family(MonomialIdeal(2, ((2, 0), (0, 3)))).ideal(n)
+        assert power._runs == ([(0, 3 * n, 2, -3, n + 1)], [])
+        runs, lone = valuation_family((1, 2)).ideal(n)._runs
+        assert [r[2:4] for r in runs] == [(2, -1)] and len(lone) == n % 2
 
 
 class TestCheckGraded:

@@ -134,6 +134,33 @@ def staircases(d):
     return gens.map(lambda g: MonomialIdeal(d, tuple(g)))
 
 
+@st.composite
+def run_staircases(draw):
+    """d = 2 staircases made of arithmetic runs: runs of a few shared steps
+    (so two draws often have equal steps), a lone corner before a run, a
+    trailing lone pair, a single corner (on the x-axis, so K = 1 when both
+    factors are one), and the zero and unit ideals."""
+    kind = draw(st.sampled_from(["runs", "single", "axis", "zero", "unit"]))
+    if kind == "zero":
+        return MonomialIdeal(2, ())
+    if kind == "unit":
+        return unit_ideal(2)
+    if kind == "axis":
+        return MonomialIdeal(2, ((draw(st.integers(0, 5)), 0),))
+    if kind == "single":
+        return MonomialIdeal(2, (draw(st.tuples(st.integers(0, 5), st.integers(0, 5))),))
+    x, y = draw(st.integers(0, 3)), draw(st.integers(0, 40))
+    gens = [(x, y)]
+    steps = st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 3), (3, 1), (1, 4)])
+    for dx, dy in draw(st.lists(steps, min_size=1, max_size=4)):
+        for _ in range(draw(st.integers(1, 6))):
+            if y < dy:
+                break
+            x, y = x + dx, y - dy
+            gens.append((x, y))
+    return MonomialIdeal(2, tuple(gens))
+
+
 class TestKernelOracles:
     """Staircase (d <= 2) and last-variable slice sweep (d >= 3) kernels against
     brute force."""
@@ -173,6 +200,19 @@ class TestKernelOracles:
         i, j = data.draw(staircases(d)), data.draw(staircases(d))
         sums = [tuple(a + b for a, b in zip(g, h)) for g in i.gens for h in j.gens]
         assert (i * j).gens == minimal_generators(sums)
+
+    @given(run_staircases(), run_staircases())
+    @settings(max_examples=300, deadline=None)
+    def test_run_product(self, i, j):
+        # the run branches of the d = 2 product; random staircases almost
+        # never hold a run
+        for gens, (runs, lone) in ((i.gens, i._runs), (j.gens, j._runs)):
+            corners = [(x + k * dx, y + k * dy) for x, y, dx, dy, n in runs
+                       for k in range(n)]
+            assert all(n >= 3 for *_, n in runs)
+            assert sorted(corners + lone) == list(gens)
+        sums = [(g[0] + h[0], g[1] + h[1]) for g in i.gens for h in j.gens]
+        assert (i * j).gens == oracle_minimal(sums)
 
     @given(st.data(), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
@@ -468,6 +508,18 @@ class TestNilPair:
         assert NilPairIdeal(3, 4, 2).first_escape(NilPairIdeal(3, 4, 3)) == \
             "socle monomial (0, 0, 2)"
         assert NilPairIdeal(2, 0, 0).is_unit() and not pair(1, 0).is_unit()
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_product_matches_checked_constructor(self, d, data):
+        def draw_pair():
+            a = data.draw(st.integers(0, 8))
+            return NilPairIdeal(d, a, data.draw(st.integers(0, a)))
+
+        p, q = draw_pair(), draw_pair()
+        checked = NilPairIdeal(d, p.base + q.base, min(p.base + q.socle, q.base + p.socle))
+        assert p * q == checked
+        assert [type(v) for v in vars(p * q).values()] == [int] * 3
 
     def test_associative(self):
         rng = random.Random(47)
