@@ -5,8 +5,11 @@ ring, the block-schedule driven nilpotent-pair families over the square-zero
 extension, and the zero-dimensional Artin family.  The ring model lives in
 the values: a MonomialIdeal or a NilPairIdeal supplies its own length,
 unit test, product and containment witness.  Includes the graded-axiom
-checker and the counting identity len(R/I_n) = #box - #S_n, where S_n is the
-set of exponents of I_n in a simplex box.
+checker, which asks each pair of levels for the first generator of their
+product outside the target level (``product_escape``: in d = 2 a pair that
+holds is decided without building its product), and the counting identity
+len(R/I_n) = #box - #S_n, where S_n is the set of exponents of I_n in a
+simplex box.
 """
 
 from __future__ import annotations
@@ -298,6 +301,15 @@ def corrupted_sigma_family(dim: int = 1) -> GradedFamily:
 # the graded axiom checker
 # ---------------------------------------------------------------------------
 
+def _check_horizon(horizon) -> int:
+    """``horizon`` as a non-negative int (by the rule of ``_integer``), else
+    ValueError."""
+    horizon = _integer(horizon, f"horizon {horizon!r} is not an integer")
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} is negative")
+    return horizon
+
+
 @dataclass
 class GradedCheckReport:
     checked_pairs: int
@@ -312,9 +324,12 @@ def check_graded(family: GradedFamily, horizon: int) -> GradedCheckReport:
     """Verify I_a * I_b inside I_{a+b} for all a + b <= horizon.
 
     Containment of monomial ideals reduces to their generators, so the check
-    is exhaustive.  Violations are reported with a witness generator.  Each
-    level is built once and kept for the pairs that read it.
+    is exhaustive.  Violations are reported with a witness generator: each
+    pair is decided by ``product_escape``, which builds the product only
+    when it escapes.  Each level is built once and kept for the pairs that
+    read it.  A horizon that is not a non-negative integer raises ValueError.
     """
+    horizon = _check_horizon(horizon)
     levels = [family.ideal(n) for n in range(horizon + 1)]
     violations: list[tuple[int, int, str]] = []
     checked = 0
@@ -324,7 +339,7 @@ def check_graded(family: GradedFamily, horizon: int) -> GradedCheckReport:
         for a in range(1, total // 2 + 1):
             b = total - a
             checked += 1
-            witness = (levels[a] * levels[b]).first_escape(levels[total])
+            witness = levels[a].product_escape(levels[b], levels[total])
             if witness is not None:
                 violations.append((a, b, f"{witness} escapes I_{total}"))
     return GradedCheckReport(checked, violations)

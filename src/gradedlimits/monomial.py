@@ -8,8 +8,10 @@ sort, membership is one ``bisect`` on that order, and the colength and the
 largest standard degree are closed forms in the staircase corners.  A
 product sums packed corners; stretches of corners with one step, such as
 the corners of (x^a, y^b)^n, are summed as arithmetic progressions, not
-pair by pair.  In
-d >= 3 one sweep minimalizes the (d-1)-variable slices along the last
+pair by pair.  Whether a product lies in a target is decided without
+building it: those progressions are compared with the target's floor, the
+least y above each x, and only a product that escapes is built, to name its
+first generator outside.  In d >= 3 one sweep minimalizes the (d-1)-variable slices along the last
 variable, down to the d = 2 sweep.  Minimalization keeps the generators new
 in their slice, and each ideal keeps the slices as its index on first use:
 membership is one bisect for the slice and a (d-1)-variable query inside
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations_with_replacement, repeat
-from operator import sub
+from operator import le, sub
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -165,9 +167,27 @@ class MonomialIdeal:
         if self.gens == target.gens:
             return None
         for g in self.gens:
-            if not target.contains(g):
+            if not target._covers(g):
                 return f"monomial {g}"
         return None
+
+    def product_escape(self, other: "MonomialIdeal", target: "MonomialIdeal") -> str | None:
+        """``(self * other).first_escape(target)``, with the product built
+        only when it escapes.
+
+        In d = 2 the product lies in ``target`` exactly when every sum of a
+        generator of self and one of other does, and ``_piece_sums`` lists
+        those sums as a few arithmetic progressions, each tested against the
+        target's ``_floor``.  When every sum holds the answer is None.  In
+        d != 2, for a target without a floor, or when some sum escapes, the
+        product is built and its first escape named, so the witness is the
+        product's own.
+        """
+        if self.num_vars == other.num_vars == target.num_vars == 2:
+            floor = target._floor
+            if floor is not None and _sums_above(self, other, floor, target.gens[0][0]):
+                return None
+        return (self * other).first_escape(target)
 
     @cached_property
     def _slices(self) -> tuple[list[int], list["MonomialIdeal"]]:
@@ -212,6 +232,9 @@ class MonomialIdeal:
         return tops[0] == 0 and slices[0].is_m_primary() and slices[-1].is_unit()
 
     def max_exponent(self) -> int:
+        if self.gens and self.num_vars <= 2:
+            # along a staircase x increases and y decreases
+            return max(self.gens[-1][0], self.gens[0][-1])
         return max((e for g in self.gens for e in g), default=0)
 
     def _check(self, other: "MonomialIdeal"):
@@ -249,6 +272,33 @@ class MonomialIdeal:
                 lone.append(gens[i])
                 i += 1
         return runs, lone
+
+    @cached_property
+    def _floor(self) -> list[int] | None:
+        """The floor of a d = 2 staircase (x_0, y_0), ..., (x_k, y_k): the
+        least y with (x, y) in the ideal for each x in [x_0, x_k], listed by
+        x - x_0.  A point left of x_0 is outside the ideal, and one right of
+        x_k is inside it exactly when its y is at least y_k.
+
+        None for the zero ideal, and for a staircase whose floor would hold
+        more than 8 entries per corner, so a floor never outweighs the corner
+        tuples it indexes.
+        """
+        gens = self.gens
+        if not gens or gens[-1][0] - gens[0][0] >= 8 * len(gens):
+            return None
+        floor = []
+        for (x, y), (next_x, _) in zip(gens, gens[1:]):
+            floor += [y] * (next_x - x)
+        floor.append(gens[-1][1])
+        return floor
+
+    @cached_property
+    def _pieces(self) -> list[tuple[int, ...]]:
+        """The runs of a d = 2 staircase and its lone corners, each lone
+        corner read as a run (x, y, 1, -1, 1) of one corner."""
+        runs, lone = self._runs
+        return runs + [(x, y, 1, -1, 1) for x, y in lone]
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The product ideal.  In d <= 2 each staircase generator (x, y) is
@@ -345,6 +395,44 @@ class MonomialIdeal:
         return reduce(lambda a, b: a.intersect(b), parts)
 
 
+def _piece_sums(first: MonomialIdeal, second: MonomialIdeal):
+    """The sums of a generator of ``first`` and one of ``second`` (d = 2), as
+    progressions (x, y, dx, dy, n): the n points (x + i*dx, y + i*dy), with
+    dx > 0 > dy.  Two ``_pieces`` with one step sum to one progression of
+    n + m - 1 points; any other two give one progression along the longer
+    piece per corner of the shorter.
+    """
+    theirs = second._pieces
+    for p in first._pieces:
+        for q in theirs:
+            if p[2:4] == q[2:4]:
+                yield p[0] + q[0], p[1] + q[1], p[2], p[3], p[4] + q[4] - 1
+                continue
+            (x, y, dx, dy, n), (u, v, du, dv, m) = (p, q) if p[4] <= q[4] else (q, p)
+            for i in range(n):
+                yield x + i * dx + u, y + i * dy + v, du, dv, m
+
+
+def _sums_above(first: MonomialIdeal, second: MonomialIdeal, floor: list[int],
+                x0: int) -> bool:
+    """Whether every sum of ``_piece_sums(first, second)`` lies in the d = 2
+    ideal whose ``_floor`` is ``floor``, starting at x = x0.  The points of a
+    progression up to the floor's last x are compared with it entry by
+    entry; past it y only falls, so the last point alone is compared with
+    the floor's last entry."""
+    last, y_last = len(floor) - 1, floor[-1]
+    for x, y, dx, dy, n in _piece_sums(first, second):
+        i = x - x0
+        if i < 0:
+            return False
+        inside = max(0, min(n, (last - i) // dx + 1))
+        if not all(map(le, floor[i:i + inside * dx:dx], range(y, y + inside * dy, dy))):
+            return False
+        if inside < n and y + (n - 1) * dy < y_last:
+            return False
+    return True
+
+
 def check_stack_depth(num_vars: int) -> None:
     """Refuse ``num_vars`` variables when the slice recursion of a d >= 3
     ideal cannot fit on the stack.  Minimalization and the colength and
@@ -384,8 +472,16 @@ def max_ideal_power(num_vars: int, n: int) -> MonomialIdeal:
 
 
 def colon_monomial_infinity(ideal: MonomialIdeal, u) -> MonomialIdeal:
-    """I : u^infty for a monomial u: zero out the exponents supported on u."""
-    support = [i for i, e in enumerate(_exponent(ideal.num_vars, u)) if e > 0]
+    """I : u^infty for a monomial u: zero out the exponents supported on u.
+
+    In d = 2, for a staircase (x_0, y_0), ..., (x_k, y_k), zeroing x leaves
+    (y^{y_k}), zeroing y leaves (x^{x_0}), and zeroing both the unit ideal.
+    """
+    u = _exponent(ideal.num_vars, u)
+    if ideal.num_vars == 2 and ideal.gens and any(u):
+        gens = ideal.gens
+        return MonomialIdeal._of(2, ((0 if u[0] else gens[0][0], 0 if u[1] else gens[-1][1]),))
+    support = [i for i, e in enumerate(u) if e > 0]
     gens = {tuple(0 if i in support else e for i, e in enumerate(g))
             for g in ideal.gens}
     return MonomialIdeal._canonical(ideal.num_vars, gens)
@@ -539,6 +635,10 @@ class NilPairIdeal:
             if mine < theirs:
                 return f"{part} monomial {(0,) * (self.num_vars - 1) + (mine,)}"
         return None
+
+    def product_escape(self, other: "NilPairIdeal", target: "NilPairIdeal") -> str | None:
+        """``(self * other).first_escape(target)``."""
+        return (self * other).first_escape(target)
 
     def __mul__(self, other: "NilPairIdeal") -> "NilPairIdeal":
         """(m^a + y m^b)(m^a' + y m^b') = m^{a+a'} + y m^{min(a+b', a'+b)}."""

@@ -10,7 +10,9 @@ with each other (and, in the annihilator model, with everything).
 Providers describe a level as a few disjoint ``Block``s, each a shifted set
 of all monomials of one weighted degree in the leading variables.  The degree
 and sign of a level are checked once per block, never per monomial, and a
-level's dimension, Kodaira-Iitaka lattice and closure are read off its blocks.
+level's dimension, Kodaira-Iitaka lattice and closure are read off its blocks:
+the product of two point blocks is one monomial, looked up in the target
+level.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import islice, product
 from operator import add, ge
 from typing import Callable, Collection, Iterable, NamedTuple
 
-from .families import BlockSchedule
+from .families import BlockSchedule, _check_horizon
 from .lattice import hermite_basis
 from .monomial import _integer
 
@@ -252,9 +254,12 @@ def closure_violations(series: MonomialLinearSeries,
     ``max(x.free, y.free)`` variables.  A target block of the same nil flag
     holds every such monomial when it frees at least those variables, agrees
     with the corner past its own free ones and lies below it on them.  A
-    span product held so is settled unexpanded; any other pair is multiplied
-    out against the target level, expanded once when first needed.
+    span product held so is settled unexpanded; a pair of two points is the
+    one monomial ``corner``, looked up in the target level; any other pair is
+    multiplied out against the target level, expanded once when first
+    needed.  A horizon that is not a non-negative integer raises ValueError.
     """
+    horizon = _check_horizon(horizon)
     weights = series.ambient.weights
     levels = {n: series.blocks(n) for n in range(1, horizon + 1)}
     expanded: dict[int, frozenset] = {}
@@ -274,6 +279,10 @@ def closure_violations(series: MonomialLinearSeries,
                     continue
                 if total not in expanded:
                     expanded[total] = _expand(weights, target)
+                if not free:
+                    if (corner, nil) not in expanded[total]:
+                        escapes.append(((x.shift, x.nil), (y.shift, y.nil)))
+                    continue
                 second = list(_block_rows(weights, y.shift, y.free, y.degree))
                 escapes += islice((((u, x.nil), (v, y.nil))
                                    for u in _block_rows(weights, x.shift, x.free, x.degree)

@@ -18,6 +18,8 @@ ideal that the fixpoint oracles iterate.
 ``closure_violations_by_tuples`` is the series closure check on (exponents,
 nil) tuples, the reference for the block-pair check; ``block_monomials`` and
 ``weighted_monomials`` list the block expansion for the tests.
+``check_graded_by_products`` is the graded-axiom check that builds every
+product, the reference for the check that builds only escaping ones.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from gradedlimits.experiments import (
     convergence_report,
     semigroup_limit_report,
 )
+from gradedlimits.families import GradedCheckReport
 from gradedlimits.lattice import RationalPolytope, convex_hull, frac_point
 from gradedlimits.monomial import MonomialIdeal, colength, max_ideal_power, unit_ideal
 from gradedlimits.semigroup import GradedSemigroup, invariants
@@ -234,6 +237,24 @@ def symbolic_core_fixpoint(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -
         if nxt == current:
             return current
         current = nxt
+
+
+def check_graded_by_products(family, horizon: int) -> GradedCheckReport:
+    """``check_graded`` with every product built: I_a * I_b, then its first
+    generator outside I_{a+b}."""
+    levels = [family.ideal(n) for n in range(horizon + 1)]
+    violations: list[tuple[int, int, str]] = []
+    checked = 0
+    if not levels[0].is_unit():
+        violations.append((0, 0, "I_0 is not the unit ideal"))
+    for total in range(2, horizon + 1):
+        for a in range(1, total // 2 + 1):
+            b = total - a
+            checked += 1
+            witness = (levels[a] * levels[b]).first_escape(levels[total])
+            if witness is not None:
+                violations.append((a, b, f"{witness} escapes I_{total}"))
+    return GradedCheckReport(checked, violations)
 
 
 def check_level_degrees(series, n: int, monomials) -> None:

@@ -28,7 +28,7 @@ from gradedlimits.monomial import (
     minimal_generators,
     unit_ideal,
 )
-from oracles import check_level_containments, symbolic_core_fixpoint
+from oracles import check_graded_by_products, check_level_containments, symbolic_core_fixpoint
 
 
 SCHEDULE = BlockSchedule.default(210)
@@ -228,7 +228,68 @@ class TestBuilders:
         assert [r[2:4] for r in runs] == [(2, -1)] and len(lone) == n % 2
 
 
+@st.composite
+def perturbed_families(draw):
+    """d = 2 families of powers or (1, w) valuation ideals with some levels
+    edited, so that most pairs hold and some escape: a corner raised or
+    moved right, a corner dropped, or the whole level moved right or up."""
+    base = draw(st.sampled_from([
+        power_family(MonomialIdeal(2, ((2, 0), (0, 3)))),
+        power_family(MonomialIdeal(2, ((3, 0), (1, 1), (0, 2)))),
+        power_family(MonomialIdeal(2, ((4, 0), (2, 1), (0, 3)))),
+        valuation_family((1, 2)),
+        valuation_family((2, 3)),
+    ]))
+    edits = draw(st.dictionaries(
+        st.integers(1, 14),
+        st.tuples(st.sampled_from(["raise", "right", "drop", "level-right", "level-up"]),
+                  st.integers(0, 100)),
+        max_size=5))
+
+    def provider(n):
+        gens = list(base.ideal(n).gens)
+        if n in edits:
+            kind, k = edits[n]
+            k %= len(gens)
+            if kind == "raise":
+                gens[k] = (gens[k][0], gens[k][1] + 1)
+            elif kind == "right":
+                gens[k] = (gens[k][0] + 1, gens[k][1])
+            elif kind == "drop" and len(gens) > 1:
+                del gens[k]
+            elif kind == "level-right":
+                gens = [(x + 1, y) for x, y in gens]
+            elif kind == "level-up":
+                gens = [(x, y + 1) for x, y in gens]
+        return MonomialIdeal(2, tuple(gens))
+
+    return GradedFamily("perturbed", 2, provider)
+
+
 class TestCheckGraded:
+    @given(perturbed_families())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_building_every_product(self, family):
+        assert check_graded(family, 14) == check_graded_by_products(family, 14)
+
+    def test_graded_pairs_build_no_product(self, monkeypatch):
+        # every pair of a graded d = 2 family is decided on the target's floor
+        def refuse(self, other):
+            raise AssertionError("product built")
+
+        monkeypatch.setattr(MonomialIdeal, "__mul__", refuse)
+        assert check_graded(valuation_family((1, 2)), 60).ok
+
+    @pytest.mark.parametrize("horizon", [-1, 2.5, "3"])
+    def test_bad_horizon_refused(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            check_graded(valuation_family((1, 2)), horizon)
+
+    def test_integral_horizon_accepted(self):
+        assert check_graded(valuation_family((1, 2)), Fraction(6)) == \
+            check_graded(valuation_family((1, 2)), 6)
+        assert check_graded(valuation_family((1, 2)), 0).checked_pairs == 0
+
     def test_power_family_passes(self):
         report = check_graded(power_family(max_ideal_power(2, 1)), 20)
         assert report.ok and report.checked_pairs == sum(t // 2 for t in range(2, 21))

@@ -161,6 +161,40 @@ def run_staircases(draw):
     return MonomialIdeal(2, tuple(gens))
 
 
+def escape_targets(data, prod):
+    """Targets for ``product_escape`` around the d = 2 product ``prod``: the
+    product itself and near misses (a corner raised, a corner dropped), the
+    product moved off the axes (x_0 > 0 or y_last > 0), cut short so sums
+    land past its last x, the zero and unit ideals, another run staircase,
+    and a sparse target whose floor is never built."""
+    gens = list(prod.gens)
+    kind = data.draw(st.sampled_from(
+        ["self", "raise", "drop", "moved", "cut", "zero", "unit", "other", "sparse"]))
+    if kind == "zero":
+        return MonomialIdeal(2, ())
+    if kind == "unit" or not gens:
+        return unit_ideal(2)
+    if kind == "other":
+        return data.draw(run_staircases())
+    if kind == "sparse":
+        # one corner per 8 x-steps or fewer: no floor
+        target = MonomialIdeal(2, ((0, gens[0][1] + 1), (8 * len(gens) + gens[-1][0] + 9, 0)))
+        assert target._floor is None
+        return target
+    k = data.draw(st.integers(0, len(gens) - 1))
+    if kind == "raise":
+        dx, dy = data.draw(st.sampled_from([(0, 1), (1, 0)]))
+        gens[k] = (gens[k][0] + dx, gens[k][1] + dy)
+    elif kind == "drop":
+        del gens[k]
+    elif kind == "moved":
+        dx, dy = data.draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+        gens = [(max(0, x + dx), max(0, y + dy)) for x, y in gens]
+    elif kind == "cut":
+        gens = gens[:k + 1]
+    return MonomialIdeal(2, tuple(gens)) if gens else MonomialIdeal(2, ())
+
+
 class TestKernelOracles:
     """Staircase (d <= 2) and last-variable slice sweep (d >= 3) kernels against
     brute force."""
@@ -213,6 +247,47 @@ class TestKernelOracles:
             assert sorted(corners + lone) == list(gens)
         sums = [(g[0] + h[0], g[1] + h[1]) for g in i.gens for h in j.gens]
         assert (i * j).gens == oracle_minimal(sums)
+
+    @given(run_staircases(), run_staircases(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_product_escape(self, i, j, data):
+        # the pairs decided on the target's floor, and the product built for
+        # the rest, give the product's own first escape
+        prod = i * j
+        target = escape_targets(data, prod)
+        assert i.product_escape(j, target) == prod.first_escape(target)
+
+    @given(st.data(), st.sampled_from([1, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_product_escape_off_the_staircase(self, data, d):
+        i, j, t = (MonomialIdeal(d, tuple(data.draw(exponent_sets(d, max_size=5))))
+                   for _ in range(3))
+        for target in (t, i * j, MonomialIdeal(d, ()), unit_ideal(d)):
+            assert i.product_escape(j, target) == (i * j).first_escape(target)
+
+    def test_floor(self):
+        # (0, 3), (2, 1), (3, 0) shifted to start at x = 1
+        assert ideal((1, 3), (3, 1), (4, 0))._floor == [3, 3, 1, 0]
+        assert ideal((0, 0))._floor == [0]
+        assert MonomialIdeal(2, ())._floor is None
+        # at most 8 floor entries per corner: 16 for two corners
+        assert len(ideal((0, 1), (15, 0))._floor) == 16
+        assert ideal((0, 1), (16, 0))._floor is None
+
+    @given(st.data(), st.integers(1, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_max_exponent(self, data, d):
+        i = data.draw(staircases(d))
+        assert i.max_exponent() == max((e for g in i.gens for e in g), default=0)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_colon_infinity_staircase_ends(self, data):
+        # the d = 2 closed form against the colon fixpoint, on zero, unit and
+        # non-m-primary ideals alike
+        i = MonomialIdeal(2, tuple(data.draw(exponent_sets(2))))
+        u = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        assert colon_monomial_infinity(i, u) == symbolic_core_fixpoint(i, ideal(u), 1)
 
     @given(st.data(), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)

@@ -672,6 +672,40 @@ class TestClosure:
         assert closure_violations(series, 9) == want
         assert closure_violations_by_tuples(series, 9) == want
 
+    @pytest.mark.parametrize("dropped", [(2, False), (12, False), (29, False)])
+    def test_broken_tau_pulse_matches_tuple_oracle(self, dropped):
+        # tau_pulse levels are points; a pair of points is one lookup
+        pulse = tau_pulse_series(SCHEDULE, horizon=30)
+
+        def provider(n):
+            return [b for b in pulse.blocks(n) if (n, b.nil) != dropped]
+
+        broken = MonomialLinearSeries("broken_pulse", pulse.ambient, pulse.twist,
+                                      provider, 30)
+        want = closure_violations_by_tuples(broken, 30)
+        assert want and closure_violations(broken, 30) == want
+
+    @pytest.mark.parametrize("dropped", [None, ((2, 3), False), ((1, 3), True)])
+    def test_mixed_points_match_tuple_oracle(self, dropped):
+        # every monomial of degree n, and every nil one, as points of the
+        # square-zero model, where a nil point times a reduced one is nil
+        ambient = WeightedAmbient((1, 1), nil_degree=1)
+
+        def provider(n):
+            points = [((a, n - a), False) for a in range(n + 1)]
+            points += [((a, n - 1 - a), True) for a in range(n)]
+            return [Block(e, nil) for e, nil in points if (e, nil) != dropped]
+
+        series = MonomialLinearSeries("points", ambient, 1, provider, 8)
+        want = closure_violations_by_tuples(series, 8)
+        assert bool(want) == (dropped is not None)
+        assert closure_violations(series, 8) == want
+
+    @pytest.mark.parametrize("horizon", [-1, 2.5, "3"])
+    def test_bad_horizon_refused(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            closure_violations(full_weighted_series((1, 1), 10), horizon)
+
     def test_each_level_built_once(self):
         # levels are not memoized, so the check must hold its own copy
         calls = []
