@@ -38,11 +38,9 @@ class ScaledSequence:
     normalization: str
     entries: tuple[tuple[int, Fraction, Fraction], ...]  # (n, raw, scaled)
 
-    def value(self, n: int) -> Fraction:
-        for m, _, scaled in self.entries:
-            if m == n:
-                return scaled
-        raise KeyError(n)
+    def __post_init__(self):
+        if not self.entries:
+            raise ValueError(f"{self.label} has no entries: give at least one index")
 
     @property
     def n_max(self) -> int:
@@ -164,6 +162,8 @@ def _mean(values: Sequence[Fraction]) -> Fraction:
 
 def convergence_report(seq: ScaledSequence, max_modulus: int = 4,
                        tol: Fraction = DEFAULT_TOL) -> ConvergenceReport:
+    if max_modulus < 1:
+        raise ValueError(f"max_modulus must be at least 1, got {max_modulus}")
     n_hi = seq.n_max
     n_mid = n_hi // 2
     n_lo = -(-n_hi // 4)

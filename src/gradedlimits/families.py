@@ -112,6 +112,7 @@ class GradedFamily:
     schedule: BlockSchedule | None = None
 
     def ideal(self, n: int):
+        n = _integer(n, f"index {n!r} is not an integer")
         if n < 0:
             raise ValueError("negative index")
         return self.provider(n)

@@ -6,17 +6,18 @@ canonical generators form a staircase: x strictly increases and y strictly
 decreases along the tuple.  Minimalization there is one sweep after a lex
 sort, membership is one ``bisect`` on that order, and the colength and the
 largest standard degree are closed forms in the staircase corners.  A
-product sums packed corners; stretches of corners with one step, such as
-the corners of (x^a, y^b)^n, are summed as arithmetic progressions, not
-pair by pair.  Whether a product lies in a target is decided without
-building it: those progressions are compared with the target's floor, the
-least y above each x, and only a product that escapes is built, to name its
-first generator outside.  In d >= 3 one sweep minimalizes the (d-1)-variable slices along the last
-variable, down to the d = 2 sweep.  Minimalization keeps the generators new
-in their slice, and each ideal keeps the slices as its index on first use:
-membership is one bisect for the slice and a (d-1)-variable query inside
-it, and colengths sum the slice colengths over the slice widths, down to
-the d = 2 closed form.
+product sums every pair of packed corners and sweeps the sorted sums.
+Whether a product lies in a target is decided without building it: each
+staircase splits into stretches of corners with one step, such as the
+corners of (x^a, y^b)^n, the sums of two stretches are arithmetic
+progressions, and these are compared with the target's floor, the least y
+above each x.  Only a product that escapes is built, to name its first
+generator outside.  In d >= 3 one sweep minimalizes the (d-1)-variable
+slices along the last variable, down to the d = 2 sweep.  Minimalization
+keeps the generators new in their slice, and each ideal keeps the slices as
+its index on first use: membership is one bisect for the slice and a
+(d-1)-variable query inside it, and colengths sum the slice colengths over
+the slice widths, down to the d = 2 closed form.
 """
 
 from __future__ import annotations
@@ -248,32 +249,6 @@ class MonomialIdeal:
         return MonomialIdeal._canonical(self.num_vars, self.gens + other.gens)
 
     @cached_property
-    def _runs(self) -> tuple[list[tuple[int, ...]], list[Exponent]]:
-        """(runs, lone corners) of a d = 2 staircase.
-
-        A run (x, y, dx, dy, n) is a maximal stretch of n >= 3 corners
-        (x + i*dx, y + i*dy), i < n.  Read left to right, a corner that
-        starts no such stretch is a lone corner.  (x^a, y^b)^n is one run,
-        and so is the valuation ideal of weights (1, w), after one lone
-        corner when w does not divide n.
-        """
-        gens, runs, lone = self.gens, [], []
-        steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(gens, gens[1:])]
-        i = 0
-        while i < len(gens):
-            # steps i..j-1 are equal, so corners i..j are a stretch
-            j = i + 1
-            while j < len(steps) and steps[j] == steps[i]:
-                j += 1
-            if j - i >= 2:
-                runs.append((*gens[i], *steps[i], j - i + 1))
-                i = j + 1
-            else:
-                lone.append(gens[i])
-                i += 1
-        return runs, lone
-
-    @cached_property
     def _floor(self) -> list[int] | None:
         """The floor of a d = 2 staircase (x_0, y_0), ..., (x_k, y_k): the
         least y with (x, y) in the ideal for each x in [x_0, x_k], listed by
@@ -295,24 +270,36 @@ class MonomialIdeal:
 
     @cached_property
     def _pieces(self) -> list[tuple[int, ...]]:
-        """The runs of a d = 2 staircase and its lone corners, each lone
-        corner read as a run (x, y, 1, -1, 1) of one corner."""
-        runs, lone = self._runs
-        return runs + [(x, y, 1, -1, 1) for x, y in lone]
+        """A d = 2 staircase as progressions (x, y, dx, dy, n), left to right:
+        the n corners (x + i*dx, y + i*dy), i < n.
+
+        A piece of n >= 3 corners is a maximal stretch with one step; a corner
+        that starts no such stretch is a piece (x, y, 1, -1, 1) of its own.
+        (x^a, y^b)^n is one piece, and so is the valuation ideal of weights
+        (1, w), after one lone corner when w does not divide n.
+        """
+        gens, pieces = self.gens, []
+        steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(gens, gens[1:])]
+        i = 0
+        while i < len(gens):
+            # steps i..j-1 are equal, so corners i..j are a stretch
+            j = i + 1
+            while j < len(steps) and steps[j] == steps[i]:
+                j += 1
+            if j - i >= 2:
+                pieces.append((*gens[i], *steps[i], j - i + 1))
+                i = j + 1
+            else:
+                pieces.append((*gens[i], 1, -1, 1))
+                i += 1
+        return pieces
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The product ideal.  In d <= 2 each staircase generator (x, y) is
         packed as the int x*K + y with K above the largest sum of two y's
         (the y of each first generator), so int order is lex order and sums
-        never carry; the sorted distinct sums are swept as staircase
-        candidates and only the kept corners are unpacked.
-
-        Packing is linear, so a run of ``_runs`` packs to an arithmetic
-        progression a + i*s.  Two runs with the same step sum to the single
-        progression a + b + k*s, k < n + m - 1; a run plus a lone corner is
-        a shifted progression; runs with different steps are summed one row
-        at a time.  Lone corners of self are summed with every generator of
-        other."""
+        never carry; the sorted distinct sums of every pair are swept as
+        staircase candidates and only the kept corners are unpacked."""
         self._check(other)
         d = self.num_vars
         if d > 2:
@@ -324,26 +311,9 @@ class MonomialIdeal:
         if d == 1:
             return MonomialIdeal._of(1, ((self.gens[0][0] + other.gens[0][0],),))
         k = 1 + self.gens[0][1] + other.gens[0][1]
-        my_runs, my_lone = self._runs
-        sums = set()
-        if my_lone:
-            mine = [x * k + y for x, y in my_lone]
-            theirs = [x * k + y for x, y in other.gens]
-            sums = {p + q for p in mine for q in theirs}
-        if my_runs:
-            runs, lone = other._runs
-            their_runs = [(x * k + y, dx * k + dy, m) for x, y, dx, dy, m in runs]
-            their_lone = [x * k + y for x, y in lone]
-            for x, y, dx, dy, n in my_runs:
-                a, s = x * k + y, dx * k + dy
-                for b, t, m in their_runs:
-                    if s == t:
-                        sums.update(range(a + b, a + b + (n + m - 1) * s, s))
-                    else:
-                        for row in range(a + b, a + b + n * s, s):
-                            sums.update(range(row, row + m * t, t))
-                for c in their_lone:
-                    sums.update(range(a + c, a + c + n * s, s))
+        mine = [x * k + y for x, y in self.gens]
+        theirs = [x * k + y for x, y in other.gens]
+        sums = {p + q for p in mine for q in theirs}
         kept, low = [], k
         for s in sorted(sums):
             y = s % k
@@ -353,6 +323,7 @@ class MonomialIdeal:
         return MonomialIdeal._of(2, tuple(map(divmod, kept, repeat(k))))
 
     def __pow__(self, n: int) -> "MonomialIdeal":
+        n = _integer(n, "power is not an integer")
         if n < 0:
             raise ValueError("negative power")
         result = unit_ideal(self.num_vars)
@@ -499,11 +470,6 @@ def colon_ideal_infinity(ideal: MonomialIdeal, other: MonomialIdeal) -> Monomial
         return unit_ideal(ideal.num_vars)
     parts = [colon_monomial_infinity(ideal, u) for u in other.gens]
     return reduce(lambda a, b: a.intersect(b), parts)
-
-
-def symbolic_core(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:
-    """I^n : J^infty, the symbolic power of I along J."""
-    return colon_ideal_infinity(ideal ** n, other)
 
 
 # ---------------------------------------------------------------------------

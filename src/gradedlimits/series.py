@@ -170,10 +170,13 @@ class SeriesInvariants:
 
 def _horizon(requested: int | None, default: int, series: MonomialLinearSeries) -> int:
     """``requested``, or ``default`` for None, capped at the series horizon;
-    an explicit horizon below 1 raises ``ValueError``."""
-    if requested is not None and requested < 1:
-        raise ValueError("horizon must be at least 1")
-    return min(default if requested is None else requested, series.horizon)
+    an explicit horizon that is not an integer (by the rule of ``_integer``)
+    or is below 1 raises ``ValueError``."""
+    if requested is not None:
+        default = _integer(requested, f"horizon {requested!r} is not an integer")
+        if default < 1:
+            raise ValueError("horizon must be at least 1")
+    return min(default, series.horizon)
 
 
 def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):

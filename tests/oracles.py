@@ -20,6 +20,8 @@ nil) tuples, the reference for the block-pair check; ``block_monomials`` and
 ``weighted_monomials`` list the block expansion for the tests.
 ``check_graded_by_products`` is the graded-axiom check that builds every
 product, the reference for the check that builds only escaping ones.
+``symbolic_core`` is I^n : J^infty through the library's colon by J^infty,
+which ``symbolic_core_fixpoint`` checks.
 """
 
 from __future__ import annotations
@@ -40,7 +42,13 @@ from gradedlimits.experiments import (
 )
 from gradedlimits.families import GradedCheckReport
 from gradedlimits.lattice import RationalPolytope, convex_hull, frac_point
-from gradedlimits.monomial import MonomialIdeal, colength, max_ideal_power, unit_ideal
+from gradedlimits.monomial import (
+    MonomialIdeal,
+    colength,
+    colon_ideal_infinity,
+    max_ideal_power,
+    unit_ideal,
+)
 from gradedlimits.semigroup import GradedSemigroup, invariants
 from gradedlimits.series import _block_rows
 
@@ -225,6 +233,11 @@ def saturation_quotient_bruteforce(ideal: MonomialIdeal) -> int:
                 and not any(all(ge <= we for ge, we in zip(g, w)) for g in ideal.gens)):
             count += 1
     return count
+
+
+def symbolic_core(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:
+    """I^n : J^infty, the symbolic power of I along J."""
+    return colon_ideal_infinity(ideal ** n, other)
 
 
 def symbolic_core_fixpoint(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -61,6 +61,11 @@ class TestVerdictPolicy:
         rep = convergence_report(synthetic(vals), 1)
         assert rep.overall.verdict == CONVERGES
 
+    @pytest.mark.parametrize("max_modulus", [0, -2])
+    def test_no_classes_refused(self, max_modulus):
+        with pytest.raises(ValueError, match="max_modulus must be at least 1"):
+            convergence_report(synthetic([1, 2, 3, 4]), max_modulus)
+
     def test_insufficient_data(self):
         rep = convergence_report(synthetic([1, 2, 3]), 2)
         assert all(c.verdict == INCONCLUSIVE for c in rep.classes)
@@ -86,14 +91,15 @@ class TestLengthSequences:
     def test_power_family_values(self):
         f = power_family(max_ideal_power(2, 1))
         seq = length_sequence(f, 10)
-        assert seq.value(10) == Fraction(55, 100)
+        assert seq.entries[-1] == (10, 55, Fraction(55, 100))
         assert seq.normalization == "length/n^2"
 
     def test_nilpair_values(self):
         f = nilpair_sigma_family(1, SCHEDULE)
         seq = length_sequence(f, 210)
-        assert seq.value(26) == Fraction(3, 2)
-        assert seq.value(209) == 2 - Fraction(13, 209)
+        scaled = {n: v for n, _, v in seq.entries}
+        assert scaled[26] == Fraction(3, 2)
+        assert scaled[209] == 2 - Fraction(13, 209)
 
     def test_artin_unscaled(self):
         f = artin_tau_family(2, SCHEDULE)
@@ -107,10 +113,16 @@ class TestLengthSequences:
         with pytest.raises(ValueError, match="level 1"):
             length_sequence(f, 5)
 
+    def test_no_indices_refused(self):
+        with pytest.raises(ValueError, match="no entries"):
+            length_sequence(valuation_family((1, 2)), ns=[])
+        with pytest.raises(ValueError, match="no entries"):
+            synthetic([])
+
     def test_sparse_ns(self):
         f = valuation_family((1, 2))
         seq = length_sequence(f, ns=[2000])
-        assert seq.value(2000) == Fraction(1001000, 2000 ** 2)
+        assert seq.entries == ((2000, 1001000, Fraction(1001000, 2000 ** 2)),)
 
     def test_boundedness_by_containment(self):
         # m^{cn} inside I_n bounds the scaled lengths by the m-power count
@@ -226,7 +238,7 @@ class TestVolMult:
 class TestEps:
     def test_x2_xy(self):
         rep = epsilon_multiplicity_report(MonomialIdeal(2, ((2, 0), (1, 1))), 200)
-        assert rep.sequence.value(200) == Fraction(2 * math.comb(201, 2), 200 ** 2)
+        assert rep.sequence.entries[-1][::2] == (200, Fraction(2 * math.comb(201, 2), 200 ** 2))
         assert rep.convergence.overall.verdict == CONVERGES
 
     def test_m_primary_tracks_multiplicity(self):
@@ -235,7 +247,12 @@ class TestEps:
         from gradedlimits.monomial import multiplicity
         i = MonomialIdeal(2, ((2, 0), (0, 3)))
         rep = epsilon_multiplicity_report(i, 120)
-        assert abs(rep.sequence.value(120) - multiplicity(i)) < Fraction(1, 4)
+        n, _, scaled = rep.sequence.entries[-1]
+        assert n == 120 and abs(scaled - multiplicity(i)) < Fraction(1, 4)
+
+    def test_horizon_below_one_refused(self):
+        with pytest.raises(ValueError, match="no entries"):
+            epsilon_multiplicity_report(MonomialIdeal(2, ((2, 0), (1, 1))), -3)
 
     def test_principal_all_zero(self):
         rep = epsilon_multiplicity_report(MonomialIdeal(2, ((1, 0),)), 40)

@@ -88,6 +88,15 @@ class TestBuilders:
         assert f.ideal(0).is_unit()
         assert f.ideal(2) == MonomialIdeal(2, ((2, 0), (0, 3))) ** 2
 
+    @pytest.mark.parametrize("family", [power_family(MonomialIdeal(2, ((2, 0), (0, 3)))),
+                                        valuation_family((1, 2))])
+    def test_bad_level_refused(self, family):
+        assert family.ideal(3.0) == family.ideal(3)
+        for n, message in ((2.5, "not an integer"), ("2", "not an integer"),
+                           (-1, "negative index")):
+            with pytest.raises(ValueError, match=message):
+                family.ideal(n)
+
     def test_valuation_gens_fixture(self):
         assert valuation_gens((Fraction(1), Fraction(2)), 3) == ((0, 2), (1, 1), (3, 0))
 
@@ -219,13 +228,16 @@ class TestBuilders:
 
     @pytest.mark.parametrize("n", [4, 7, 30, 101])
     def test_powers_and_valuations_are_runs(self, n):
-        # every corner of (x^2, y^3)^n is on one run, and every corner of a
-        # (1, 2) valuation ideal but perhaps the first: the d = 2 product
-        # sums these as progressions
+        # every corner of (x^2, y^3)^n is on one piece, and every corner of a
+        # (1, 2) valuation ideal but perhaps the first: product_escape sums
+        # these as progressions
         power = power_family(MonomialIdeal(2, ((2, 0), (0, 3)))).ideal(n)
-        assert power._runs == ([(0, 3 * n, 2, -3, n + 1)], [])
-        runs, lone = valuation_family((1, 2)).ideal(n)._runs
+        assert power._pieces == [(0, 3 * n, 2, -3, n + 1)]
+        pieces = valuation_family((1, 2)).ideal(n)._pieces
+        runs = [p for p in pieces if p[4] > 1]
+        lone = [p for p in pieces if p[4] == 1]
         assert [r[2:4] for r in runs] == [(2, -1)] and len(lone) == n % 2
+        assert all(p[2:4] == (1, -1) for p in lone)
 
 
 @st.composite

@@ -20,7 +20,6 @@ from gradedlimits.monomial import (
     multiplicity,
     newton_region,
     saturation_quotient_colength,
-    symbolic_core,
     unit_ideal,
 )
 from oracles import (
@@ -32,6 +31,7 @@ from oracles import (
     multiplicity_limit_sequence,
     saturate_by_colon_fixpoint,
     saturation_quotient_bruteforce,
+    symbolic_core,
     symbolic_core_fixpoint,
 )
 
@@ -55,6 +55,13 @@ class TestArithmetic:
 
     def test_power_square(self):
         assert (ideal((1, 0), (0, 1)) ** 2).gens == ((0, 2), (1, 1), (2, 0))
+        assert ideal((1, 0), (0, 1)) ** 2.0 == ideal((1, 0), (0, 1)) ** 2
+
+    @pytest.mark.parametrize("n, message", [(2.5, "not an integer"), ("2", "not an integer"),
+                                            (-1, "negative power")])
+    def test_bad_power_refused(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            ideal((1, 0), (0, 1)) ** n
 
     def test_intersect(self):
         assert ideal((1, 0)).intersect(ideal((0, 1))).gens == ((1, 1),)
@@ -238,13 +245,13 @@ class TestKernelOracles:
     @given(run_staircases(), run_staircases())
     @settings(max_examples=300, deadline=None)
     def test_run_product(self, i, j):
-        # the run branches of the d = 2 product; random staircases almost
-        # never hold a run
-        for gens, (runs, lone) in ((i.gens, i._runs), (j.gens, j._runs)):
-            corners = [(x + k * dx, y + k * dy) for x, y, dx, dy, n in runs
+        # staircases made of runs, which random staircases almost never
+        # hold, split into the pieces that product_escape sums
+        for ideal_ in (i, j):
+            corners = [(x + k * dx, y + k * dy) for x, y, dx, dy, n in ideal_._pieces
                        for k in range(n)]
-            assert all(n >= 3 for *_, n in runs)
-            assert sorted(corners + lone) == list(gens)
+            assert all(n == 1 or n >= 3 for *_, n in ideal_._pieces)
+            assert corners == list(ideal_.gens)
         sums = [(g[0] + h[0], g[1] + h[1]) for g in i.gens for h in j.gens]
         assert (i * j).gens == oracle_minimal(sums)
 

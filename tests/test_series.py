@@ -495,6 +495,18 @@ class TestIndex:
         assert series_invariants(s).horizon == 50
         assert series_invariants(s, 1).horizon == 1
 
+    @pytest.mark.parametrize("horizon", [2.5, "3"])
+    def test_non_integer_horizon_rejected(self, horizon):
+        s = full_weighted_series((1, 1), 50)
+        for scan in (kodaira_iitaka, index_estimate, series_invariants):
+            with pytest.raises(ValueError, match="horizon .* is not an integer"):
+                scan(s, horizon)
+
+    def test_integral_horizon_accepted(self):
+        s = full_weighted_series((1, 1), 50)
+        for scan in (kodaira_iitaka, index_estimate, series_invariants):
+            assert scan(s, 3.0) == scan(s, Fraction(3)) == scan(s, 3)
+
 
 class TestClosure:
     def test_all_builders_closed(self):
