@@ -58,7 +58,6 @@ _EXPORTS = {
         "ConvergenceReport",
         "ScaledSequence",
         "convergence_report",
-        "epsilon_multiplicity_report",
         "length_sequence",
         "semigroup_limit_report",
         "volume_equals_multiplicity",

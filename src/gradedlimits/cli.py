@@ -27,8 +27,8 @@ from .experiments import (
     DEFAULT_TOL,
     convergence_report,
     dim_sequence,
-    epsilon_multiplicity_report,
     length_sequence,
+    saturation_gap_sequence,
     semigroup_limit_report,
     volume_equals_multiplicity,
 )
@@ -239,8 +239,9 @@ def _cmd_eps(args) -> int:
     horizon = _resolve(args, {}, "horizon", 200)
     moduli = _resolve(args, {}, "moduli", 4)
     tol = _resolve(args, {}, "tol", DEFAULT_TOL)
-    report = epsilon_multiplicity_report(ideal, horizon, moduli, tol)
-    rows, ok = _convergence_rows(args, {}, report.sequence, report.convergence)
+    seq = saturation_gap_sequence(ideal, horizon)
+    report = convergence_report(seq, moduli, tol)
+    rows, ok = _convergence_rows(args, {}, seq, report)
     return _emit(rows, ok, args, f"{Path(args.ideal).stem}__eps.csv")
 
 

@@ -59,13 +59,29 @@ def _scaled_sequence(label: str, normalization: str, exponent: int,
                           normalization=normalization, entries=tuple(entries))
 
 
+def _horizon(n_max) -> int:
+    """``n_max`` as an int of at least 1 (by the rule of ``_integer``), else
+    ValueError."""
+    from .monomial import _integer
+
+    n_max = _integer(n_max, f"horizon {n_max!r} is not an integer")
+    if n_max < 1:
+        raise ValueError(f"horizon {n_max} is below 1: the sequence has no entries")
+    return n_max
+
+
 def length_sequence(family: GradedFamily, n_max: int | None = None,
                     ns: Iterable[int] | None = None) -> ScaledSequence:
     """Exact lengths of R/I_n scaled by n^d, d = dim R (unscaled in the
-    zero-dimensional Artin model)."""
+    zero-dimensional Artin model), for n = 1 .. n_max or for the indices
+    ``ns``, read in ascending order."""
+    from .monomial import _integer
+
     if ns is None:
-        ns = range(1, n_max + 1)
-    ns = sorted(set(int(n) for n in ns))
+        if n_max is None:
+            raise ValueError("give a horizon n_max or indices ns")
+        ns = range(1, _horizon(n_max) + 1)
+    ns = sorted({_integer(n, f"index {n!r} is not an integer") for n in ns})
     if any(n < 1 for n in ns):
         raise ValueError("indices must be positive")
     exponent = family.dim
@@ -84,19 +100,20 @@ def dim_sequence(series: MonomialLinearSeries, n_max: int,
                  exponent: int) -> ScaledSequence:
     """Exact series dimensions scaled by n^exponent."""
     return _scaled_sequence(f"dim[{series.name}]", f"dim/n^{exponent}",
-                            exponent, range(1, n_max + 1), series.dim)
+                            exponent, range(1, _horizon(n_max) + 1), series.dim)
 
 
 def saturation_gap_sequence(ideal: MonomialIdeal, n_max: int) -> ScaledSequence:
-    """len((I^n)^sat / I^n) * d! / n^d, the local-cohomology length sequence."""
-    from .families import _incremental_powers
+    """len((I^n)^sat / I^n) * d! / n^d, the local-cohomology length sequence
+    whose limit is the epsilon multiplicity."""
+    from .families import power_family
     from .monomial import saturation_quotient_colength
 
     d = ideal.num_vars
     d_fact = math.factorial(d)
-    power = _incremental_powers(ideal)
+    power = power_family(ideal).provider
     return _scaled_sequence(
-        "saturation_gap", f"len*{d_fact}/n^{d}", d, range(1, n_max + 1),
+        "saturation_gap", f"len*{d_fact}/n^{d}", d, range(1, _horizon(n_max) + 1),
         lambda n: saturation_quotient_colength(power(n)) * d_fact)
 
 
@@ -162,6 +179,9 @@ def _mean(values: Sequence[Fraction]) -> Fraction:
 
 def convergence_report(seq: ScaledSequence, max_modulus: int = 4,
                        tol: Fraction = DEFAULT_TOL) -> ConvergenceReport:
+    from .monomial import _integer
+
+    max_modulus = _integer(max_modulus, f"max_modulus {max_modulus!r} is not an integer")
     if max_modulus < 1:
         raise ValueError(f"max_modulus must be at least 1, got {max_modulus}")
     n_hi = seq.n_max
@@ -272,7 +292,7 @@ def volume_equals_multiplicity(family: GradedFamily, p_list: Sequence[int],
     Each row holds the exact e(I_p)/p^d for its own p.  `lhs` is
     d! * len(R/I_n)/n^d at n = `horizon`.  The theorem equates only the
     limits of the two sides, so a row for small p may differ from `lhs`.
-    Every p must be at least 1.
+    Every p and the horizon must be at least 1.
     """
     from .monomial import multiplicity
 
@@ -281,25 +301,9 @@ def volume_equals_multiplicity(family: GradedFamily, p_list: Sequence[int],
     for p in p_list:
         if p < 1:
             raise ValueError(f"powers p must be at least 1, got {p}")
+    horizon = _horizon(horizon)
     d = family.dim
     rhs_vals = [multiplicity(family.ideal(p)) / Fraction(p) ** d for p in p_list]
     lhs = Fraction(math.factorial(d)) * Fraction(family.length(horizon)) / horizon ** d
     rows = tuple((p, v, abs(v - lhs)) for p, v in zip(p_list, rhs_vals))
     return VolMultReport(lhs_at=horizon, lhs=lhs, rows=rows)
-
-
-# ---------------------------------------------------------------------------
-# saturation / local cohomology experiment
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EpsilonReport:
-    sequence: ScaledSequence
-    convergence: ConvergenceReport
-
-
-def epsilon_multiplicity_report(ideal: MonomialIdeal, horizon: int,
-                                max_modulus: int = 4,
-                                tol: Fraction = DEFAULT_TOL) -> EpsilonReport:
-    seq = saturation_gap_sequence(ideal, horizon)
-    return EpsilonReport(seq, convergence_report(seq, max_modulus, tol))

@@ -102,8 +102,10 @@ class GradedFamily:
     NilPairIdeal over the square-zero extension of polynomial(d); the value
     carries the ring model.  ``dim`` is the Krull dimension of the ring, the
     power of n that normalizes lengths.  Levels are not memoized: a consumer
-    that reads a level twice keeps it itself.  Bounds such as the box of the
-    counting identity are read off the ideals where they are needed.
+    that reads a level twice keeps it itself.  The power builders keep only
+    the last power read, so an ascending read costs one product per level.
+    Bounds such as the box of the counting identity are read off the ideals
+    where they are needed.
     """
 
     name: str
@@ -132,27 +134,26 @@ class GradedFamily:
 # builders
 # ---------------------------------------------------------------------------
 
-def _incremental_powers(ideal: MonomialIdeal):
-    """n -> I^n, each power built once as the previous power times I."""
-    powers = [unit_ideal(ideal.num_vars)]
-
-    def power(n: int) -> MonomialIdeal:
-        while len(powers) <= n:
-            powers.append(powers[-1] * ideal)
-        return powers[n]
-
-    return power
-
-
 def power_family(ideal: MonomialIdeal) -> GradedFamily:
-    """I_n = I^n."""
-    return GradedFamily(name="power", dim=ideal.num_vars,
-                        provider=_incremental_powers(ideal))
+    """I_n = I^n, streamed: only the last power read is kept.  A read at or
+    above it multiplies it forward by I; a read below it starts again from
+    I^0, at most n products."""
+    last = (0, unit_ideal(ideal.num_vars))
+
+    def provider(n: int) -> MonomialIdeal:
+        nonlocal last
+        k, power = last if n >= last[0] else (0, unit_ideal(ideal.num_vars))
+        for _ in range(k, n):
+            power = power * ideal
+        last = (n, power)
+        return power
+
+    return GradedFamily(name="power", dim=ideal.num_vars, provider=provider)
 
 
 def saturation_family(ideal: MonomialIdeal) -> GradedFamily:
     """I_n = saturation of I^n with respect to the maximal ideal."""
-    power = _incremental_powers(ideal)
+    power = power_family(ideal).provider
 
     def provider(n: int) -> MonomialIdeal:
         return power(n).saturate()
@@ -163,7 +164,7 @@ def saturation_family(ideal: MonomialIdeal) -> GradedFamily:
 def symbolic_family(ideal: MonomialIdeal, other: MonomialIdeal) -> GradedFamily:
     """I_n = I^n : J^infty, the symbolic powers along J."""
     ideal._check(other)
-    power = _incremental_powers(ideal)
+    power = power_family(ideal).provider
 
     def provider(n: int) -> MonomialIdeal:
         return colon_ideal_infinity(power(n), other)

@@ -31,10 +31,6 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations_with_replacement, repeat
 from operator import le, sub
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .lattice import RationalPolytope
 
 Exponent = tuple  # ints, one per variable
 
@@ -621,49 +617,24 @@ class NilPairIdeal:
 
 
 # ---------------------------------------------------------------------------
-# Newton region and multiplicity
+# multiplicity
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NewtonRegion:
-    """Axis-clipped Newton polyhedron of an m-primary monomial ideal.
-
-    covolume is the volume between the staircase hull and the origin; it is
-    independent of the clip bound once the clip dominates the generators.
-    """
-
-    ideal: MonomialIdeal
-    clip: int
-    polytope: RationalPolytope
-    covolume: Fraction
-
-
-def newton_region(ideal: MonomialIdeal, clip: int | None = None) -> NewtonRegion:
-    from .lattice import convex_hull, lattice_volume, standard_lattice
-
-    if not ideal.is_m_primary():
-        raise ValueError("Newton region needs an ideal primary to the maximal ideal")
-    d = ideal.num_vars
-    floor = d * ideal.max_exponent()
-    if clip is None:
-        clip = max(floor, 1)
-    if clip < floor or clip < 1:
-        raise ValueError("clip bound too small")
-    points = set()
-    for g in ideal.gens:
-        for mask in range(1 << d):
-            points.add(tuple(clip if mask & (1 << i) else g[i] for i in range(d)))
-    polytope = convex_hull(points)
-    volume = lattice_volume(polytope, standard_lattice(d))
-    covolume = Fraction(clip) ** d - volume
-    return NewtonRegion(ideal, clip, polytope, covolume)
-
 
 def multiplicity(ideal: MonomialIdeal) -> Fraction:
     """Hilbert-Samuel multiplicity of an m-primary monomial ideal.
 
-    d! times the covolume of the Newton region; exact, and independent of
+    d! times the covolume of the Newton region: the box [0, c]^d less the
+    hull of the generators clipped to it, with c = d * max_exponent (at
+    least 1), which dominates every generator.  Exact, and independent of
     the length-sequence route (which it cross-checks).
     """
-    region = newton_region(ideal)
-    return math.factorial(ideal.num_vars) * region.covolume
+    from .lattice import convex_hull, lattice_volume, standard_lattice
+
+    if not ideal.is_m_primary():
+        raise ValueError("multiplicity needs an ideal primary to the maximal ideal")
+    d = ideal.num_vars
+    clip = max(d * ideal.max_exponent(), 1)
+    points = {tuple(clip if mask & (1 << i) else g[i] for i in range(d))
+              for g in ideal.gens for mask in range(1 << d)}
+    volume = lattice_volume(convex_hull(points), standard_lattice(d))
+    return math.factorial(d) * (Fraction(clip) ** d - volume)

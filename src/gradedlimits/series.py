@@ -260,15 +260,15 @@ def closure_violations(series: MonomialLinearSeries,
     span product held so is settled unexpanded; a pair of two points is the
     one monomial ``corner``, looked up in the target level; any other pair is
     multiplied out against the target level, expanded once when first
-    needed.  A horizon that is not a non-negative integer raises ValueError.
+    needed and dropped when the next total begins.  A horizon that is not a
+    non-negative integer raises ValueError.
     """
     horizon = _check_horizon(horizon)
     weights = series.ambient.weights
     levels = {n: series.blocks(n) for n in range(1, horizon + 1)}
-    expanded: dict[int, frozenset] = {}
     out = []
     for total in range(2, horizon + 1):
-        target = levels[total]
+        target, expanded = levels[total], None
         for a in range(1, total // 2 + 1):
             escapes = []
             for x, y in product(levels[a], levels[total - a]):
@@ -280,17 +280,17 @@ def closure_violations(series: MonomialLinearSeries,
                                 and corner[t.free:] == t.shift[t.free:]
                                 and all(map(ge, corner, t.shift[:t.free])) for t in target):
                     continue
-                if total not in expanded:
-                    expanded[total] = _expand(weights, target)
+                if expanded is None:
+                    expanded = _expand(weights, target)
                 if not free:
-                    if (corner, nil) not in expanded[total]:
+                    if (corner, nil) not in expanded:
                         escapes.append(((x.shift, x.nil), (y.shift, y.nil)))
                     continue
                 second = list(_block_rows(weights, y.shift, y.free, y.degree))
                 escapes += islice((((u, x.nil), (v, y.nil))
                                    for u in _block_rows(weights, x.shift, x.free, x.degree)
                                    for v in second
-                                   if (tuple(map(add, u, v)), nil) not in expanded[total]), 1)
+                                   if (tuple(map(add, u, v)), nil) not in expanded), 1)
             if escapes:
                 u, v = min(escapes)
                 out.append((a, total - a, f"{u} * {v} escapes level {total}"))

@@ -66,6 +66,18 @@ class TestExitCodes:
         assert run("volmult", SPECS / "volmult_valuation12.spec",
                    "--out", tmp_path / "o.csv") == 0
 
+    def test_volmult_pset_order(self, tmp_path):
+        # a descending pset restarts the power stream at every p
+        spec = tmp_path / "power.spec"
+        spec.write_text("family: power\nideal: 2 0; 1 1; 0 2\nhorizon: 20\n")
+        rows = {}
+        for pset in ("8,4,2,1", "1,2,4,8"):
+            out = tmp_path / f"{pset}.csv"
+            assert run("volmult", spec, "--pset", pset, "--out", out) == 0
+            rows[pset] = sorted(r for r in out.read_text().splitlines()
+                                if r.startswith("rhs,"))
+        assert len(rows["1,2,4,8"]) == 4 and rows["8,4,2,1"] == rows["1,2,4,8"]
+
 
 class TestArgumentEdges:
     """Explicit values are honoured; out-of-range ones exit 2 in one line."""

@@ -10,8 +10,8 @@ from gradedlimits.experiments import (
     ScaledSequence,
     convergence_report,
     dim_sequence,
-    epsilon_multiplicity_report,
     length_sequence,
+    saturation_gap_sequence,
     semigroup_limit_report,
     volume_equals_multiplicity,
 )
@@ -66,6 +66,12 @@ class TestVerdictPolicy:
         with pytest.raises(ValueError, match="max_modulus must be at least 1"):
             convergence_report(synthetic([1, 2, 3, 4]), max_modulus)
 
+    def test_non_integer_modulus_refused(self):
+        seq = synthetic([Fraction(1, 2)] * 64)
+        with pytest.raises(ValueError, match="max_modulus 2.5 is not an integer"):
+            convergence_report(seq, 2.5)
+        assert convergence_report(seq, 2.0) == convergence_report(seq, 2)
+
     def test_insufficient_data(self):
         rep = convergence_report(synthetic([1, 2, 3]), 2)
         assert all(c.verdict == INCONCLUSIVE for c in rep.classes)
@@ -119,6 +125,22 @@ class TestLengthSequences:
         with pytest.raises(ValueError, match="no entries"):
             synthetic([])
 
+    def test_neither_horizon_nor_indices_refused(self):
+        with pytest.raises(ValueError, match="n_max or indices ns"):
+            length_sequence(valuation_family((1, 2)))
+
+    def test_non_integer_index_refused(self):
+        with pytest.raises(ValueError, match="index 2.5 is not an integer"):
+            length_sequence(valuation_family((1, 2)), ns=[2.5])
+
+    def test_integral_horizon_accepted(self):
+        f = valuation_family((1, 2))
+        assert length_sequence(f, 3.0) == length_sequence(f, 3)
+        with pytest.raises(ValueError, match="horizon 2.5 is not an integer"):
+            length_sequence(f, 2.5)
+        with pytest.raises(ValueError, match="below 1"):
+            length_sequence(f, 0)
+
     def test_sparse_ns(self):
         f = valuation_family((1, 2))
         seq = length_sequence(f, ns=[2000])
@@ -141,8 +163,8 @@ class TestVerdictSoundness:
         for f, horizon in ((f1, 160), (f2, 200)):
             rep = convergence_report(length_sequence(f, horizon), 4)
             assert all(c.verdict != OSCILLATES for c in rep.classes)
-        eps = epsilon_multiplicity_report(MonomialIdeal(2, ((2, 0), (1, 1))), 320)
-        assert all(c.verdict != OSCILLATES for c in eps.convergence.classes)
+        eps = saturation_gap_sequence(MonomialIdeal(2, ((2, 0), (1, 1))), 320)
+        assert all(c.verdict != OSCILLATES for c in convergence_report(eps).classes)
 
     def test_oscillating_fixtures_never_converge(self):
         seq1 = length_sequence(nilpair_sigma_family(1, SCHEDULE), 210)
@@ -234,26 +256,37 @@ class TestVolMult:
         assert all(rhs == 1 for _, rhs, _ in rep.rows)
         assert abs(rep.lhs - 1) < Fraction(2, 100)
 
+    def test_horizon_below_one_refused(self):
+        with pytest.raises(ValueError, match="horizon 0 is below 1"):
+            volume_equals_multiplicity(valuation_family((1, 2)), [2], 0)
+
 
 class TestEps:
+    X2_XY = MonomialIdeal(2, ((2, 0), (1, 1)))
+
     def test_x2_xy(self):
-        rep = epsilon_multiplicity_report(MonomialIdeal(2, ((2, 0), (1, 1))), 200)
-        assert rep.sequence.entries[-1][::2] == (200, Fraction(2 * math.comb(201, 2), 200 ** 2))
-        assert rep.convergence.overall.verdict == CONVERGES
+        seq = saturation_gap_sequence(self.X2_XY, 200)
+        assert seq.entries[-1][::2] == (200, Fraction(2 * math.comb(201, 2), 200 ** 2))
+        assert convergence_report(seq).overall.verdict == CONVERGES
 
     def test_m_primary_tracks_multiplicity(self):
         # the saturation of an m-primary ideal is the unit ideal, so the
         # sequence is the full scaled colength and converges to e(I)
         from gradedlimits.monomial import multiplicity
         i = MonomialIdeal(2, ((2, 0), (0, 3)))
-        rep = epsilon_multiplicity_report(i, 120)
-        n, _, scaled = rep.sequence.entries[-1]
+        seq = saturation_gap_sequence(i, 120)
+        n, _, scaled = seq.entries[-1]
         assert n == 120 and abs(scaled - multiplicity(i)) < Fraction(1, 4)
 
     def test_horizon_below_one_refused(self):
         with pytest.raises(ValueError, match="no entries"):
-            epsilon_multiplicity_report(MonomialIdeal(2, ((2, 0), (1, 1))), -3)
+            saturation_gap_sequence(self.X2_XY, -3)
+
+    def test_non_integer_horizon_refused(self):
+        with pytest.raises(ValueError, match="horizon 2.5 is not an integer"):
+            saturation_gap_sequence(self.X2_XY, 2.5)
 
     def test_principal_all_zero(self):
-        rep = epsilon_multiplicity_report(MonomialIdeal(2, ((1, 0),)), 40)
-        assert all(v == 0 for _, _, v in rep.sequence.entries)
+        seq = saturation_gap_sequence(MonomialIdeal(2, ((1, 0),)), 40)
+        assert all(v == 0 for _, _, v in seq.entries)
+        assert convergence_report(seq).overall.limit_estimate == 0

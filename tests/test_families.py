@@ -1,10 +1,12 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedlimits.experiments import volume_equals_multiplicity
+from gradedlimits.experiments import length_sequence, volume_equals_multiplicity
 from gradedlimits.families import (
     BlockSchedule,
     GradedFamily,
@@ -23,6 +25,7 @@ from gradedlimits.families import (
 from gradedlimits.monomial import (
     MonomialIdeal,
     NilPairIdeal,
+    colon_ideal_infinity,
     madic_order,
     max_ideal_power,
     minimal_generators,
@@ -216,7 +219,7 @@ class TestBuilders:
     @given(st.integers(1, 3), st.data())
     @settings(max_examples=40, deadline=None)
     def test_symbolic_family_matches_colon_fixpoint(self, d, data):
-        # the levels read the incremental powers; J = 0 included
+        # the levels read the streamed powers; J = 0 included
         def draw_ideal(emax, size):
             return MonomialIdeal(d, tuple(data.draw(st.lists(
                 st.tuples(*[st.integers(0, emax)] * d), min_size=size, max_size=3))))
@@ -225,6 +228,36 @@ class TestBuilders:
         f = symbolic_family(i, j)
         for n in range(5):
             assert f.ideal(n) == symbolic_core_fixpoint(i, j, n)
+
+    def test_power_family_keeps_no_old_power(self):
+        f = power_family(MonomialIdeal(2, ((2, 0), (1, 1), (0, 2))))
+        fifth = weakref.ref(f.ideal(5))
+        length_sequence(f, 50)
+        gc.collect()
+        assert fifth() is None
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_power_builders_in_any_read_order(self, data):
+        # the stream restarts from I^0 below its last power: shuffled,
+        # descending and repeated reads give the same levels
+        def draw_ideal(size):
+            return MonomialIdeal(2, tuple(data.draw(st.lists(
+                st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                min_size=size, max_size=3))))
+
+        i, j = draw_ideal(1), draw_ideal(0)
+        ns = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=12))
+        order = data.draw(st.sampled_from(["shuffled", "descending", "repeated"]))
+        if order == "descending":
+            ns = sorted(ns, reverse=True)
+        elif order == "repeated":
+            ns = [n for n in ns for _ in range(2)]
+        families = (power_family(i), saturation_family(i), symbolic_family(i, j))
+        for n in ns:
+            power = i ** n
+            assert [f.ideal(n) for f in families] == \
+                [power, power.saturate(), colon_ideal_infinity(power, j)]
 
     @pytest.mark.parametrize("n", [4, 7, 30, 101])
     def test_powers_and_valuations_are_runs(self, n):
