@@ -5,9 +5,14 @@ The names below, and the six modules that define them, are re-exported
 lazily (PEP 562): ``import gradedlimits`` loads no submodule, and the first
 access to a name imports the one module that defines it.  A CLI job so
 loads only the modules its subcommand runs.
+
+``_integer`` is the integer rule every module applies to indices, horizons
+and exponents.  It lives here so that a module can apply it without loading
+another: a semigroup job loads no ``monomial``.
 """
 
 import importlib
+import numbers
 
 _EXPORTS = {
     "lattice": (
@@ -69,6 +74,14 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def _integer(value, message: str) -> int:
+    """``value`` as an int by the rule of ``hermite_basis``: an integral
+    Fraction or float counts as one; anything else raises ``message``."""
+    if not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(message)
+    return int(value)
 
 
 def __getattr__(name: str):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from . import _integer
+
 if TYPE_CHECKING:
     from .families import GradedFamily
     from .monomial import MonomialIdeal
@@ -62,8 +64,6 @@ def _scaled_sequence(label: str, normalization: str, exponent: int,
 def _horizon(n_max) -> int:
     """``n_max`` as an int of at least 1 (by the rule of ``_integer``), else
     ValueError."""
-    from .monomial import _integer
-
     n_max = _integer(n_max, f"horizon {n_max!r} is not an integer")
     if n_max < 1:
         raise ValueError(f"horizon {n_max} is below 1: the sequence has no entries")
@@ -75,8 +75,6 @@ def length_sequence(family: GradedFamily, n_max: int | None = None,
     """Exact lengths of R/I_n scaled by n^d, d = dim R (unscaled in the
     zero-dimensional Artin model), for n = 1 .. n_max or for the indices
     ``ns``, read in ascending order."""
-    from .monomial import _integer
-
     if ns is None:
         if n_max is None:
             raise ValueError("give a horizon n_max or indices ns")
@@ -179,8 +177,6 @@ def _mean(values: Sequence[Fraction]) -> Fraction:
 
 def convergence_report(seq: ScaledSequence, max_modulus: int = 4,
                        tol: Fraction = DEFAULT_TOL) -> ConvergenceReport:
-    from .monomial import _integer
-
     max_modulus = _integer(max_modulus, f"max_modulus {max_modulus!r} is not an integer")
     if max_modulus < 1:
         raise ValueError(f"max_modulus must be at least 1, got {max_modulus}")
@@ -244,10 +240,12 @@ def semigroup_limit_report(s: GradedSemigroup, horizon: int,
 
     The empirical tail is the last scaled count at the horizon; truncations
     rescale the predicted limit of the level-p sub-semigroup by p^q and flag
-    a dimension drop.
+    a dimension drop.  A horizon that is not an integer (by the rule of
+    ``_integer``) or is below 1 raises ValueError.
     """
     from .semigroup import invariants, truncate
 
+    horizon = _horizon(horizon)
     inv = invariants(s)
     if horizon < inv.m:
         raise ValueError(f"horizon {horizon} is below the degree index m = {inv.m}")

@@ -5,9 +5,11 @@ ring, the block-schedule driven nilpotent-pair families over the square-zero
 extension, and the zero-dimensional Artin family.  The ring model lives in
 the values: a MonomialIdeal or a NilPairIdeal supplies its own length,
 unit test, product and containment witness.  Includes the graded-axiom
-checker, which asks each pair of levels for the first generator of their
-product outside the target level (``product_escape``: in d = 2 a pair that
-holds is decided without building its product), and the counting identity
+checker, which asks each target level whether it holds the products of all
+the level pairs of its total (``holds_products``, decided without building
+a product for d = 2 staircases and for nilpotent pairs), and only when that
+is not settled asks each pair for the first generator of its product
+outside the target (``product_escape``), and the counting identity
 len(R/I_n) = #box - #S_n, where S_n is the set of exponents of I_n in a
 simplex box.
 """
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from . import _integer
 from .monomial import (
     MonomialIdeal,
     NilPairIdeal,
     _degree_tuples,
-    _integer,
     check_stack_depth,
     colon_ideal_infinity,
     madic_order,
@@ -326,10 +328,13 @@ def check_graded(family: GradedFamily, horizon: int) -> GradedCheckReport:
     """Verify I_a * I_b inside I_{a+b} for all a + b <= horizon.
 
     Containment of monomial ideals reduces to their generators, so the check
-    is exhaustive.  Violations are reported with a witness generator: each
-    pair is decided by ``product_escape``, which builds the product only
-    when it escapes.  Each level is built once and kept for the pairs that
-    read it.  A horizon that is not a non-negative integer raises ValueError.
+    is exhaustive.  The pairs (a, total - a) of one total are first decided
+    together by ``I_total.holds_products``, which builds no product.  A
+    total that test does not settle is decided pair by pair with
+    ``product_escape``, which builds a product only when it escapes and
+    names a witness generator.  Each level is built once and kept for the
+    pairs that read it.  A horizon that is not a non-negative integer raises
+    ValueError.
     """
     horizon = _check_horizon(horizon)
     levels = [family.ideal(n) for n in range(horizon + 1)]
@@ -338,12 +343,15 @@ def check_graded(family: GradedFamily, horizon: int) -> GradedCheckReport:
     if not levels[0].is_unit():
         violations.append((0, 0, "I_0 is not the unit ideal"))
     for total in range(2, horizon + 1):
-        for a in range(1, total // 2 + 1):
-            b = total - a
-            checked += 1
-            witness = levels[a].product_escape(levels[b], levels[total])
+        target = levels[total]
+        pairs = [(levels[a], levels[total - a]) for a in range(1, total // 2 + 1)]
+        checked += len(pairs)
+        if target.holds_products(pairs):
+            continue
+        for a, (first, second) in enumerate(pairs, 1):
+            witness = first.product_escape(second, target)
             if witness is not None:
-                violations.append((a, b, f"{witness} escapes I_{total}"))
+                violations.append((a, total - a, f"{witness} escapes I_{total}"))
     return GradedCheckReport(checked, violations)
 
 

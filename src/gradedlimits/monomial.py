@@ -11,19 +11,20 @@ Whether a product lies in a target is decided without building it: each
 staircase splits into stretches of corners with one step, such as the
 corners of (x^a, y^b)^n, the sums of two stretches are arithmetic
 progressions, and these are compared with the target's floor, the least y
-above each x.  Only a product that escapes is built, to name its first
-generator outside.  In d >= 3 one sweep minimalizes the (d-1)-variable
-slices along the last variable, down to the d = 2 sweep.  Minimalization
-keeps the generators new in their slice, and each ideal keeps the slices as
-its index on first use: membership is one bisect for the slice and a
-(d-1)-variable query inside it, and colengths sum the slice colengths over
-the slice widths, down to the d = 2 closed form.
+above each x (``holds_products``, which takes many products at once and
+tests each distinct progression once).  Only a product that escapes is
+built, to name its first generator outside.  In d >= 3 one sweep
+minimalizes the (d-1)-variable slices along the last variable, down to the
+d = 2 sweep.  Minimalization keeps the generators new in their slice, and
+each ideal keeps the slices as its index on first use: membership is one
+bisect for the slice and a (d-1)-variable query inside it, and colengths
+sum the slice colengths over the slice widths, down to the d = 2 closed
+form.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -32,15 +33,9 @@ from functools import cached_property, reduce
 from itertools import combinations_with_replacement, repeat
 from operator import le, sub
 
+from . import _integer
+
 Exponent = tuple  # ints, one per variable
-
-
-def _integer(value, message: str) -> int:
-    """``value`` as an int by the rule of ``hermite_basis``: an integral
-    Fraction or float counts as one; anything else raises ``message``."""
-    if not isinstance(value, numbers.Real) or value % 1:
-        raise ValueError(message)
-    return int(value)
 
 
 def _exponent(num_vars: int, g) -> Exponent:
@@ -170,21 +165,38 @@ class MonomialIdeal:
 
     def product_escape(self, other: "MonomialIdeal", target: "MonomialIdeal") -> str | None:
         """``(self * other).first_escape(target)``, with the product built
-        only when it escapes.
-
-        In d = 2 the product lies in ``target`` exactly when every sum of a
-        generator of self and one of other does, and ``_piece_sums`` lists
-        those sums as a few arithmetic progressions, each tested against the
-        target's ``_floor``.  When every sum holds the answer is None.  In
-        d != 2, for a target without a floor, or when some sum escapes, the
-        product is built and its first escape named, so the witness is the
-        product's own.
-        """
-        if self.num_vars == other.num_vars == target.num_vars == 2:
-            floor = target._floor
-            if floor is not None and _sums_above(self, other, floor, target.gens[0][0]):
-                return None
+        only when ``target.holds_products`` does not settle the pair, so the
+        witness is the product's own."""
+        if target.holds_products(((self, other),)):
+            return None
         return (self * other).first_escape(target)
+
+    def holds_products(self, pairs) -> bool:
+        """True when I * J lies in self for every pair (I, J) of ``pairs``,
+        decided without building a product; False when that is not settled.
+
+        Settled in d = 2 for a target with a ``_floor``: a product lies in it
+        exactly when every sum of a generator of I and one of J does, and
+        ``_piece_sums`` lists those sums as a few arithmetic progressions.
+        The distinct progressions of all the pairs are tested once each: the
+        points up to the floor's last x are compared with it entry by entry;
+        past it y only falls, so the last point alone is compared with the
+        floor's last entry.  Any other ideal answers False.
+        """
+        floor = self._floor if self.num_vars == 2 else None
+        if floor is None or any(i.num_vars != 2 or j.num_vars != 2 for i, j in pairs):
+            return False
+        x0, last, y_last = self.gens[0][0], len(floor) - 1, floor[-1]
+        for x, y, dx, dy, n in {s for f, g in pairs for s in _piece_sums(f, g)}:
+            i = x - x0
+            if i < 0:
+                return False
+            inside = max(0, min(n, (last - i) // dx + 1))
+            if not all(map(le, floor[i:i + inside * dx:dx], range(y, y + inside * dy, dy))):
+                return False
+            if inside < n and y + (n - 1) * dy < y_last:
+                return False
+        return True
 
     @cached_property
     def _slices(self) -> tuple[list[int], list["MonomialIdeal"]]:
@@ -318,19 +330,6 @@ class MonomialIdeal:
                 low = y
         return MonomialIdeal._of(2, tuple(map(divmod, kept, repeat(k))))
 
-    def __pow__(self, n: int) -> "MonomialIdeal":
-        n = _integer(n, "power is not an integer")
-        if n < 0:
-            raise ValueError("negative power")
-        result = unit_ideal(self.num_vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
         joins = {tuple(max(a, b) for a, b in zip(g, h))
@@ -378,26 +377,6 @@ def _piece_sums(first: MonomialIdeal, second: MonomialIdeal):
             (x, y, dx, dy, n), (u, v, du, dv, m) = (p, q) if p[4] <= q[4] else (q, p)
             for i in range(n):
                 yield x + i * dx + u, y + i * dy + v, du, dv, m
-
-
-def _sums_above(first: MonomialIdeal, second: MonomialIdeal, floor: list[int],
-                x0: int) -> bool:
-    """Whether every sum of ``_piece_sums(first, second)`` lies in the d = 2
-    ideal whose ``_floor`` is ``floor``, starting at x = x0.  The points of a
-    progression up to the floor's last x are compared with it entry by
-    entry; past it y only falls, so the last point alone is compared with
-    the floor's last entry."""
-    last, y_last = len(floor) - 1, floor[-1]
-    for x, y, dx, dy, n in _piece_sums(first, second):
-        i = x - x0
-        if i < 0:
-            return False
-        inside = max(0, min(n, (last - i) // dx + 1))
-        if not all(map(le, floor[i:i + inside * dx:dx], range(y, y + inside * dy, dy))):
-            return False
-        if inside < n and y + (n - 1) * dy < y_last:
-            return False
-    return True
 
 
 def check_stack_depth(num_vars: int) -> None:
@@ -601,6 +580,16 @@ class NilPairIdeal:
     def product_escape(self, other: "NilPairIdeal", target: "NilPairIdeal") -> str | None:
         """``(self * other).first_escape(target)``."""
         return (self * other).first_escape(target)
+
+    def holds_products(self, pairs) -> bool:
+        """True when P * Q lies in self for every pair (P, Q) of ``pairs``, by
+        the exponents of ``__mul__``: a + a' >= base and min(a + b', a' + b)
+        >= socle.  False also when the numbers of variables differ, which
+        the product refuses."""
+        return all(p.num_vars == q.num_vars == self.num_vars
+                   and p.base + q.base >= self.base
+                   and min(p.base + q.socle, q.base + p.socle) >= self.socle
+                   for p, q in pairs)
 
     def __mul__(self, other: "NilPairIdeal") -> "NilPairIdeal":
         """(m^a + y m^b)(m^a' + y m^b') = m^{a+a'} + y m^{min(a+b', a'+b)}."""

@@ -12,7 +12,8 @@ of all monomials of one weighted degree in the leading variables.  The degree
 and sign of a level are checked once per block, never per monomial, and a
 level's dimension, Kodaira-Iitaka lattice and closure are read off its blocks:
 the product of two point blocks is one monomial, looked up in the target
-level.
+level, and when every level holds one span per lane ``(nil, free)`` the
+closure of a whole total is decided at once on the lanes' shift columns.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from itertools import islice, product
 from operator import add, ge
 from typing import Callable, Collection, Iterable, NamedTuple
 
+from . import _integer
 from .families import BlockSchedule, _check_horizon
-from .lattice import hermite_basis
-from .monomial import _integer
 
 NEG_INF = float("-inf")
 
@@ -192,6 +192,8 @@ def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
     w_i <= D, ``shift + (D - w_i) z_0 + z_i``: as w_0 = 1, these span the
     lattice of the block's monomials.
     """
+    from .lattice import hermite_basis
+
     horizon = _horizon(horizon, series.horizon, series)
     basis: tuple = ()
     weights = series.ambient.weights
@@ -256,44 +258,98 @@ def closure_violations(series: MonomialLinearSeries,
     y.shift`` and m of weighted degree ``x.degree + y.degree`` in the first
     ``max(x.free, y.free)`` variables.  A target block of the same nil flag
     holds every such monomial when it frees at least those variables, agrees
-    with the corner past its own free ones and lies below it on them.  A
-    span product held so is settled unexpanded; a pair of two points is the
-    one monomial ``corner``, looked up in the target level; any other pair is
-    multiplied out against the target level, expanded once when first
-    needed and dropped when the next total begins.  A horizon that is not a
-    non-negative integer raises ValueError.
+    with the corner past its own free ones and lies below it on them.
+
+    When every level holds one span per lane ``(nil, free)``, with the same
+    lanes at every level, a whole total is decided at once (``_lanes_hold``):
+    for each lane pair, one target span must hold the products of every pair
+    ``(a, total - a)``.  A total that test does not settle is checked pair by
+    pair (``_total_violations``).  A horizon that is not a non-negative
+    integer raises ValueError.
     """
     horizon = _check_horizon(horizon)
-    weights = series.ambient.weights
     levels = {n: series.blocks(n) for n in range(1, horizon + 1)}
+    lanes = _lane_columns(levels)
     out = []
     for total in range(2, horizon + 1):
-        target, expanded = levels[total], None
-        for a in range(1, total // 2 + 1):
-            escapes = []
-            for x, y in product(levels[a], levels[total - a]):
-                if series.ambient.product_vanishes(x.nil, y.nil):
-                    continue
-                corner = tuple(map(add, x.shift, y.shift))
-                free, nil = max(x.free, y.free), x.nil or y.nil
-                if free and any(t.nil == nil and free <= t.free
-                                and corner[t.free:] == t.shift[t.free:]
-                                and all(map(ge, corner, t.shift[:t.free])) for t in target):
-                    continue
-                if expanded is None:
-                    expanded = _expand(weights, target)
-                if not free:
-                    if (corner, nil) not in expanded:
-                        escapes.append(((x.shift, x.nil), (y.shift, y.nil)))
-                    continue
-                second = list(_block_rows(weights, y.shift, y.free, y.degree))
-                escapes += islice((((u, x.nil), (v, y.nil))
-                                   for u in _block_rows(weights, x.shift, x.free, x.degree)
-                                   for v in second
-                                   if (tuple(map(add, u, v)), nil) not in expanded), 1)
-            if escapes:
-                u, v = min(escapes)
-                out.append((a, total - a, f"{u} * {v} escapes level {total}"))
+        if lanes is None or not _lanes_hold(series.ambient, lanes, levels[total], total):
+            out += _total_violations(series, levels, total)
+    return out
+
+
+def _lane_columns(levels: dict[int, list[Block]]) -> dict[tuple, list[tuple]] | None:
+    """Each lane ``(nil, free)`` mapped to its shift columns: column i holds
+    coordinate i of the lane's span at levels 0, 1, ..., the entry at level
+    0 unused.  None unless every level holds exactly one span per lane, with
+    the same lanes at every level."""
+    shifts: dict[tuple, list[tuple]] = {}
+    for n, blocks in levels.items():
+        level = {(b.nil, b.free): b.shift for b in blocks if b.free}
+        if len(level) != len(blocks) or (n > 1 and level.keys() != shifts.keys()):
+            return None
+        for lane, shift in level.items():
+            shifts.setdefault(lane, [shift]).append(shift)
+    return {lane: list(zip(*rows)) for lane, rows in shifts.items()}
+
+
+def _lanes_hold(ambient: WeightedAmbient, lanes: dict[tuple, list[tuple]],
+                target: list[Block], total: int) -> bool:
+    """Whether, for each lane pair whose products do not vanish, one span of
+    the target level holds the products of that lane pair at every
+    ``(a, total - a)``, a = 1 .. total // 2.  The corners of a lane pair are
+    column sums over those levels: each must equal the span's shift past its
+    free variables and reach it below them."""
+    h = total // 2
+    for (x_nil, x_free), xs in lanes.items():
+        for (y_nil, y_free), ys in lanes.items():
+            if ambient.product_vanishes(x_nil, y_nil):
+                continue
+            free, nil = max(x_free, y_free), x_nil or y_nil
+            corners = [list(map(add, x[1:h + 1], y[total - 1:total - h - 1:-1]))
+                       for x, y in zip(xs, ys)]
+            if not any(t.nil == nil and free <= t.free
+                       and all(min(c) >= e for c, e in zip(corners, t.shift[:t.free]))
+                       and all(min(c) == max(c) == e
+                               for c, e in zip(corners[t.free:], t.shift[t.free:]))
+                       for t in target):
+                return False
+    return True
+
+
+def _total_violations(series: MonomialLinearSeries, levels: dict[int, list[Block]],
+                      total: int) -> list[tuple[int, int, str]]:
+    """The violations of the pairs ``(a, total - a)``, pair by pair.  A span
+    product held by one target block is settled unexpanded; a pair of two
+    points is the one monomial ``corner``, looked up in the target level;
+    any other pair is multiplied out against the target level, expanded
+    once when first needed."""
+    weights = series.ambient.weights
+    target, expanded, out = levels[total], None, []
+    for a in range(1, total // 2 + 1):
+        escapes = []
+        for x, y in product(levels[a], levels[total - a]):
+            if series.ambient.product_vanishes(x.nil, y.nil):
+                continue
+            corner = tuple(map(add, x.shift, y.shift))
+            free, nil = max(x.free, y.free), x.nil or y.nil
+            if free and any(t.nil == nil and free <= t.free
+                            and corner[t.free:] == t.shift[t.free:]
+                            and all(map(ge, corner, t.shift[:t.free])) for t in target):
+                continue
+            if expanded is None:
+                expanded = _expand(weights, target)
+            if not free:
+                if (corner, nil) not in expanded:
+                    escapes.append(((x.shift, x.nil), (y.shift, y.nil)))
+                continue
+            second = list(_block_rows(weights, y.shift, y.free, y.degree))
+            escapes += islice((((u, x.nil), (v, y.nil))
+                               for u in _block_rows(weights, x.shift, x.free, x.degree)
+                               for v in second
+                               if (tuple(map(add, u, v)), nil) not in expanded), 1)
+        if escapes:
+            u, v = min(escapes)
+            out.append((a, total - a, f"{u} * {v} escapes level {total}"))
     return out
 
 

@@ -21,7 +21,9 @@ nil) tuples, the reference for the block-pair check; ``block_monomials`` and
 ``check_graded_by_products`` is the graded-axiom check that builds every
 product, the reference for the check that builds only escaping ones.
 ``symbolic_core`` is I^n : J^infty through the library's colon by J^infty,
-which ``symbolic_core_fixpoint`` checks.
+which ``symbolic_core_fixpoint`` checks; ``power`` is I^n by repeated
+squaring, a route to the powers apart from the library's streamed
+``power_family``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
+from gradedlimits import _integer
 from gradedlimits.experiments import (
     CONVERGES,
     DEFAULT_TOL,
@@ -235,16 +238,33 @@ def saturation_quotient_bruteforce(ideal: MonomialIdeal) -> int:
     return count
 
 
+def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
+    """I^n by binary exponentiation: the product of the squares I^(2^k) over
+    the bits k of n.  An n that is not a non-negative integer (by the rule
+    of ``_integer``) raises ValueError."""
+    n = _integer(n, "power is not an integer")
+    if n < 0:
+        raise ValueError("negative power")
+    result = unit_ideal(ideal.num_vars)
+    base = ideal
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
 def symbolic_core(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:
     """I^n : J^infty, the symbolic power of I along J."""
-    return colon_ideal_infinity(ideal ** n, other)
+    return colon_ideal_infinity(power(ideal, n), other)
 
 
 def symbolic_core_fixpoint(ideal: MonomialIdeal, other: MonomialIdeal, n: int) -> MonomialIdeal:
     """Reference route: iterate the colon by J until it stabilizes."""
     if ideal.num_vars != other.num_vars:
         raise ValueError("number of variables mismatch")
-    current = ideal ** n
+    current = power(ideal, n)
     while True:
         nxt = colon(current, other)
         if nxt == current:

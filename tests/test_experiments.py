@@ -213,6 +213,17 @@ class TestSemigroupReport:
             assert by_p[p].rescaled_limit == Fraction(1, 2)
             assert not by_p[p].dimension_drop
 
+    def test_integral_horizon_accepted(self):
+        s = GradedSemigroup(1, generators=[((0,), 1), ((1,), 1)])
+        assert semigroup_limit_report(s, 3.0) == semigroup_limit_report(s, 3)
+
+    @pytest.mark.parametrize("horizon, message", [(2.5, "not an integer"),
+                                                  ("3", "not an integer"), (0, "below 1")])
+    def test_bad_horizon_refused(self, horizon, message):
+        s = GradedSemigroup(1, generators=[((0,), 1), ((1,), 1)])
+        with pytest.raises(ValueError, match=message):
+            semigroup_limit_report(s, horizon)
+
     def test_invariants_once_per_semigroup(self, monkeypatch):
         # one call for S and one per truncation; truncate reads m directly
         calls = []

@@ -31,7 +31,12 @@ from gradedlimits.monomial import (
     minimal_generators,
     unit_ideal,
 )
-from oracles import check_graded_by_products, check_level_containments, symbolic_core_fixpoint
+from oracles import (
+    check_graded_by_products,
+    check_level_containments,
+    power,
+    symbolic_core_fixpoint,
+)
 
 
 SCHEDULE = BlockSchedule.default(210)
@@ -89,7 +94,7 @@ class TestBuilders:
     def test_power_family(self):
         f = power_family(MonomialIdeal(2, ((2, 0), (0, 3))))
         assert f.ideal(0).is_unit()
-        assert f.ideal(2) == MonomialIdeal(2, ((2, 0), (0, 3))) ** 2
+        assert f.ideal(2) == power(MonomialIdeal(2, ((2, 0), (0, 3))), 2)
 
     @pytest.mark.parametrize("family", [power_family(MonomialIdeal(2, ((2, 0), (0, 3)))),
                                         valuation_family((1, 2))])
@@ -255,9 +260,9 @@ class TestBuilders:
             ns = [n for n in ns for _ in range(2)]
         families = (power_family(i), saturation_family(i), symbolic_family(i, j))
         for n in ns:
-            power = i ** n
+            i_n = power(i, n)
             assert [f.ideal(n) for f in families] == \
-                [power, power.saturate(), colon_ideal_infinity(power, j)]
+                [i_n, i_n.saturate(), colon_ideal_infinity(i_n, j)]
 
     @pytest.mark.parametrize("n", [4, 7, 30, 101])
     def test_powers_and_valuations_are_runs(self, n):
@@ -275,15 +280,18 @@ class TestBuilders:
 
 @st.composite
 def perturbed_families(draw):
-    """d = 2 families of powers or (1, w) valuation ideals with some levels
-    edited, so that most pairs hold and some escape: a corner raised or
-    moved right, a corner dropped, or the whole level moved right or up."""
+    """d = 2 families of powers, (1, w) valuation ideals, saturations or
+    symbolic powers with some levels edited, so that most pairs hold and
+    some escape: a corner raised or moved right, a corner dropped, or the
+    whole level moved right or up."""
     base = draw(st.sampled_from([
         power_family(MonomialIdeal(2, ((2, 0), (0, 3)))),
         power_family(MonomialIdeal(2, ((3, 0), (1, 1), (0, 2)))),
         power_family(MonomialIdeal(2, ((4, 0), (2, 1), (0, 3)))),
         valuation_family((1, 2)),
         valuation_family((2, 3)),
+        saturation_family(MonomialIdeal(2, ((2, 0), (1, 1)))),
+        symbolic_family(MonomialIdeal(2, ((2, 0), (1, 1))), MonomialIdeal(2, ((1, 0), (0, 1)))),
     ]))
     edits = draw(st.dictionaries(
         st.integers(1, 14),
@@ -311,11 +319,52 @@ def perturbed_families(draw):
     return GradedFamily("perturbed", 2, provider)
 
 
+@st.composite
+def raised_nilpair_families(draw):
+    """Nilpotent-pair families in 1 to 3 variables with one level's base or
+    socle exponent raised (the socle at most to the base), so that the
+    pairs of some totals escape."""
+    dim = draw(st.integers(1, 3))
+    base = draw(st.sampled_from([nilpair_sigma_family(dim, SCHEDULE),
+                                 perturbed_power_family(dim, SCHEDULE),
+                                 corrupted_sigma_family(dim)]))
+    level, part, by = draw(st.integers(1, 14)), draw(st.sampled_from(["base", "socle"])), \
+        draw(st.integers(1, 3))
+
+    def provider(n):
+        pair = base.ideal(n)
+        if n != level:
+            return pair
+        if part == "base":
+            return NilPairIdeal(dim, pair.base + by, pair.socle)
+        return NilPairIdeal(dim, pair.base, min(pair.socle + by, pair.base))
+
+    return GradedFamily("raised_nilpair", dim, provider)
+
+
 class TestCheckGraded:
-    @given(perturbed_families())
-    @settings(max_examples=60, deadline=None)
+    @given(perturbed_families() | raised_nilpair_families())
+    @settings(max_examples=100, deadline=None)
     def test_matches_building_every_product(self, family):
         assert check_graded(family, 14) == check_graded_by_products(family, 14)
+
+    def test_graded_totals_settle_without_a_pair(self, monkeypatch):
+        # each total of the c11 polynomial and nilpotent-pair families is
+        # settled by holds_products, so no pair is asked on its own
+        def refuse(self, other, target):
+            raise AssertionError("total fell back to its pairs")
+
+        monkeypatch.setattr(MonomialIdeal, "product_escape", refuse)
+        monkeypatch.setattr(NilPairIdeal, "product_escape", refuse)
+        fams = [power_family(MonomialIdeal(2, ((2, 0), (0, 3)))),
+                valuation_family((1, 2)),
+                saturation_family(MonomialIdeal(2, ((2, 0), (1, 1)))),
+                symbolic_family(MonomialIdeal(2, ((2, 0), (1, 1))),
+                                MonomialIdeal(2, ((1, 0), (0, 1)))),
+                nilpair_sigma_family(1, SCHEDULE),
+                perturbed_power_family(1, SCHEDULE)]
+        for fam in fams:
+            assert check_graded(fam, 50).ok, fam.name
 
     def test_graded_pairs_build_no_product(self, monkeypatch):
         # every pair of a graded d = 2 family is decided on the target's floor

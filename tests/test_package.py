@@ -56,6 +56,15 @@ def test_subcommand_loads_only_its_modules(tmp_path, job):
         {"cli", "specfiles", "experiments"} | COMMAND_MODULES[job[0]]
 
 
+def test_series_loads_no_lattice():
+    # kodaira_iitaka imports hermite_basis when it runs, so importing series
+    # and checking a closure, as the graded-axiom suite does, load no lattice
+    assert "lattice" not in loaded_submodules("import gradedlimits.series")
+    code = ("from gradedlimits.series import closure_violations, sigma_growth_series\n"
+            "assert closure_violations(sigma_growth_series(1, 2, horizon=20), 20) == []")
+    assert loaded_submodules(code) == {"families", "monomial", "series"}
+
+
 def test_every_export_resolves():
     listed = dir(gradedlimits)
     for name in gradedlimits.__all__:

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradedlimits.lattice as lattice_module
 import gradedlimits.series as series_module
 from gradedlimits.families import BlockSchedule
 from gradedlimits.lattice import hermite_basis
@@ -438,7 +439,7 @@ class TestKappa:
             fed.append(vectors)
             return hermite_basis(vectors, ambient_dim)
 
-        with mock.patch.object(series_module, "hermite_basis", recording):
+        with mock.patch.object(lattice_module, "hermite_basis", recording):
             kodaira_iitaka(series, n)
         monomials = [exps + (n,) for exps in members(weights, block)]
         assert sympy.Matrix(fed[0]).rank() == sympy.Matrix(monomials).rank()
@@ -664,6 +665,67 @@ class TestClosure:
 
         with mock.patch.object(series_module, "_block_rows", points_only):
             for s in all_builders(50):
+                assert closure_violations(s, 50) == [], s.name
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_raised_lane_span_matches_tuple_oracle(self, data):
+        # a laned series (one span per (nil, free) lane at every level) with
+        # one lane's span raised in one coordinate at a target level, at a
+        # level below it and perhaps at one more, its degree lowered to
+        # match: a raise can send a total to the pair-by-pair check, and the
+        # raises on a factor and on its target meet in some pairs only
+        horizon, r = data.draw(st.integers(3, 7)), data.draw(st.integers(1, 2))
+        weights = (1,) + data.draw(st.tuples(*[st.integers(1, 2)] * (r + data.draw(
+            st.integers(0, 1)))))
+        kind = data.draw(st.sampled_from(["full", "partial", "sigma", "nil_only"]))
+        if kind == "full":
+            base = full_weighted_series(weights, horizon)
+        elif kind == "partial":
+            # one lane, free in the leading variables only
+            free = data.draw(st.integers(1, len(weights) - 1))
+            base = MonomialLinearSeries(
+                "partial", WeightedAmbient(weights), 1,
+                lambda n: [Block((0,) * len(weights), False, free, n)], horizon)
+        else:
+            s = None if kind == "nil_only" else data.draw(st.integers(0, r))
+            base = sigma_growth_series(s, r, weights=weights, e=data.draw(st.integers(1, 2)),
+                                       horizon=horizon)
+        target = data.draw(st.integers(2, horizon))
+        raised = {target, data.draw(st.integers(1, target - 1)),
+                  *data.draw(st.sets(st.integers(1, horizon), max_size=1))}
+        lane, coord = data.draw(st.integers(0, 1)), data.draw(st.integers(0, len(weights) - 1))
+        by = data.draw(st.integers(1, 2))
+
+        def provider(n):
+            blocks = base.blocks(n)
+            if n in raised:
+                k = lane % len(blocks)
+                shift, nil, free, degree = blocks[k]
+                if degree >= weights[coord] * by:
+                    blocks[k] = Block(shift[:coord] + (shift[coord] + by,) + shift[coord + 1:],
+                                      nil, free, degree - weights[coord] * by)
+            return blocks
+
+        series = MonomialLinearSeries("raised", base.ambient, base.twist, provider, horizon)
+        levels = {n: series.blocks(n) for n in range(1, horizon + 1)}
+        assert series_module._lane_columns(levels) is not None
+        assert closure_violations(series, horizon) == \
+            closure_violations_by_tuples(series, horizon)
+
+    def test_laned_builders_settle_every_total(self):
+        # full_weighted and sigma_growth hold one span per lane at every
+        # level, and the lane test settles each of their totals
+        def refuse(series, levels, total):
+            raise AssertionError(f"{series.name} total {total} fell back to its pairs")
+
+        laned = [full_weighted_series((1, 1), 50),
+                 full_weighted_series((1, 2, 3), 50),
+                 sigma_growth_series(0, 1, SCHEDULE, horizon=50),
+                 sigma_growth_series(1, 2, SCHEDULE, horizon=50),
+                 sigma_growth_series(None, 1, SCHEDULE, horizon=50)]
+        with mock.patch.object(series_module, "_total_violations", refuse):
+            for s in laned:
                 assert closure_violations(s, 50) == [], s.name
 
     @pytest.mark.parametrize("dropped", [False, True])
