@@ -6,9 +6,10 @@ lazily (PEP 562): ``import gradedlimits`` loads no submodule, and the first
 access to a name imports the one module that defines it.  A CLI job so
 loads only the modules its subcommand runs.
 
-``_integer`` is the integer rule every module applies to indices, horizons
-and exponents.  It lives here so that a module can apply it without loading
-another: a semigroup job loads no ``monomial``.
+``_integer`` is the integer rule every module applies to indices, horizons,
+counts and exponents, with their lower bounds.  It lives here so that a
+module can apply it without loading another: a semigroup job loads no
+``monomial``.
 """
 
 import importlib
@@ -76,12 +77,16 @@ __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
 
 
-def _integer(value, message: str) -> int:
+def _integer(value, name: str, low: int | None = None) -> int:
     """``value`` as an int by the rule of ``hermite_basis``: an integral
-    Fraction or float counts as one; anything else raises ``message``."""
+    Fraction or float counts as one.  Anything else, or an int below
+    ``low``, raises one ValueError that names ``name``."""
     if not isinstance(value, numbers.Real) or value % 1:
-        raise ValueError(message)
-    return int(value)
+        raise ValueError(f"{name} is not an integer: {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 def __getattr__(name: str):

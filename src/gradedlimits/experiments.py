@@ -61,15 +61,6 @@ def _scaled_sequence(label: str, normalization: str, exponent: int,
                           normalization=normalization, entries=tuple(entries))
 
 
-def _horizon(n_max) -> int:
-    """``n_max`` as an int of at least 1 (by the rule of ``_integer``), else
-    ValueError."""
-    n_max = _integer(n_max, f"horizon {n_max!r} is not an integer")
-    if n_max < 1:
-        raise ValueError(f"horizon {n_max} is below 1: the sequence has no entries")
-    return n_max
-
-
 def length_sequence(family: GradedFamily, n_max: int | None = None,
                     ns: Iterable[int] | None = None) -> ScaledSequence:
     """Exact lengths of R/I_n scaled by n^d, d = dim R (unscaled in the
@@ -78,10 +69,8 @@ def length_sequence(family: GradedFamily, n_max: int | None = None,
     if ns is None:
         if n_max is None:
             raise ValueError("give a horizon n_max or indices ns")
-        ns = range(1, _horizon(n_max) + 1)
-    ns = sorted({_integer(n, f"index {n!r} is not an integer") for n in ns})
-    if any(n < 1 for n in ns):
-        raise ValueError("indices must be positive")
+        ns = range(1, _integer(n_max, "horizon", 1) + 1)
+    ns = sorted({_integer(n, "index", 1) for n in ns})
     exponent = family.dim
 
     def raw(n: int) -> int:
@@ -98,7 +87,8 @@ def dim_sequence(series: MonomialLinearSeries, n_max: int,
                  exponent: int) -> ScaledSequence:
     """Exact series dimensions scaled by n^exponent."""
     return _scaled_sequence(f"dim[{series.name}]", f"dim/n^{exponent}",
-                            exponent, range(1, _horizon(n_max) + 1), series.dim)
+                            exponent, range(1, _integer(n_max, "horizon", 1) + 1),
+                            series.dim)
 
 
 def saturation_gap_sequence(ideal: MonomialIdeal, n_max: int) -> ScaledSequence:
@@ -111,7 +101,8 @@ def saturation_gap_sequence(ideal: MonomialIdeal, n_max: int) -> ScaledSequence:
     d_fact = math.factorial(d)
     power = power_family(ideal).provider
     return _scaled_sequence(
-        "saturation_gap", f"len*{d_fact}/n^{d}", d, range(1, _horizon(n_max) + 1),
+        "saturation_gap", f"len*{d_fact}/n^{d}", d,
+        range(1, _integer(n_max, "horizon", 1) + 1),
         lambda n: saturation_quotient_colength(power(n)) * d_fact)
 
 
@@ -177,9 +168,7 @@ def _mean(values: Sequence[Fraction]) -> Fraction:
 
 def convergence_report(seq: ScaledSequence, max_modulus: int = 4,
                        tol: Fraction = DEFAULT_TOL) -> ConvergenceReport:
-    max_modulus = _integer(max_modulus, f"max_modulus {max_modulus!r} is not an integer")
-    if max_modulus < 1:
-        raise ValueError(f"max_modulus must be at least 1, got {max_modulus}")
+    max_modulus = _integer(max_modulus, "max_modulus", 1)
     n_hi = seq.n_max
     n_mid = n_hi // 2
     n_lo = -(-n_hi // 4)
@@ -245,7 +234,7 @@ def semigroup_limit_report(s: GradedSemigroup, horizon: int,
     """
     from .semigroup import invariants, truncate
 
-    horizon = _horizon(horizon)
+    horizon = _integer(horizon, "horizon", 1)
     inv = invariants(s)
     if horizon < inv.m:
         raise ValueError(f"horizon {horizon} is below the degree index m = {inv.m}")
@@ -296,10 +285,8 @@ def volume_equals_multiplicity(family: GradedFamily, p_list: Sequence[int],
 
     if not family.is_polynomial():
         raise ValueError("multiplicity experiment needs the polynomial model")
-    for p in p_list:
-        if p < 1:
-            raise ValueError(f"powers p must be at least 1, got {p}")
-    horizon = _horizon(horizon)
+    p_list = [_integer(p, "power p", 1) for p in p_list]
+    horizon = _integer(horizon, "horizon", 1)
     d = family.dim
     rhs_vals = [multiplicity(family.ideal(p)) / Fraction(p) ** d for p in p_list]
     lhs = Fraction(math.factorial(d)) * Fraction(family.length(horizon)) / horizon ** d

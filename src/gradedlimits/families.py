@@ -8,10 +8,11 @@ unit test, product and containment witness.  Includes the graded-axiom
 checker, which asks each target level whether it holds the products of all
 the level pairs of its total (``holds_products``, decided without building
 a product for d = 2 staircases and for nilpotent pairs), and only when that
-is not settled asks each pair for the first generator of its product
-outside the target (``product_escape``), and the counting identity
+is not settled builds each pair's product and asks it for its first
+generator outside the target (``first_escape``), and the counting identity
 len(R/I_n) = #box - #S_n, where S_n is the set of exponents of I_n in a
-simplex box.
+simplex box.  Levels, horizons and parameters are read by the package's
+integer rule, so a bad one raises one ValueError.
 """
 
 from __future__ import annotations
@@ -116,10 +117,7 @@ class GradedFamily:
     schedule: BlockSchedule | None = None
 
     def ideal(self, n: int):
-        n = _integer(n, f"index {n!r} is not an integer")
-        if n < 0:
-            raise ValueError("negative index")
-        return self.provider(n)
+        return self.provider(_integer(n, "index", 0))
 
     def length(self, n: int) -> int:
         """Length of R/I_n in the family's ring model."""
@@ -203,8 +201,6 @@ def valuation_gens(weights: tuple[Fraction, ...], n: int) -> tuple:
     ws = [w.numerator * (scale // w.denominator) for w in weights]
     target = n * scale
     *head, w_last = ws
-    if d == 1:
-        return ((-(-target // w_last),),)
     if d == 2:
         gens = []
         for a in range(-(-target // head[0]) + 1):
@@ -241,9 +237,7 @@ def _nilpair_family(name: str, dim: int, offset: Callable[[int], int],
     """Pairs (m^n, y*m^{n - offset(n)}) in the square-zero extension of
     polynomial(dim).  Nothing here recurses, but a dim too deep for the slice
     index is still refused before any level is built, as the CLI pins."""
-    dim = _integer(dim, "dim is not an integer")
-    if dim < 1:
-        raise ValueError(f"nilpotent-pair families need dim >= 1, got {dim}")
+    dim = _integer(dim, "dim", 1)
     check_stack_depth(dim)
 
     def provider(n: int) -> NilPairIdeal:
@@ -282,9 +276,7 @@ def artin_tau_family(t: int, schedule: BlockSchedule | None = None) -> GradedFam
     and the containments I_a * I_b inside I_{a+b} are the same over k[y] as
     over the quotient.  The ring has dimension 0.
     """
-    t = _integer(t, "socle degree t is not an integer")
-    if t < 1:
-        raise ValueError("socle degree t must be positive")
+    t = _integer(t, "socle degree t", 1)
     schedule = schedule or BlockSchedule.default()
 
     def provider(n: int) -> MonomialIdeal:
@@ -305,15 +297,6 @@ def corrupted_sigma_family(dim: int = 1) -> GradedFamily:
 # the graded axiom checker
 # ---------------------------------------------------------------------------
 
-def _check_horizon(horizon) -> int:
-    """``horizon`` as a non-negative int (by the rule of ``_integer``), else
-    ValueError."""
-    horizon = _integer(horizon, f"horizon {horizon!r} is not an integer")
-    if horizon < 0:
-        raise ValueError(f"horizon {horizon} is negative")
-    return horizon
-
-
 @dataclass
 class GradedCheckReport:
     checked_pairs: int
@@ -330,13 +313,12 @@ def check_graded(family: GradedFamily, horizon: int) -> GradedCheckReport:
     Containment of monomial ideals reduces to their generators, so the check
     is exhaustive.  The pairs (a, total - a) of one total are first decided
     together by ``I_total.holds_products``, which builds no product.  A
-    total that test does not settle is decided pair by pair with
-    ``product_escape``, which builds a product only when it escapes and
-    names a witness generator.  Each level is built once and kept for the
-    pairs that read it.  A horizon that is not a non-negative integer raises
-    ValueError.
+    total that test does not settle is decided pair by pair: each product is
+    built and names its first generator outside the target as the witness.
+    Each level is built once and kept for the pairs that read it.  A horizon
+    that is not a non-negative integer raises ValueError.
     """
-    horizon = _check_horizon(horizon)
+    horizon = _integer(horizon, "horizon", 0)
     levels = [family.ideal(n) for n in range(horizon + 1)]
     violations: list[tuple[int, int, str]] = []
     checked = 0
@@ -349,7 +331,7 @@ def check_graded(family: GradedFamily, horizon: int) -> GradedCheckReport:
         if target.holds_products(pairs):
             continue
         for a, (first, second) in enumerate(pairs, 1):
-            witness = first.product_escape(second, target)
+            witness = (first * second).first_escape(target)
             if witness is not None:
                 violations.append((a, total - a, f"{witness} escapes I_{total}"))
     return GradedCheckReport(checked, violations)
@@ -387,10 +369,11 @@ def counting_identity(family: GradedFamily, horizon: int,
         if not first.is_m_primary():
             raise ValueError("level 1 is not primary to the maximal ideal")
         beta = madic_order(first)
+    beta = _integer(beta, "beta", 0)
     d = family.dim
     levels: dict[int, frozenset] = {}
     rows = []
-    for n in range(1, horizon + 1):
+    for n in range(1, _integer(horizon, "horizon", 0) + 1):
         ideal = family.ideal(n)
         if not ideal.is_m_primary():
             raise ValueError(f"level {n} is not primary to the maximal ideal")

@@ -12,14 +12,16 @@ staircase splits into stretches of corners with one step, such as the
 corners of (x^a, y^b)^n, the sums of two stretches are arithmetic
 progressions, and these are compared with the target's floor, the least y
 above each x (``holds_products``, which takes many products at once and
-tests each distinct progression once).  Only a product that escapes is
-built, to name its first generator outside.  In d >= 3 one sweep
-minimalizes the (d-1)-variable slices along the last variable, down to the
-d = 2 sweep.  Minimalization keeps the generators new in their slice, and
-each ideal keeps the slices as its index on first use: membership is one
-bisect for the slice and a (d-1)-variable query inside it, and colengths
-sum the slice colengths over the slice widths, down to the d = 2 closed
-form.
+tests each distinct progression once); a caller builds a product only
+when that is not settled, to name its first generator outside
+(``first_escape``).  In d >= 3 one sweep minimalizes the (d-1)-variable
+slices along the last variable, down to the d = 2 sweep.  Minimalization
+keeps the generators new in their slice, and each ideal keeps the slices as
+its index on first use: membership is one bisect for the slice and a
+(d-1)-variable query inside it, and colengths sum the slice colengths over
+the slice widths, down to the d = 2 closed form.  Variable counts and
+exponents are read by the package's integer rule, so a bad one raises one
+ValueError.
 """
 
 from __future__ import annotations
@@ -40,11 +42,9 @@ Exponent = tuple  # ints, one per variable
 
 def _exponent(num_vars: int, g) -> Exponent:
     """g as a tuple of num_vars non-negative ints, else ValueError."""
-    t = tuple(_integer(e, "generator has a non-integer exponent") for e in g)
+    t = tuple(_integer(e, "exponent", 0) for e in g)
     if len(t) != num_vars:
         raise ValueError("generator has wrong number of variables")
-    if any(e < 0 for e in t):
-        raise ValueError("negative exponent")
     return t
 
 
@@ -107,8 +107,7 @@ class MonomialIdeal:
     gens: tuple[Exponent, ...] = ()
 
     def __post_init__(self):
-        if self.num_vars < 1:
-            raise ValueError("need at least one variable")
+        object.__setattr__(self, "num_vars", _integer(self.num_vars, "num_vars", 1))
         canon = [_exponent(self.num_vars, g) for g in self.gens]
         object.__setattr__(self, "gens", minimal_generators(canon))
 
@@ -162,14 +161,6 @@ class MonomialIdeal:
             if not target._covers(g):
                 return f"monomial {g}"
         return None
-
-    def product_escape(self, other: "MonomialIdeal", target: "MonomialIdeal") -> str | None:
-        """``(self * other).first_escape(target)``, with the product built
-        only when ``target.holds_products`` does not settle the pair, so the
-        witness is the product's own."""
-        if target.holds_products(((self, other),)):
-            return None
-        return (self * other).first_escape(target)
 
     def holds_products(self, pairs) -> bool:
         """True when I * J lies in self for every pair (I, J) of ``pairs``,
@@ -348,8 +339,6 @@ class MonomialIdeal:
         """
         if self.is_zero():
             return self
-        if self.num_vars == 1:
-            return MonomialIdeal._canonical(1, ((0,),))
         if self.num_vars == 2:
             return MonomialIdeal._canonical(2, ((self.gens[0][0], self.gens[-1][1]),))
         if not all(map(any, zip(*self.gens))):
@@ -395,7 +384,8 @@ def check_stack_depth(num_vars: int) -> None:
 
 
 def unit_ideal(num_vars: int) -> MonomialIdeal:
-    return MonomialIdeal(num_vars, ((0,) * num_vars,))
+    num_vars = _integer(num_vars, "num_vars", 1)
+    return MonomialIdeal._of(num_vars, ((0,) * num_vars,))
 
 
 def _degree_tuples(num_vars: int, degree: int):
@@ -412,6 +402,7 @@ def _degree_tuples(num_vars: int, degree: int):
 def max_ideal_power(num_vars: int, n: int) -> MonomialIdeal:
     """The n-th power of the maximal ideal (x_1, ..., x_d): the monomials of
     degree n, which are minimal and come lex-sorted."""
+    num_vars, n = _integer(num_vars, "num_vars", 1), _integer(n, "power n")
     if n <= 0:
         return unit_ideal(num_vars)
     return MonomialIdeal._of(num_vars, tuple(_degree_tuples(num_vars, n)))
@@ -547,11 +538,8 @@ class NilPairIdeal:
     socle: int
 
     def __post_init__(self):
-        for field in ("num_vars", "base", "socle"):
-            value = _integer(getattr(self, field), f"{field} is not an integer")
-            object.__setattr__(self, field, value)
-        if self.num_vars < 1:
-            raise ValueError("need at least one variable")
+        for field, low in (("num_vars", 1), ("base", None), ("socle", None)):
+            object.__setattr__(self, field, _integer(getattr(self, field), field, low))
         if not 0 <= self.socle <= self.base:
             raise ValueError("base must be contained in socle: need 0 <= socle <= base")
 
@@ -576,10 +564,6 @@ class NilPairIdeal:
             if mine < theirs:
                 return f"{part} monomial {(0,) * (self.num_vars - 1) + (mine,)}"
         return None
-
-    def product_escape(self, other: "NilPairIdeal", target: "NilPairIdeal") -> str | None:
-        """``(self * other).first_escape(target)``."""
-        return (self * other).first_escape(target)
 
     def holds_products(self, pairs) -> bool:
         """True when P * Q lies in self for every pair (P, Q) of ``pairs``, by

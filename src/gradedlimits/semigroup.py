@@ -11,6 +11,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator
 
+from . import _integer
 from .lattice import (
     IntegerLattice,
     RationalPolytope,
@@ -130,12 +131,14 @@ class GradedSemigroup:
 
     def level(self, n: int) -> frozenset:
         """The level set S_n as a frozenset of integer tuples."""
+        n = _integer(n, "level")
         return self._points(n, self._fill(n)) if n > 0 else frozenset()
 
     def level_sizes(self, n_max: int) -> Iterator[tuple[int, int]]:
-        """Yield (n, #S_n) for n = 1 .. n_max."""
-        for n in range(1, n_max + 1):
-            yield n, self._fill(n).count
+        """(n, #S_n) for n = 1 .. n_max, streamed; ``n_max`` is checked
+        before the first level."""
+        n_max = _integer(n_max, "horizon")
+        return ((n, self._fill(n).count) for n in range(1, n_max + 1))
 
     # -- the fill window ----------------------------------------------------
 
@@ -262,9 +265,7 @@ def invariants(s: GradedSemigroup) -> SemigroupInvariants:
 
 def truncate(s: GradedSemigroup, p: int) -> GradedSemigroup:
     """The sub-semigroup generated by the level p*m(S) points."""
-    if p < 1:
-        raise ValueError("truncation level must be positive")
-    height = p * _degree_index(s)
+    height = _integer(p, "truncation level p", 1) * _degree_index(s)
     points = s.level(height)
     if not points:
         raise ValueError(f"level {height} is empty")

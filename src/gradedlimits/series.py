@@ -27,7 +27,7 @@ from operator import add, ge
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from . import _integer
-from .families import BlockSchedule, _check_horizon
+from .families import BlockSchedule
 
 NEG_INF = float("-inf")
 
@@ -60,16 +60,12 @@ class WeightedAmbient:
 
     def __post_init__(self):
         object.__setattr__(self, "weights",
-                           tuple(_integer(w, "weight is not an integer") for w in self.weights))
+                           tuple(_integer(w, "weight", 1) for w in self.weights))
         if not self.weights or self.weights[0] != 1:
             raise ValueError("first weight must be 1")
-        if any(w < 1 for w in self.weights):
-            raise ValueError("weights must be positive")
         if self.nil_degree is not None:
-            object.__setattr__(self, "nil_degree", _integer(
-                self.nil_degree, "nilpotent degree is not an integer"))
-            if self.nil_degree < 1:
-                raise ValueError("nilpotent degree must be positive")
+            object.__setattr__(self, "nil_degree",
+                               _integer(self.nil_degree, "nilpotent degree", 1))
 
     def product_vanishes(self, nil_a: bool, nil_b: bool) -> bool:
         if nil_a and nil_b:
@@ -97,19 +93,19 @@ class MonomialLinearSeries:
     def blocks(self, n: int) -> list[Block]:
         """The provider's blocks of level n, each checked for integrality, sign,
         degree and at least one monomial, and all checked to be disjoint."""
-        if n < 0:
-            raise ValueError("negative level")
+        n = _integer(n, "level", 0)
         if n > self.horizon:
             raise ValueError(f"level {n} beyond series horizon {self.horizon}")
         weights = self.ambient.weights
         out = []
         for shift, nil, free, degree in self._provider(n):
-            shift = tuple(_integer(e, f"level {n} shift {shift} is not integral") for e in shift)
+            try:
+                shift = tuple(_integer(e, "shift exponent", 0) for e in shift)
+            except ValueError as exc:
+                raise ValueError(f"level {n} block {shift}: {exc}") from None
             if len(shift) != len(weights) or not 0 <= free <= len(weights):
                 raise ValueError(f"level {n} block {shift} does not fit the "
                                  f"{len(weights)} weighted variables")
-            if any(e < 0 for e in shift):
-                raise ValueError(f"level {n} monomial {shift} has a negative exponent")
             if degree < 0 or (degree and not free):
                 raise ValueError(f"level {n} block {shift} holds no monomial")
             deg = sum(w * e for w, e in zip(weights, shift)) + degree
@@ -169,14 +165,10 @@ class SeriesInvariants:
 
 
 def _horizon(requested: int | None, default: int, series: MonomialLinearSeries) -> int:
-    """``requested``, or ``default`` for None, capped at the series horizon;
-    an explicit horizon that is not an integer (by the rule of ``_integer``)
-    or is below 1 raises ``ValueError``."""
-    if requested is not None:
-        default = _integer(requested, f"horizon {requested!r} is not an integer")
-        if default < 1:
-            raise ValueError("horizon must be at least 1")
-    return min(default, series.horizon)
+    """``requested`` (an integer of at least 1), or ``default`` for None,
+    capped at the series horizon."""
+    return min(default if requested is None else _integer(requested, "horizon", 1),
+               series.horizon)
 
 
 def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
@@ -267,7 +259,7 @@ def closure_violations(series: MonomialLinearSeries,
     pair (``_total_violations``).  A horizon that is not a non-negative
     integer raises ValueError.
     """
-    horizon = _check_horizon(horizon)
+    horizon = _integer(horizon, "horizon", 0)
     levels = {n: series.blocks(n) for n in range(1, horizon + 1)}
     lanes = _lane_columns(levels)
     out = []
@@ -414,14 +406,11 @@ def make_tset(spec) -> Callable[[int], bool]:
         return spec
     if isinstance(spec, tuple) and spec and spec[0] == "mod":
         _, r, residues = spec
-        r = _integer(r, "level-set modulus is not an integer")
-        if r < 1:
-            raise ValueError("level-set modulus must be positive")
-        rs = frozenset(_integer(x, "level-set residue is not an integer") % r
-                       for x in residues)
+        r = _integer(r, "level-set modulus", 1)
+        rs = frozenset(_integer(x, "level-set residue") % r for x in residues)
         return lambda n: (n % r) in rs
     if isinstance(spec, Collection):
-        members = frozenset(_integer(x, "level-set member is not an integer") for x in spec)
+        members = frozenset(_integer(x, "level-set member") for x in spec)
         return lambda n: n in members
     raise ValueError("unrecognized level-set specification")
 
@@ -450,8 +439,7 @@ def nil_hyperplane_series(tset, dim: int = 2, horizon: int = 200) -> MonomialLin
     to sit in the fixed twist); other levels vanish.  All products vanish, so
     the Kodaira-Iitaka dimension is -inf while dimensions grow like n^{dim-1}.
     """
-    if dim < 2:
-        raise ValueError("need at least two reduced variables")
+    dim = _integer(dim, "reduced variable count dim", 2)
     member = make_tset(tset)
     ambient = WeightedAmbient((1,) * dim, nil_degree=1)
 
@@ -530,8 +518,8 @@ def sigma_growth_series(s, r: int, schedule: BlockSchedule | None = None,
     """
     schedule = schedule or BlockSchedule.default(horizon)
     nil_only = s is None
-    s_int = -1 if nil_only else _integer(s, "s is not an integer")
-    r = _integer(r, "r is not an integer")
+    s_int = -1 if nil_only else _integer(s, "s")
+    r = _integer(r, "r")
     ambient = WeightedAmbient((1,) * (r + 1) if weights is None else weights,
                               nil_degree=e)
     ws = ambient.weights
@@ -564,9 +552,7 @@ def tau_pulse_series(schedule: BlockSchedule | None = None, e: int = 1,
     on odd blocks, one nil monomial.  h lies in the annihilator of the
     square-zero generator, so mixed products vanish (annihilator model).
     """
-    g = _integer(g, "pulse degree g is not an integer")
-    if g < 1:
-        raise ValueError("pulse degree g must be positive")
+    g = _integer(g, "pulse degree g", 1)
     schedule = schedule or BlockSchedule.default(horizon)
     ambient = WeightedAmbient((1,), nil_degree=e, nil_annihilates_base=True)
     deg = e * g
@@ -591,8 +577,7 @@ def artin_tau_series(t: int, schedule: BlockSchedule | None = None,
     second ring component is added (kappa = 0, dims 2/1), the nonirreducible
     zero-dimensional counterexample.
     """
-    if _integer(t, "socle degree t is not an integer") < 1:
-        raise ValueError("socle degree t must be positive")
+    _integer(t, "socle degree t", 1)
     schedule = schedule or BlockSchedule.default(horizon)
     ambient = WeightedAmbient((1,), nil_degree=1, nil_annihilates_base=True)
 

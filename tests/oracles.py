@@ -242,9 +242,7 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """I^n by binary exponentiation: the product of the squares I^(2^k) over
     the bits k of n.  An n that is not a non-negative integer (by the rule
     of ``_integer``) raises ValueError."""
-    n = _integer(n, "power is not an integer")
-    if n < 0:
-        raise ValueError("negative power")
+    n = _integer(n, "power", 0)
     result = unit_ideal(ideal.num_vars)
     base = ideal
     while n:

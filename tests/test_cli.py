@@ -155,9 +155,9 @@ class TestArgumentEdges:
 
     @pytest.mark.parametrize("cmd, text, match", [
         ("volmult", "family: valuation\nlambda: 1 2\npset: 2 0\n", "at least 1"),
-        ("family", "family: nilpair_sigma\ndim: 0\n", "dim >= 1"),
-        ("family", "family: perturbed_power\ndim: 0\n", "dim >= 1"),
-        ("family", "family: corrupted_sigma\ndim: 0\n", "dim >= 1"),
+        ("family", "family: nilpair_sigma\ndim: 0\n", "dim must be at least 1, got 0"),
+        ("family", "family: perturbed_power\ndim: 0\n", "dim must be at least 1, got 0"),
+        ("family", "family: corrupted_sigma\ndim: 0\n", "dim must be at least 1, got 0"),
         ("family", "family: valuation\nlambda: 1/0 2\n", "bad rational"),
         ("family", "family: valuation\nlambda: 1 2\ntol: 1/0\n", "bad rational"),
         ("series", "series: log_nil\ntset: mod 0 1\n", "modulus"),
@@ -169,11 +169,15 @@ class TestArgumentEdges:
         ("volmult", "family: valuation\nlambda: 1 2\nhorizon: 0\n", "spec key 'horizon'"),
         ("family", "family: valuation\nlambda: 1 2\ntol: -1\nexpect: oscillates\n",
          "spec key 'tol'"),
-        ("series", "series: tau_pulse\ng: 0\n", "g must be positive"),
-        ("series", "series: tau_pulse\ng: -2\n", "g must be positive"),
+        ("series", "series: tau_pulse\ng: 0\n", "pulse degree g must be at least 1, got 0"),
+        ("series", "series: tau_pulse\ng: -2\n",
+         "pulse degree g must be at least 1, got -2"),
         ("family", "family: nilpair_sigma\ndim: x\n", "spec key 'dim'"),
         ("family", "family: nilpair_sigma\nschedule: 2 x\n", "spec key 'schedule'"),
         ("series", "series: full\nweights: 1 y\n", "spec key 'weights'"),
+        ("series", "series: full\nweights: 1 0\n", "weight must be at least 1, got 0"),
+        ("series", "series: nil_hyperplane\ntset: mod 2 0\ndim: 1\n",
+         "reduced variable count dim must be at least 2, got 1"),
         ("family", "family: nilpair_sigma\ndim: 3000\n", "recursion depth"),
         ("family", "family: nilpair_sigma\ndim: 600\n", "recursion depth"),
         ("eps", "".join(" ".join("1" if i == j else "0" for i in range(1500)) + "\n"
@@ -185,7 +189,8 @@ class TestArgumentEdges:
             "lambda-1/0", "tol-1/0", "tset-mod-0", "tset-mod-missing",
             "moduli-0", "moduli-negative", "family-horizon-0", "series-horizon-0",
             "volmult-horizon-0", "tol-negative", "tau-pulse-g0", "tau-pulse-g-negative",
-            "dim-not-int", "schedule-not-int", "weights-not-int",
+            "dim-not-int", "schedule-not-int", "weights-not-int", "weight-0",
+            "nil-hyperplane-dim1",
             "nilpair-dim3000-too-deep", "nilpair-dim600-too-deep", "ideal-1500-vars-too-deep",
             "pset-empty", "truncate-empty"])
     def test_bad_spec_value(self, capsys, tmp_path, cmd, text, match):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,7 +69,7 @@ class TestVerdictPolicy:
 
     def test_non_integer_modulus_refused(self):
         seq = synthetic([Fraction(1, 2)] * 64)
-        with pytest.raises(ValueError, match="max_modulus 2.5 is not an integer"):
+        with pytest.raises(ValueError, match="max_modulus is not an integer: 2.5"):
             convergence_report(seq, 2.5)
         assert convergence_report(seq, 2.0) == convergence_report(seq, 2)
 
@@ -130,15 +131,15 @@ class TestLengthSequences:
             length_sequence(valuation_family((1, 2)))
 
     def test_non_integer_index_refused(self):
-        with pytest.raises(ValueError, match="index 2.5 is not an integer"):
+        with pytest.raises(ValueError, match="index is not an integer: 2.5"):
             length_sequence(valuation_family((1, 2)), ns=[2.5])
 
     def test_integral_horizon_accepted(self):
         f = valuation_family((1, 2))
         assert length_sequence(f, 3.0) == length_sequence(f, 3)
-        with pytest.raises(ValueError, match="horizon 2.5 is not an integer"):
+        with pytest.raises(ValueError, match="horizon is not an integer: 2.5"):
             length_sequence(f, 2.5)
-        with pytest.raises(ValueError, match="below 1"):
+        with pytest.raises(ValueError, match="horizon must be at least 1, got 0"):
             length_sequence(f, 0)
 
     def test_sparse_ns(self):
@@ -217,8 +218,9 @@ class TestSemigroupReport:
         s = GradedSemigroup(1, generators=[((0,), 1), ((1,), 1)])
         assert semigroup_limit_report(s, 3.0) == semigroup_limit_report(s, 3)
 
-    @pytest.mark.parametrize("horizon, message", [(2.5, "not an integer"),
-                                                  ("3", "not an integer"), (0, "below 1")])
+    @pytest.mark.parametrize("horizon, message", [
+        (2.5, "not an integer"), ("3", "not an integer"),
+        pytest.param(0, "horizon must be at least 1, got 0", id="0-below 1")])
     def test_bad_horizon_refused(self, horizon, message):
         s = GradedSemigroup(1, generators=[((0,), 1), ((1,), 1)])
         with pytest.raises(ValueError, match=message):
@@ -250,6 +252,17 @@ class TestSemigroupReport:
 
 
 class TestVolMult:
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_powers_by_the_integer_rule(self, bad):
+        f = valuation_family((1, 2))
+        rep = volume_equals_multiplicity(f, [2.0], 10)
+        assert rep == volume_equals_multiplicity(f, [2], 10)
+        assert type(rep.rows[0][0]) is int
+        with pytest.raises(ValueError, match=re.escape(f"power p is not an integer: {bad!r}")):
+            volume_equals_multiplicity(f, [bad], 10)
+        with pytest.raises(ValueError, match="power p must be at least 1, got 0"):
+            volume_equals_multiplicity(f, [2, 0], 10)
+
     def test_valuation_even_powers(self):
         rep = volume_equals_multiplicity(valuation_family((1, 2)), [2, 4, 8], 600)
         assert all(rhs == Fraction(1, 2) for _, rhs, _ in rep.rows)
@@ -268,7 +281,7 @@ class TestVolMult:
         assert abs(rep.lhs - 1) < Fraction(2, 100)
 
     def test_horizon_below_one_refused(self):
-        with pytest.raises(ValueError, match="horizon 0 is below 1"):
+        with pytest.raises(ValueError, match="horizon must be at least 1, got 0"):
             volume_equals_multiplicity(valuation_family((1, 2)), [2], 0)
 
 
@@ -290,11 +303,11 @@ class TestEps:
         assert n == 120 and abs(scaled - multiplicity(i)) < Fraction(1, 4)
 
     def test_horizon_below_one_refused(self):
-        with pytest.raises(ValueError, match="no entries"):
+        with pytest.raises(ValueError, match="horizon must be at least 1, got -3"):
             saturation_gap_sequence(self.X2_XY, -3)
 
     def test_non_integer_horizon_refused(self):
-        with pytest.raises(ValueError, match="horizon 2.5 is not an integer"):
+        with pytest.raises(ValueError, match="horizon is not an integer: 2.5"):
             saturation_gap_sequence(self.X2_XY, 2.5)
 
     def test_principal_all_zero(self):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import weakref
 from fractions import Fraction
 
@@ -101,7 +102,7 @@ class TestBuilders:
     def test_bad_level_refused(self, family):
         assert family.ideal(3.0) == family.ideal(3)
         for n, message in ((2.5, "not an integer"), ("2", "not an integer"),
-                           (-1, "negative index")):
+                           (-1, "index must be at least 0, got -1")):
             with pytest.raises(ValueError, match=message):
                 family.ideal(n)
 
@@ -267,7 +268,7 @@ class TestBuilders:
     @pytest.mark.parametrize("n", [4, 7, 30, 101])
     def test_powers_and_valuations_are_runs(self, n):
         # every corner of (x^2, y^3)^n is on one piece, and every corner of a
-        # (1, 2) valuation ideal but perhaps the first: product_escape sums
+        # (1, 2) valuation ideal but perhaps the first: holds_products sums
         # these as progressions
         power = power_family(MonomialIdeal(2, ((2, 0), (0, 3)))).ideal(n)
         assert power._pieces == [(0, 3 * n, 2, -3, n + 1)]
@@ -350,12 +351,11 @@ class TestCheckGraded:
 
     def test_graded_totals_settle_without_a_pair(self, monkeypatch):
         # each total of the c11 polynomial and nilpotent-pair families is
-        # settled by holds_products, so no pair is asked on its own
-        def refuse(self, other, target):
+        # settled by holds_products, so no pair's product is built; the
+        # levels are built first, since the power builders multiply
+        def refuse(self, other):
             raise AssertionError("total fell back to its pairs")
 
-        monkeypatch.setattr(MonomialIdeal, "product_escape", refuse)
-        monkeypatch.setattr(NilPairIdeal, "product_escape", refuse)
         fams = [power_family(MonomialIdeal(2, ((2, 0), (0, 3)))),
                 valuation_family((1, 2)),
                 saturation_family(MonomialIdeal(2, ((2, 0), (1, 1)))),
@@ -363,7 +363,11 @@ class TestCheckGraded:
                                 MonomialIdeal(2, ((1, 0), (0, 1)))),
                 nilpair_sigma_family(1, SCHEDULE),
                 perturbed_power_family(1, SCHEDULE)]
-        for fam in fams:
+        built = [GradedFamily(fam.name, fam.dim, [fam.ideal(n) for n in range(51)].__getitem__)
+                 for fam in fams]
+        monkeypatch.setattr(MonomialIdeal, "__mul__", refuse)
+        monkeypatch.setattr(NilPairIdeal, "__mul__", refuse)
+        for fam in built:
             assert check_graded(fam, 50).ok, fam.name
 
     def test_graded_pairs_build_no_product(self, monkeypatch):
@@ -486,6 +490,16 @@ class TestSemigroupBridge:
         report, _ = counting_identity(family, 8)
         assert report.beta == madic_order(family.ideal(1))
         assert report.ok
+
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_horizon_and_box_by_the_integer_rule(self, bad):
+        f = valuation_family((1, 2))
+        assert counting_identity(f, 3.0, beta=2.0) == counting_identity(f, 3, beta=2)
+        assert type(counting_identity(f, 3, beta=2.0)[0].beta) is int
+        with pytest.raises(ValueError, match=re.escape(f"horizon is not an integer: {bad!r}")):
+            counting_identity(f, bad)
+        with pytest.raises(ValueError, match=re.escape(f"beta is not an integer: {bad!r}")):
+            counting_identity(f, 3, beta=bad)
 
     def test_scaled_counts_approach_limit(self):
         # the level counts recover the length asymptotics:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -58,7 +59,8 @@ class TestArithmetic:
         assert power(ideal((1, 0), (0, 1)), 2.0) == power(ideal((1, 0), (0, 1)), 2)
 
     @pytest.mark.parametrize("n, message", [(2.5, "not an integer"), ("2", "not an integer"),
-                                            (-1, "negative power")])
+                                            pytest.param(-1, "power must be at least 0, got -1",
+                                                         id="-1-negative power")])
     def test_bad_power_refused(self, n, message):
         with pytest.raises(ValueError, match=message):
             power(ideal((1, 0), (0, 1)), n)
@@ -75,7 +77,7 @@ class TestArithmetic:
         assert colon(i, j).gens == ((1, 0),)
 
     @pytest.mark.parametrize("colon_by, u, message", [
-        ("monomial", (-1, 0), "negative exponent"),
+        ("monomial", (-1, 0), "exponent must be at least 0, got -1"),
         ("monomial", (1, 0, 5), "wrong number of variables"),
         ("infinity", (0,), "wrong number of variables"),
         ("infinity", (0, 0, 1), "wrong number of variables"),
@@ -91,14 +93,36 @@ class TestArithmetic:
     def test_non_integer_exponent_rejected(self):
         # an integral Fraction counts as an integer; anything else is refused
         assert MonomialIdeal(2, ((Fraction(2, 1), 0), (0, 2))).gens == ((0, 2), (2, 0))
-        with pytest.raises(ValueError, match="non-integer"):
+        with pytest.raises(ValueError, match="exponent is not an integer: 1.5"):
             MonomialIdeal(2, ((1.5, 0), (0, 2)))
-        with pytest.raises(ValueError, match="non-integer"):
+        with pytest.raises(ValueError, match=r"exponent is not an integer: Fraction\(1, 2\)"):
             monomial_colon(ideal((2, 0), (1, 1)), (Fraction(1, 2), 0))
 
     def test_mismatched_vars(self):
         with pytest.raises(ValueError, match="variables"):
             ideal((1, 0)) + MonomialIdeal(3, ((1, 0, 0),))
+
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_num_vars_by_the_integer_rule(self, bad):
+        i = MonomialIdeal(2.0, ((1, 0), (0, 1)))
+        assert i == MonomialIdeal(2, ((1, 0), (0, 1))) and type(i.num_vars) is int
+        assert not i.is_unit() and unit_ideal(2.0) == unit_ideal(2)
+        assert unit_ideal(2.0).is_unit() and type(unit_ideal(2.0).num_vars) is int
+        for build in (lambda v: MonomialIdeal(v, ((1, 0), (0, 1))), unit_ideal):
+            with pytest.raises(ValueError, match=re.escape(f"num_vars is not an integer: {bad!r}")):
+                build(bad)
+        with pytest.raises(ValueError, match="num_vars must be at least 1, got 0"):
+            MonomialIdeal(0, ())
+
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_max_ideal_power_by_the_integer_rule(self, bad):
+        m2 = max_ideal_power(2.0, 2.0)
+        assert m2 == max_ideal_power(2, 2) and type(m2.num_vars) is int
+        assert not m2.is_unit()
+        with pytest.raises(ValueError, match=re.escape(f"power n is not an integer: {bad!r}")):
+            max_ideal_power(2, bad)
+        with pytest.raises(ValueError, match=re.escape(f"num_vars is not an integer: {bad!r}")):
+            max_ideal_power(bad, 2)
 
     def test_unit_and_zero(self):
         assert unit_ideal(2).is_unit()
@@ -169,7 +193,7 @@ def run_staircases(draw):
 
 
 def escape_targets(data, prod):
-    """Targets for ``product_escape`` around the d = 2 product ``prod``: the
+    """Targets for ``holds_products`` around the d = 2 product ``prod``: the
     product itself and near misses (a corner raised, a corner dropped), the
     product moved off the axes (x_0 > 0 or y_last > 0), cut short so sums
     land past its last x, the zero and unit ideals, another run staircase,
@@ -200,6 +224,18 @@ def escape_targets(data, prod):
     elif kind == "cut":
         gens = gens[:k + 1]
     return MonomialIdeal(2, tuple(gens)) if gens else MonomialIdeal(2, ())
+
+
+def assert_holds_products_sound(target, i, j):
+    """``target.holds_products`` on the one pair (i, j) against the built
+    product: in d = 2 with a ``_floor`` True exactly when the product lies
+    inside, and False in any other case, so True always implies inside."""
+    held = target.holds_products(((i, j),))
+    inside = (i * j).first_escape(target) is None
+    if target.num_vars == 2 and target._floor is not None:
+        assert held == inside
+    else:
+        assert not held
 
 
 class TestKernelOracles:
@@ -246,7 +282,7 @@ class TestKernelOracles:
     @settings(max_examples=300, deadline=None)
     def test_run_product(self, i, j):
         # staircases made of runs, which random staircases almost never
-        # hold, split into the pieces that product_escape sums
+        # hold, split into the pieces that holds_products sums
         for ideal_ in (i, j):
             corners = [(x + k * dx, y + k * dy) for x, y, dx, dy, n in ideal_._pieces
                        for k in range(n)]
@@ -257,20 +293,20 @@ class TestKernelOracles:
 
     @given(run_staircases(), run_staircases(), st.data())
     @settings(max_examples=400, deadline=None)
-    def test_product_escape(self, i, j, data):
-        # the pairs decided on the target's floor, and the product built for
-        # the rest, give the product's own first escape
+    def test_holds_products(self, i, j, data):
+        # a pair decided on the target's floor is inside exactly when its
+        # product is; a target with no floor settles nothing
         prod = i * j
         target = escape_targets(data, prod)
-        assert i.product_escape(j, target) == prod.first_escape(target)
+        assert_holds_products_sound(target, i, j)
 
-    @given(st.data(), st.sampled_from([1, 3]))
+    @given(st.data(), st.sampled_from([1, 2, 3]))
     @settings(max_examples=100, deadline=None)
-    def test_product_escape_off_the_staircase(self, data, d):
+    def test_holds_products_off_the_staircase(self, data, d):
         i, j, t = (MonomialIdeal(d, tuple(data.draw(exponent_sets(d, max_size=5))))
                    for _ in range(3))
         for target in (t, i * j, MonomialIdeal(d, ()), unit_ideal(d)):
-            assert i.product_escape(j, target) == (i * j).first_escape(target)
+            assert_holds_products_sound(target, i, j)
 
     def test_floor(self):
         # (0, 3), (2, 1), (3, 0) shifted to start at x = 1
@@ -550,7 +586,27 @@ class TestSaturationQuotient:
         assert saturation_quotient_colength(i) == saturation_quotient_bruteforce(i)
 
 
+@st.composite
+def nilpairs(draw, d):
+    base = draw(st.integers(0, 12))
+    return NilPairIdeal(d, base, draw(st.integers(0, base)))
+
+
 class TestNilPair:
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_holds_products(self, data, d):
+        # the whole-total test against the first escape of each pair's product
+        target = data.draw(nilpairs(d))
+        pairs = data.draw(st.lists(st.tuples(nilpairs(d), nilpairs(d)), max_size=6))
+        assert target.holds_products(pairs) == \
+            all((p * q).first_escape(target) is None for p, q in pairs)
+        # a unit factor in another number of variables would hold, were the
+        # numbers of variables equal: a mismatch alone answers False
+        unit, wide = NilPairIdeal(d, 0, 0), NilPairIdeal(d + 1, 0, 0)
+        for mismatched in ((wide, wide), (unit, wide), (wide, unit)):
+            assert not target.holds_products([*pairs, mismatched])
+
     def test_lengths(self):
         pair = NilPairIdeal(1, 2, 1)
         assert pair.length() == 3
@@ -561,7 +617,7 @@ class TestNilPair:
             NilPairIdeal(1, 1, 2)
         with pytest.raises(ValueError, match="contained"):
             NilPairIdeal(1, 1, -1)
-        with pytest.raises(ValueError, match="at least one variable"):
+        with pytest.raises(ValueError, match="num_vars must be at least 1, got 0"):
             NilPairIdeal(0, 1, 1)
 
     def test_fields_are_integers(self):

@@ -102,6 +102,26 @@ def test_no_module_imports_threads():
     assert found == []
 
 
+def raised_strings(path: Path) -> list[str]:
+    """The string constants inside the ``raise`` statements of a source file,
+    f-string pieces included."""
+    return [node.value for stmt in ast.walk(ast.parse(path.read_text()))
+            if isinstance(stmt, ast.Raise) and stmt.exc is not None
+            for node in ast.walk(stmt.exc)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def test_integer_rule_lives_in_the_package_root():
+    # every index, horizon and count goes through gradedlimits._integer, so
+    # no other module words the refusal itself; specfiles parses text, which
+    # the rule does not read, and names the spec key it came from
+    found = [(path.name, text) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name not in {"__init__.py", "specfiles.py"}
+             for text in raised_strings(path) if "is not an integer" in text]
+    assert found == []
+    assert any("is not an integer" in text for text in raised_strings(PACKAGE / "__init__.py"))
+
+
 def test_families_and_series_do_not_import_semigroup():
     # the counting identity returns level point sets, not a semigroup, and
     # the series levels stay inside series: neither module needs semigroup

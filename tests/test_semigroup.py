@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -323,6 +324,34 @@ class TestLimits:
                     counts[deg].add(pt)
             for n in range(1, horizon + 1):
                 assert s.level(n) == frozenset(counts[n])
+
+
+class TestIntegerInput:
+    """Levels, horizons and truncation levels go by the integer rule: an
+    integral float reads as its int, anything else raises one ValueError."""
+
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_level_and_level_sizes(self, bad):
+        s, _ = make("halfstep")
+        assert s.level(2.0) == s.level(2)
+        assert all(type(c) is int for point in s.level(2.0) for c in point)
+        assert list(s.level_sizes(3.0)) == list(s.level_sizes(3))
+        with pytest.raises(ValueError, match=re.escape(f"level is not an integer: {bad!r}")):
+            s.level(bad)
+        # refused when called, before any level is read
+        with pytest.raises(ValueError, match=re.escape(f"horizon is not an integer: {bad!r}")):
+            s.level_sizes(bad)
+
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_truncate(self, bad):
+        s, _ = make("halfstep")
+        assert truncate(s, 2.0).generators == truncate(s, 2).generators
+        assert all(type(deg) is int for _, deg in truncate(s, 2.0).generators)
+        with pytest.raises(ValueError, match=re.escape(
+                f"truncation level p is not an integer: {bad!r}")):
+            truncate(s, bad)
+        with pytest.raises(ValueError, match="truncation level p must be at least 1, got 0"):
+            truncate(s, 0)
 
 
 class TestTruncate:

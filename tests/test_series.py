@@ -312,7 +312,8 @@ class TestBlocks:
         ambient = WeightedAmbient((1, 1))
         bad = MonomialLinearSeries("negative", ambient, 1,
                                    lambda n: [Block((n + 1, -1), False)], 10)
-        with pytest.raises(ValueError, match="negative exponent"):
+        with pytest.raises(ValueError, match=r"level 1 block \(2, -1\): "
+                                             "shift exponent must be at least 0, got -1"):
             bad.level(1)
         short = MonomialLinearSeries("short", ambient, 1,
                                      lambda n: [Block((n,), False)], 10)
@@ -349,7 +350,8 @@ class TestIntegerInput:
                                         lambda n: [Block((n + x, 0), False)], 5)
 
         assert shifted(Fraction(0)).level(2) == {((2, 0), False)}
-        with pytest.raises(ValueError, match="shift .* is not integral"):
+        with pytest.raises(ValueError, match=r"level 2 block \(2.5, 0\): "
+                                             "shift exponent is not an integer: 2.5"):
             shifted(0.5).level(2)
 
     def test_level_set_residue(self):
@@ -363,7 +365,7 @@ class TestIntegerInput:
         assert [n for n in range(5) if member(n)] == [0, 2, 4]
         with pytest.raises(ValueError, match="modulus is not an integer"):
             make_tset(("mod", 2.5, (0,)))
-        with pytest.raises(ValueError, match="modulus must be positive"):
+        with pytest.raises(ValueError, match="level-set modulus must be at least 1, got 0"):
             nil_hyperplane_series(("mod", 0, (0,)))
 
     def test_pulse_degree(self):
@@ -392,6 +394,18 @@ class TestIntegerInput:
         assert WeightedAmbient((1,), nil_degree=Fraction(2)).nil_degree == 2
         with pytest.raises(ValueError, match="nilpotent degree is not an integer"):
             WeightedAmbient((1,), nil_degree=1.5)
+
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_level_index(self, bad):
+        # the provider sees the int, so the blocks carry int degrees
+        s = full_weighted_series((1, 2), 10)
+        assert s.blocks(2.0) == s.blocks(2) and s.dim(2.0) == s.dim(2) == 2
+        assert all(type(b.degree) is int for b in s.blocks(2.0))
+        for read in (s.blocks, s.dim, s.level):
+            with pytest.raises(ValueError, match=re.escape(f"level is not an integer: {bad!r}")):
+                read(bad)
+        with pytest.raises(ValueError, match="level must be at least 0, got -1"):
+            s.dim(-1)
 
 
 class TestKappa:
@@ -500,7 +514,8 @@ class TestIndex:
     def test_non_integer_horizon_rejected(self, horizon):
         s = full_weighted_series((1, 1), 50)
         for scan in (kodaira_iitaka, index_estimate, series_invariants):
-            with pytest.raises(ValueError, match="horizon .* is not an integer"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"horizon is not an integer: {horizon!r}")):
                 scan(s, horizon)
 
     def test_integral_horizon_accepted(self):
