@@ -7,11 +7,11 @@ the values: a MonomialIdeal or a NilPairIdeal supplies its own length,
 unit test, product and containment witness.  Includes the graded-axiom
 checker, which asks each target level whether it holds the products of all
 the level pairs of its total (``holds_products``, decided without building
-a product for d = 2 staircases and for nilpotent pairs), and only when that
-is not settled builds each pair's product and asks it for its first
-generator outside the target (``first_escape``), and the counting identity
-len(R/I_n) = #box - #S_n, where S_n is the set of exponents of I_n in a
-simplex box.  Levels, horizons and parameters are read by the package's
+a product for d = 1 ideals, d = 2 staircases and nilpotent pairs, so for
+every shipped family), and only when that is not settled builds each
+pair's product and asks it for its first generator outside the target
+(``first_escape``), and the counting identity len(R/I_n) = #box - #S_n,
+where S_n is the set of exponents of I_n in a simplex box.  Levels, horizons and parameters are read by the package's
 integer rule, so a bad one raises one ValueError.
 """
 
@@ -63,6 +63,7 @@ class BlockSchedule:
 
     @classmethod
     def default(cls, horizon: int = 210) -> "BlockSchedule":
+        horizon = _integer(horizon, "horizon", 0)
         bp = [2]
         while (2 ** len(bp)) * bp[-1] < horizon:
             bp.append((2 ** len(bp)) * bp[-1] + 2)

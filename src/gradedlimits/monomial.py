@@ -12,16 +12,16 @@ staircase splits into stretches of corners with one step, such as the
 corners of (x^a, y^b)^n, the sums of two stretches are arithmetic
 progressions, and these are compared with the target's floor, the least y
 above each x (``holds_products``, which takes many products at once and
-tests each distinct progression once); a caller builds a product only
-when that is not settled, to name its first generator outside
-(``first_escape``).  In d >= 3 one sweep minimalizes the (d-1)-variable
-slices along the last variable, down to the d = 2 sweep.  Minimalization
-keeps the generators new in their slice, and each ideal keeps the slices as
-its index on first use: membership is one bisect for the slice and a
-(d-1)-variable query inside it, and colengths sum the slice colengths over
-the slice widths, down to the d = 2 closed form.  Variable counts and
-exponents are read by the package's integer rule, so a bad one raises one
-ValueError.
+tests each distinct progression once; in d = 1 it adds the two exponents);
+a caller builds a product only when that is not settled, to name its first
+generator outside (``first_escape``).  In d >= 3 one sweep minimalizes the
+(d-1)-variable slices along the last variable, down to the d = 2 sweep.
+Minimalization keeps the generators new in their slice, and each ideal
+keeps the slices as its index on first use: membership is one bisect for
+the slice and a (d-1)-variable query inside it, and colengths sum the slice
+colengths over the slice widths, down to the d = 2 closed form.  Variable
+counts and exponents are read by the package's integer rule, so a bad one
+raises one ValueError.
 """
 
 from __future__ import annotations
@@ -166,14 +166,21 @@ class MonomialIdeal:
         """True when I * J lies in self for every pair (I, J) of ``pairs``,
         decided without building a product; False when that is not settled.
 
-        Settled in d = 2 for a target with a ``_floor``: a product lies in it
-        exactly when every sum of a generator of I and one of J does, and
+        Settled in d = 1 for a non-zero target: (y^a)(y^b) lies in (y^t)
+        exactly when a + b >= t, and a zero factor always does.  Settled in
+        d = 2 for a target with a ``_floor``: a product lies in it exactly
+        when every sum of a generator of I and one of J does, and
         ``_piece_sums`` lists those sums as a few arithmetic progressions.
         The distinct progressions of all the pairs are tested once each: the
         points up to the floor's last x are compared with it entry by entry;
         past it y only falls, so the last point alone is compared with the
         floor's last entry.  Any other ideal answers False.
         """
+        if self.num_vars == 1 and self.gens:
+            (t,), = self.gens
+            return all(i.num_vars == j.num_vars == 1
+                       and (not i.gens or not j.gens or i.gens[0][0] + j.gens[0][0] >= t)
+                       for i, j in pairs)
         floor = self._floor if self.num_vars == 2 else None
         if floor is None or any(i.num_vars != 2 or j.num_vars != 2 for i, j in pairs):
             return False

@@ -85,13 +85,14 @@ class GradedSemigroup:
 
     ``point_budget`` caps the window points, and the window's bitsets at 64
     positions per budgeted point; going over either raises ``MemoryError``.
-    Entries must be integers, as in ``hermite_basis``.  The object is not
+    Entries must be integers, as in ``hermite_basis``, and the point
+    dimension goes by the package's integer rule.  The object is not
     thread-safe.
     """
 
     def __init__(self, point_dim: int, generators: Iterable[tuple],
                  point_budget: int = DEFAULT_POINT_BUDGET):
-        self.point_dim = point_dim
+        self.point_dim = point_dim = _integer(point_dim, "point dimension", 0)
         self.point_budget = point_budget
         rows = []
         for vec, deg in generators:

@@ -10,10 +10,11 @@ with each other (and, in the annihilator model, with everything).
 Providers describe a level as a few disjoint ``Block``s, each a shifted set
 of all monomials of one weighted degree in the leading variables.  The degree
 and sign of a level are checked once per block, never per monomial, and a
-level's dimension, Kodaira-Iitaka lattice and closure are read off its blocks:
-the product of two point blocks is one monomial, looked up in the target
-level, and when every level holds one span per lane ``(nil, free)`` the
-closure of a whole total is decided at once on the lanes' shift columns.
+level's dimension and Kodaira-Iitaka lattice are read off its blocks.  When
+every level holds one block, span or point, of each lane ``(nil, free)``
+whose products do not all vanish, the closure of a whole total is decided
+at once on the lanes' shift columns; any other total is searched monomial by
+monomial for its witnesses.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
-from operator import add, ge
+from itertools import product
+from operator import add
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from . import _integer
@@ -78,6 +79,8 @@ class MonomialLinearSeries:
 
     ``provider(n)`` returns the level's blocks, which must be disjoint: the
     level is their union, and ``dim`` sums their sizes without expanding them.
+    The twist (at least 1) and the horizon (at least 0) go by the package's
+    integer rule.
     """
 
     def __init__(self, name: str, ambient: WeightedAmbient, twist: int,
@@ -85,8 +88,8 @@ class MonomialLinearSeries:
                  horizon: int, natural_exponent: int = 0):
         self.name = name
         self.ambient = ambient
-        self.twist = twist
-        self.horizon = horizon
+        self.twist = _integer(twist, "twist", 1)
+        self.horizon = _integer(horizon, "horizon", 0)
         self.natural_exponent = natural_exponent
         self._provider = provider
 
@@ -243,25 +246,19 @@ def series_invariants(series: MonomialLinearSeries,
 
 def closure_violations(series: MonomialLinearSeries,
                        horizon: int) -> list[tuple[int, int, str]]:
-    """Check L_a * L_b inside L_{a+b} for every pair of monomials, block pair
-    by block pair, with the lex-first escaping pair of each (a, b) as witness.
+    """Check L_a * L_b inside L_{a+b} for every pair of monomials, with the
+    lex-first escaping pair of each (a, b) as witness.
 
-    Blocks x and y multiply to monomials ``corner + m``, ``corner = x.shift +
-    y.shift`` and m of weighted degree ``x.degree + y.degree`` in the first
-    ``max(x.free, y.free)`` variables.  A target block of the same nil flag
-    holds every such monomial when it frees at least those variables, agrees
-    with the corner past its own free ones and lies below it on them.
-
-    When every level holds one span per lane ``(nil, free)``, with the same
-    lanes at every level, a whole total is decided at once (``_lanes_hold``):
-    for each lane pair, one target span must hold the products of every pair
-    ``(a, total - a)``.  A total that test does not settle is checked pair by
-    pair (``_total_violations``).  A horizon that is not a non-negative
-    integer raises ValueError.
+    A whole total is decided at once on the lanes ``(nil, free)`` of the
+    series (``_lane_columns``, ``_lanes_hold``): for each lane pair whose
+    products do not vanish, one target block must hold the products of every
+    pair ``(a, total - a)``.  A total that test does not settle is searched
+    monomial by monomial for its witnesses (``_total_violations``).  A
+    horizon that is not a non-negative integer raises ValueError.
     """
     horizon = _integer(horizon, "horizon", 0)
     levels = {n: series.blocks(n) for n in range(1, horizon + 1)}
-    lanes = _lane_columns(levels)
+    lanes = _lane_columns(series.ambient, levels)
     out = []
     for total in range(2, horizon + 1):
         if lanes is None or not _lanes_hold(series.ambient, lanes, levels[total], total):
@@ -269,15 +266,22 @@ def closure_violations(series: MonomialLinearSeries,
     return out
 
 
-def _lane_columns(levels: dict[int, list[Block]]) -> dict[tuple, list[tuple]] | None:
+def _lane_columns(ambient: WeightedAmbient,
+                  levels: dict[int, list[Block]]) -> dict[tuple, list[tuple]] | None:
     """Each lane ``(nil, free)`` mapped to its shift columns: column i holds
-    coordinate i of the lane's span at levels 0, 1, ..., the entry at level
-    0 unused.  None unless every level holds exactly one span per lane, with
-    the same lanes at every level."""
+    coordinate i of the lane's block at levels 0, 1, ..., the entry at level
+    0 unused.  A lane whose products with every lane vanish is left out, as
+    nil lanes are in the annihilator model or when no level has a reduced
+    block.  None unless every level holds exactly one block of each lane
+    left, a span or a point."""
+    lanes = {(b.nil, b.free) for blocks in levels.values() for b in blocks}
+    live = {lane for lane in lanes
+            if not all(ambient.product_vanishes(lane[0], nil) for nil, _ in lanes)}
     shifts: dict[tuple, list[tuple]] = {}
-    for n, blocks in levels.items():
-        level = {(b.nil, b.free): b.shift for b in blocks if b.free}
-        if len(level) != len(blocks) or (n > 1 and level.keys() != shifts.keys()):
+    for blocks in levels.values():
+        kept = [b for b in blocks if (b.nil, b.free) in live]
+        level = {(b.nil, b.free): b.shift for b in kept}
+        if not len(kept) == len(level) == len(live):
             return None
         for lane, shift in level.items():
             shifts.setdefault(lane, [shift]).append(shift)
@@ -286,11 +290,11 @@ def _lane_columns(levels: dict[int, list[Block]]) -> dict[tuple, list[tuple]] | 
 
 def _lanes_hold(ambient: WeightedAmbient, lanes: dict[tuple, list[tuple]],
                 target: list[Block], total: int) -> bool:
-    """Whether, for each lane pair whose products do not vanish, one span of
+    """Whether, for each lane pair whose products do not vanish, one block of
     the target level holds the products of that lane pair at every
     ``(a, total - a)``, a = 1 .. total // 2.  The corners of a lane pair are
-    column sums over those levels: each must equal the span's shift past its
-    free variables and reach it below them."""
+    column sums over those levels: each must equal the block's shift past
+    its free variables and reach it below them."""
     h = total // 2
     for (x_nil, x_free), xs in lanes.items():
         for (y_nil, y_free), ys in lanes.items():
@@ -310,38 +314,19 @@ def _lanes_hold(ambient: WeightedAmbient, lanes: dict[tuple, list[tuple]],
 
 def _total_violations(series: MonomialLinearSeries, levels: dict[int, list[Block]],
                       total: int) -> list[tuple[int, int, str]]:
-    """The violations of the pairs ``(a, total - a)``, pair by pair.  A span
-    product held by one target block is settled unexpanded; a pair of two
-    points is the one monomial ``corner``, looked up in the target level;
-    any other pair is multiplied out against the target level, expanded
-    once when first needed."""
-    weights = series.ambient.weights
-    target, expanded, out = levels[total], None, []
+    """The violations of the pairs ``(a, total - a)``: the sorted monomials
+    of levels a and total - a are walked in lex order, and the first pair
+    whose product is outside the target level, expanded once, is the
+    witness."""
+    ambient, weights = series.ambient, series.ambient.weights
+    target, out = _expand(weights, levels[total]), []
     for a in range(1, total // 2 + 1):
-        escapes = []
-        for x, y in product(levels[a], levels[total - a]):
-            if series.ambient.product_vanishes(x.nil, y.nil):
-                continue
-            corner = tuple(map(add, x.shift, y.shift))
-            free, nil = max(x.free, y.free), x.nil or y.nil
-            if free and any(t.nil == nil and free <= t.free
-                            and corner[t.free:] == t.shift[t.free:]
-                            and all(map(ge, corner, t.shift[:t.free])) for t in target):
-                continue
-            if expanded is None:
-                expanded = _expand(weights, target)
-            if not free:
-                if (corner, nil) not in expanded:
-                    escapes.append(((x.shift, x.nil), (y.shift, y.nil)))
-                continue
-            second = list(_block_rows(weights, y.shift, y.free, y.degree))
-            escapes += islice((((u, x.nil), (v, y.nil))
-                               for u in _block_rows(weights, x.shift, x.free, x.degree)
-                               for v in second
-                               if (tuple(map(add, u, v)), nil) not in expanded), 1)
-        if escapes:
-            u, v = min(escapes)
-            out.append((a, total - a, f"{u} * {v} escapes level {total}"))
+        for u, v in product(sorted(_expand(weights, levels[a])),
+                            sorted(_expand(weights, levels[total - a]))):
+            if (not ambient.product_vanishes(u[1], v[1])
+                    and (tuple(map(add, u[0], v[0])), u[1] or v[1]) not in target):
+                out.append((a, total - a, f"{u} * {v} escapes level {total}"))
+                break
     return out
 
 

@@ -67,6 +67,14 @@ class TestSchedule:
         with pytest.raises(ValueError):
             BlockSchedule((2, 4))  # needs > 2^1 * 2
 
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_default_horizon(self, bad):
+        assert BlockSchedule.default(210.0) == SCHEDULE
+        with pytest.raises(ValueError, match=re.escape(f"horizon is not an integer: {bad!r}")):
+            BlockSchedule.default(bad)
+        with pytest.raises(ValueError, match="horizon must be at least 0, got -1"):
+            BlockSchedule.default(-1)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="covers"):
             SCHEDULE.sigma(SCHEDULE.limit + 1)
@@ -350,9 +358,9 @@ class TestCheckGraded:
         assert check_graded(family, 14) == check_graded_by_products(family, 14)
 
     def test_graded_totals_settle_without_a_pair(self, monkeypatch):
-        # each total of the c11 polynomial and nilpotent-pair families is
-        # settled by holds_products, so no pair's product is built; the
-        # levels are built first, since the power builders multiply
+        # each total of the c11 polynomial, nilpotent-pair and Artin
+        # families is settled by holds_products, so no pair's product is
+        # built; the levels are built first, since the power builders multiply
         def refuse(self, other):
             raise AssertionError("total fell back to its pairs")
 
@@ -362,7 +370,8 @@ class TestCheckGraded:
                 symbolic_family(MonomialIdeal(2, ((2, 0), (1, 1))),
                                 MonomialIdeal(2, ((1, 0), (0, 1)))),
                 nilpair_sigma_family(1, SCHEDULE),
-                perturbed_power_family(1, SCHEDULE)]
+                perturbed_power_family(1, SCHEDULE),
+                artin_tau_family(2, SCHEDULE)]
         built = [GradedFamily(fam.name, fam.dim, [fam.ideal(n) for n in range(51)].__getitem__)
                  for fam in fams]
         monkeypatch.setattr(MonomialIdeal, "__mul__", refuse)

@@ -228,11 +228,13 @@ def escape_targets(data, prod):
 
 def assert_holds_products_sound(target, i, j):
     """``target.holds_products`` on the one pair (i, j) against the built
-    product: in d = 2 with a ``_floor`` True exactly when the product lies
-    inside, and False in any other case, so True always implies inside."""
+    product: in d = 1 with a non-zero target and in d = 2 with a ``_floor``
+    True exactly when the product lies inside, and False in any other case,
+    so True always implies inside."""
     held = target.holds_products(((i, j),))
     inside = (i * j).first_escape(target) is None
-    if target.num_vars == 2 and target._floor is not None:
+    if (target.num_vars == 1 and target.gens
+            or target.num_vars == 2 and target._floor is not None):
         assert held == inside
     else:
         assert not held

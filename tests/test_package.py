@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import gradedlimits
 PACKAGE = Path(gradedlimits.__file__).resolve().parent
 REPO = Path(__file__).resolve().parent.parent
 ORACLES = REPO / "tests" / "oracles.py"
+PERFBENCH = REPO / "perfbench"
 
 # the gradedlimits submodules each subcommand loads; cli, specfiles and
 # experiments load the rest only inside the functions that run them
@@ -63,6 +65,36 @@ def test_series_loads_no_lattice():
     code = ("from gradedlimits.series import closure_violations, sigma_growth_series\n"
             "assert closure_violations(sigma_growth_series(1, 2, horizon=20), 20) == []")
     assert loaded_submodules(code) == {"families", "monomial", "series"}
+
+
+def tracer_targets() -> tuple:
+    """The (span, module, attribute) triples the benchmark's tracer wraps,
+    read from its source without importing it."""
+    for node in ast.parse((PERFBENCH / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's traced runs wrap these names; one renamed or removed
+    # would stop them
+    targets = tracer_targets()
+    assert targets
+    for _, module, attr in targets:
+        owner = importlib.import_module(f"gradedlimits.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
+
+
+def test_benchmark_axiom_setup_runs():
+    # the benchmark's set-up probe imports the graded-axiom suite's builders
+    # and builds each of its inputs
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "setup", "axiom"],
+                         cwd=REPO, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_every_export_resolves():

@@ -343,6 +343,18 @@ class TestIntegerInput:
             s.level_sizes(bad)
 
     @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_point_dim(self, bad):
+        gens = [((0, 0), 1), ((1, 0), 1), ((0, 1), 1)]
+        s = GradedSemigroup(2.0, gens)
+        assert s.point_dim == 2 and type(s.point_dim) is int
+        assert s.level(2) == GradedSemigroup(2, gens).level(2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"point dimension is not an integer: {bad!r}")):
+            GradedSemigroup(bad, gens)
+        with pytest.raises(ValueError, match="point dimension must be at least 0, got -1"):
+            GradedSemigroup(-1, [])
+
+    @pytest.mark.parametrize("bad", [2.5, "2"])
     def test_truncate(self, bad):
         s, _ = make("halfstep")
         assert truncate(s, 2.0).generators == truncate(s, 2).generators

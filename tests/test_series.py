@@ -132,6 +132,21 @@ def series_levels(series: MonomialLinearSeries, n_max: int) -> tuple[dict, bool]
     return levels, has_nil
 
 
+def bounded_nil_series(horizon: int) -> MonomialLinearSeries:
+    """The converging fixture of test_experiments: every monomial of degree n
+    in three variables, and on odd blocks one nil point, in the annihilator
+    model."""
+    ambient = WeightedAmbient((1, 1, 1), nil_degree=1, nil_annihilates_base=True)
+
+    def provider(n):
+        out = [Block((0, 0, 0), False, 3, n)]
+        if SCHEDULE.tau(n):
+            out.append(Block((n - 1, 0, 0), True))
+        return out
+
+    return MonomialLinearSeries("bounded_nil", ambient, 1, provider, horizon)
+
+
 def all_builders(horizon=60):
     return [
         full_weighted_series((1, 1), horizon),
@@ -394,6 +409,21 @@ class TestIntegerInput:
         assert WeightedAmbient((1,), nil_degree=Fraction(2)).nil_degree == 2
         with pytest.raises(ValueError, match="nilpotent degree is not an integer"):
             WeightedAmbient((1,), nil_degree=1.5)
+
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_horizon_and_twist(self, bad):
+        s = full_weighted_series((1, 1), 2.0)
+        assert s.horizon == 2 and type(s.horizon) is int and s.dim(2) == 3
+        assert MonomialLinearSeries("twisted", WeightedAmbient((1, 1)), 2.0,
+                                    lambda n: [Block((0, 0), False, 2, 2 * n)], 5).twist == 2
+        with pytest.raises(ValueError, match=re.escape(f"horizon is not an integer: {bad!r}")):
+            full_weighted_series((1, 1), bad)
+        with pytest.raises(ValueError, match=re.escape(f"twist is not an integer: {bad!r}")):
+            MonomialLinearSeries("twisted", WeightedAmbient((1, 1)), bad, list, 5)
+        with pytest.raises(ValueError, match="horizon must be at least 0, got -1"):
+            full_weighted_series((1, 1), -1)
+        with pytest.raises(ValueError, match="twist must be at least 1, got 0"):
+            MonomialLinearSeries("flat", WeightedAmbient((1, 1)), 0, list, 5)
 
     @pytest.mark.parametrize("bad", [2.5, "2"])
     def test_level_index(self, bad):
@@ -688,7 +718,7 @@ class TestClosure:
         # a laned series (one span per (nil, free) lane at every level) with
         # one lane's span raised in one coordinate at a target level, at a
         # level below it and perhaps at one more, its degree lowered to
-        # match: a raise can send a total to the pair-by-pair check, and the
+        # match: a raise can send a total to the witness search, and the
         # raises on a factor and on its target meet in some pairs only
         horizon, r = data.draw(st.integers(3, 7)), data.draw(st.integers(1, 2))
         weights = (1,) + data.draw(st.tuples(*[st.integers(1, 2)] * (r + data.draw(
@@ -724,24 +754,83 @@ class TestClosure:
 
         series = MonomialLinearSeries("raised", base.ambient, base.twist, provider, horizon)
         levels = {n: series.blocks(n) for n in range(1, horizon + 1)}
-        assert series_module._lane_columns(levels) is not None
+        assert series_module._lane_columns(series.ambient, levels) is not None
         assert closure_violations(series, horizon) == \
             closure_violations_by_tuples(series, horizon)
 
     def test_laned_builders_settle_every_total(self):
-        # full_weighted and sigma_growth hold one span per lane at every
-        # level, and the lane test settles each of their totals
+        # every shipped builder, its e = 2 Veronese and the converging
+        # fixture of test_experiments hold one block, span or point, of each
+        # lane whose products do not all vanish at every level, and the lane
+        # test settles each of their totals
         def refuse(series, levels, total):
             raise AssertionError(f"{series.name} total {total} fell back to its pairs")
 
-        laned = [full_weighted_series((1, 1), 50),
-                 full_weighted_series((1, 2, 3), 50),
-                 sigma_growth_series(0, 1, SCHEDULE, horizon=50),
-                 sigma_growth_series(1, 2, SCHEDULE, horizon=50),
-                 sigma_growth_series(None, 1, SCHEDULE, horizon=50)]
+        builders = [*all_builders(50), full_weighted_series((1, 2, 3), 50),
+                    bounded_nil_series(50)]
         with mock.patch.object(series_module, "_total_violations", refuse):
-            for s in laned:
-                assert closure_violations(s, 50) == [], s.name
+            for s in builders + [veronese(s, 2) for s in builders]:
+                assert closure_violations(s, s.horizon) == [], s.name
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_lanes_match_tuple_oracle(self, data):
+        # a reduced lane, span or point, perhaps a reduced point outside it,
+        # level n holding n times their level-1 blocks, and a nil lane when
+        # the model has one that fits, level n holding its level-1 block
+        # moved by n - 1 times a reduced monomial, in the reduced,
+        # square-zero and annihilator models.  At a drawn level one block is
+        # dropped or split, which sends every total to the witness search,
+        # or moved: a point to another monomial, a span raised in one of its
+        # free coordinates, which keeps the lanes and leaves the totals to
+        # the lane test
+        d, weights, ambient, twist, horizon = drawn_model(data)
+        units = [drawn_block(data, weights, twist, False)]
+        outside = [m for m in weighted_monomials(weights, twist)
+                   if m not in members(weights, units[0])]
+        if units[0].free and outside and data.draw(st.booleans()):
+            units.append(Block(data.draw(st.sampled_from(outside)), False))
+        nil_unit = ride = None
+        e = ambient.nil_degree
+        if e is not None and e <= twist:
+            nil_unit = drawn_block(data, weights, twist - e, False)._replace(nil=True)
+            ride = data.draw(st.sampled_from(
+                [m for u in units for m in members(weights, u)]))
+        edited = data.draw(st.integers(1, horizon))
+        edit = data.draw(st.sampled_from([None, "drop", "split", "move"]))
+        index, coord = data.draw(st.integers(0, 2)), data.draw(st.integers(0, d - 1))
+        pick = data.draw(st.integers(0, 50))
+
+        def provider(n):
+            blocks = [Block(tuple(n * x for x in shift), False, free, n * degree)
+                      for shift, _, free, degree in units]
+            if nil_unit is not None:
+                shift = tuple(x + (n - 1) * y for x, y in zip(nil_unit.shift, ride))
+                blocks.append(nil_unit._replace(shift=shift))
+            if n != edited or edit is None:
+                return blocks
+            k = index % len(blocks)
+            shift, nil, free, degree = blocks[k]
+            if edit == "move" and coord < free and degree >= weights[coord]:
+                raised = shift[:coord] + (shift[coord] + 1,) + shift[coord + 1:]
+                blocks[k] = Block(raised, nil, free, degree - weights[coord])
+            elif edit == "move" and not free:
+                taken = {(m, b.nil) for b in blocks for m in members(weights, b)}
+                level_degree = sum(w * x for w, x in zip(weights, shift))
+                free_points = [m for m in weighted_monomials(weights, level_degree)
+                               if (m, nil) not in taken]
+                if free_points:
+                    blocks[k] = Block(free_points[pick % len(free_points)], nil)
+            elif edit != "move":
+                blocks[k:k + 1] = [] if edit == "drop" else split(weights, blocks[k])
+            return blocks
+
+        series = MonomialLinearSeries("lanes", ambient, twist, provider, horizon)
+        if edit in (None, "move"):
+            levels = {n: series.blocks(n) for n in range(1, horizon + 1)}
+            assert series_module._lane_columns(ambient, levels) is not None
+        assert closure_violations(series, horizon) == \
+            closure_violations_by_tuples(series, horizon)
 
     @pytest.mark.parametrize("dropped", [False, True])
     def test_exponent_sums_reach_twist_times_horizon(self, dropped):
@@ -763,7 +852,8 @@ class TestClosure:
 
     @pytest.mark.parametrize("dropped", [(2, False), (12, False), (29, False)])
     def test_broken_tau_pulse_matches_tuple_oracle(self, dropped):
-        # tau_pulse levels are points; a pair of points is one lookup
+        # tau_pulse levels are points; a dropped one sends every total to
+        # the witness search
         pulse = tau_pulse_series(SCHEDULE, horizon=30)
 
         def provider(n):
