@@ -28,7 +28,6 @@ _EXPORTS = {
         "MonomialIdeal",
         "NilPairIdeal",
         "colength",
-        "max_ideal_power",
         "multiplicity",
         "unit_ideal",
     ),

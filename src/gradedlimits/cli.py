@@ -41,6 +41,7 @@ from .specfiles import (
     load_spec,
     rational,
     _single,
+    _choice,
     _int,
     _fraction,
     _int_list,
@@ -48,6 +49,7 @@ from .specfiles import (
 
 FIELDS = ("record", "n", "residue_class", "raw", "scaled", "scaled_float",
           "verdict", "liminf", "limsup", "limit", "detail")
+VERDICTS = ("converges", "oscillates")
 
 
 def _ff(x) -> str:
@@ -64,7 +66,7 @@ def _row(**kw) -> dict:
     return row
 
 
-def _convergence_rows(args, spec: dict, seq, report) -> tuple[list[dict], bool]:
+def _convergence_rows(expect, seq, report) -> tuple[list[dict], bool]:
     """Value, verdict and summary rows of a scaled sequence and its report,
     and whether every verdict matches the expectation."""
     rows = [_row(record="meta", detail=f"scaled={seq.normalization}")]
@@ -78,7 +80,6 @@ def _convergence_rows(args, spec: dict, seq, report) -> tuple[list[dict], bool]:
                          liminf=_ff(c.liminf_est), limsup=_ff(c.limsup_est),
                          limit=_ff(c.limit_estimate),
                          detail=f"points={c.points}"))
-    expect = args.expect or _single(spec, "expect")
     ok = expect is None or report.all_verdicts(expect)
     rows.append(_row(record="summary", verdict="ok" if ok else "mismatch",
                      liminf=_ff(report.liminf_est), limsup=_ff(report.limsup_est),
@@ -112,8 +113,8 @@ def _emit(rows: list[dict], ok: bool, args, golden_name: str) -> int:
     return 0 if ok else 1
 
 
-# spec-value parser and least allowed value of each range-checked setting
-_SETTINGS = {"horizon": (int, 1), "moduli": (int, 1), "tol": (rational, 0)}
+# spec-key reader and least allowed value of each range-checked setting
+_SETTINGS = {"horizon": (_int, 1), "moduli": (_int, 1), "tol": (_fraction, 0)}
 
 
 def _resolve(args, spec: dict, key: str, default):
@@ -123,13 +124,12 @@ def _resolve(args, spec: dict, key: str, default):
     explicit 0 is used as given and an out-of-range spec value is rejected
     like a flag.
     """
-    parse, low = _SETTINGS[key]
+    read, low = _SETTINGS[key]
     value, source = getattr(args, key), f"--{key}"
     if value is None:
-        raw = _single(spec, key)
-        if raw is None:
+        value, source = read(spec, key), f"spec key '{key}'"
+        if value is None:
             return default
-        value, source = parse(raw), f"spec key '{key}'"
     if value < low:
         raise ValueError(f"{source} must be at least {low}, got {value}")
     return value
@@ -182,12 +182,13 @@ def _cmd_semigroup(args) -> int:
 
 def _cmd_family(args) -> int:
     spec = load_spec(args.spec)
+    expect = args.expect or _choice(spec, "expect", VERDICTS)
     horizon = _resolve(args, spec, "horizon", 210)
     family = build_family(spec, Path(args.spec).parent, horizon)
     moduli = _resolve(args, spec, "moduli", 4)
     seq = length_sequence(family, horizon)
     report = convergence_report(seq, moduli, _resolve(args, spec, "tol", DEFAULT_TOL))
-    rows, ok = _convergence_rows(args, spec, seq, report)
+    rows, ok = _convergence_rows(expect, seq, report)
     return _emit(rows, ok, args, f"{Path(args.spec).stem}__family.csv")
 
 
@@ -195,6 +196,7 @@ def _cmd_series(args) -> int:
     from .series import series_invariants
 
     spec = load_spec(args.spec)
+    expect = args.expect or _choice(spec, "expect", VERDICTS)
     horizon = _resolve(args, spec, "horizon", 210)
     series = build_series(spec, horizon)
     moduli = _resolve(args, spec, "moduli", 4)
@@ -206,7 +208,7 @@ def _cmd_series(args) -> int:
     rows = [_row(record="invariant",
                  detail=(f"kappa={kappa};index={inv.index_estimate};"
                          f"horizon_dependent={'yes' if inv.horizon_dependent else 'no'}"))]
-    more, ok = _convergence_rows(args, spec, seq, report)
+    more, ok = _convergence_rows(expect, seq, report)
     return _emit(rows + more, ok, args, f"{Path(args.spec).stem}__series.csv")
 
 
@@ -241,7 +243,7 @@ def _cmd_eps(args) -> int:
     tol = _resolve(args, {}, "tol", DEFAULT_TOL)
     seq = saturation_gap_sequence(ideal, horizon)
     report = convergence_report(seq, moduli, tol)
-    rows, ok = _convergence_rows(args, {}, seq, report)
+    rows, ok = _convergence_rows(args.expect, seq, report)
     return _emit(rows, ok, args, f"{Path(args.ideal).stem}__eps.csv")
 
 
@@ -275,14 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("family", help="scaled lengths and convergence verdicts")
     p.add_argument("spec")
     p.add_argument("--moduli", type=int, default=None)
-    p.add_argument("--expect", choices=("converges", "oscillates"), default=None)
+    p.add_argument("--expect", choices=VERDICTS, default=None)
     _add_common(p)
     p.set_defaults(fn=_cmd_family)
 
     p = subs.add_parser("series", help="scaled dimensions and verdicts")
     p.add_argument("spec")
     p.add_argument("--moduli", type=int, default=None)
-    p.add_argument("--expect", choices=("converges", "oscillates"), default=None)
+    p.add_argument("--expect", choices=VERDICTS, default=None)
     _add_common(p)
     p.set_defaults(fn=_cmd_series)
 
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eps", help="saturation length experiment on an ideal file")
     p.add_argument("ideal")
     p.add_argument("--moduli", type=int, default=None)
-    p.add_argument("--expect", choices=("converges", "oscillates"), default=None)
+    p.add_argument("--expect", choices=VERDICTS, default=None)
     _add_common(p)
     p.set_defaults(fn=_cmd_eps)
     return parser

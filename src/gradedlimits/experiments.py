@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import _integer
 
@@ -49,28 +49,20 @@ class ScaledSequence:
         return max(m for m, _, _ in self.entries)
 
 
-def _scaled_sequence(label: str, normalization: str, exponent: int,
-                     ns: Iterable[int],
+def _scaled_sequence(label: str, normalization: str, exponent: int, n_max: int,
                      raw: Callable[[int], int | Fraction]) -> ScaledSequence:
-    """Entries (n, raw(n), raw(n)/n^exponent) for n in ns, in order."""
+    """Entries (n, raw(n), raw(n)/n^exponent) for n = 1 .. n_max, in order."""
     entries = []
-    for n in ns:
+    for n in range(1, _integer(n_max, "horizon", 1) + 1):
         value = Fraction(raw(n))
         entries.append((n, value, value / Fraction(n) ** exponent))
     return ScaledSequence(label=label, exponent=exponent,
                           normalization=normalization, entries=tuple(entries))
 
 
-def length_sequence(family: GradedFamily, n_max: int | None = None,
-                    ns: Iterable[int] | None = None) -> ScaledSequence:
+def length_sequence(family: GradedFamily, n_max: int) -> ScaledSequence:
     """Exact lengths of R/I_n scaled by n^d, d = dim R (unscaled in the
-    zero-dimensional Artin model), for n = 1 .. n_max or for the indices
-    ``ns``, read in ascending order."""
-    if ns is None:
-        if n_max is None:
-            raise ValueError("give a horizon n_max or indices ns")
-        ns = range(1, _integer(n_max, "horizon", 1) + 1)
-    ns = sorted({_integer(n, "index", 1) for n in ns})
+    zero-dimensional Artin model), for n = 1 .. n_max."""
     exponent = family.dim
 
     def raw(n: int) -> int:
@@ -80,15 +72,14 @@ def length_sequence(family: GradedFamily, n_max: int | None = None,
             raise ValueError(f"level {n}: {exc}") from exc
 
     return _scaled_sequence(f"length[{family.name}]", f"length/n^{exponent}",
-                            exponent, ns, raw)
+                            exponent, n_max, raw)
 
 
 def dim_sequence(series: MonomialLinearSeries, n_max: int,
                  exponent: int) -> ScaledSequence:
     """Exact series dimensions scaled by n^exponent."""
     return _scaled_sequence(f"dim[{series.name}]", f"dim/n^{exponent}",
-                            exponent, range(1, _integer(n_max, "horizon", 1) + 1),
-                            series.dim)
+                            exponent, n_max, series.dim)
 
 
 def saturation_gap_sequence(ideal: MonomialIdeal, n_max: int) -> ScaledSequence:
@@ -101,8 +92,7 @@ def saturation_gap_sequence(ideal: MonomialIdeal, n_max: int) -> ScaledSequence:
     d_fact = math.factorial(d)
     power = power_family(ideal).provider
     return _scaled_sequence(
-        "saturation_gap", f"len*{d_fact}/n^{d}", d,
-        range(1, _integer(n_max, "horizon", 1) + 1),
+        "saturation_gap", f"len*{d_fact}/n^{d}", d, n_max,
         lambda n: saturation_quotient_colength(power(n)) * d_fact)
 
 

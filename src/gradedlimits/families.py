@@ -115,7 +115,6 @@ class GradedFamily:
     name: str
     dim: int
     provider: Callable[[int], MonomialIdeal | NilPairIdeal]
-    schedule: BlockSchedule | None = None
 
     def ideal(self, n: int):
         return self.provider(_integer(n, "index", 0))
@@ -233,8 +232,7 @@ def valuation_family(weights: Sequence) -> GradedFamily:
     return GradedFamily(name="valuation", dim=d, provider=provider)
 
 
-def _nilpair_family(name: str, dim: int, offset: Callable[[int], int],
-                    schedule: BlockSchedule | None = None) -> GradedFamily:
+def _nilpair_family(name: str, dim: int, offset: Callable[[int], int]) -> GradedFamily:
     """Pairs (m^n, y*m^{n - offset(n)}) in the square-zero extension of
     polynomial(dim).  Nothing here recurses, but a dim too deep for the slice
     index is still refused before any level is built, as the CLI pins."""
@@ -244,7 +242,7 @@ def _nilpair_family(name: str, dim: int, offset: Callable[[int], int],
     def provider(n: int) -> NilPairIdeal:
         return NilPairIdeal(dim, n, max(0, n - offset(n)) if n else 0)
 
-    return GradedFamily(name=name, dim=dim, provider=provider, schedule=schedule)
+    return GradedFamily(name=name, dim=dim, provider=provider)
 
 
 def nilpair_sigma_family(dim: int, schedule: BlockSchedule | None = None) -> GradedFamily:
@@ -254,7 +252,7 @@ def nilpair_sigma_family(dim: int, schedule: BlockSchedule | None = None) -> Gra
     limit along any arithmetic progression.
     """
     schedule = schedule or BlockSchedule.default()
-    return _nilpair_family("nilpair_sigma", dim, schedule.sigma, schedule)
+    return _nilpair_family("nilpair_sigma", dim, schedule.sigma)
 
 
 def perturbed_power_family(dim: int, schedule: BlockSchedule | None = None) -> GradedFamily:
@@ -265,7 +263,7 @@ def perturbed_power_family(dim: int, schedule: BlockSchedule | None = None) -> G
     nilpair_sigma_family.
     """
     schedule = schedule or BlockSchedule.default()
-    return _nilpair_family("perturbed_power", dim, schedule.sigma, schedule)
+    return _nilpair_family("perturbed_power", dim, schedule.sigma)
 
 
 def artin_tau_family(t: int, schedule: BlockSchedule | None = None) -> GradedFamily:
@@ -285,7 +283,7 @@ def artin_tau_family(t: int, schedule: BlockSchedule | None = None) -> GradedFam
             return unit_ideal(1)
         return MonomialIdeal._canonical(1, ((t + schedule.tau(n),),))
 
-    return GradedFamily(name="artin_tau", dim=0, provider=provider, schedule=schedule)
+    return GradedFamily(name="artin_tau", dim=0, provider=provider)
 
 
 def corrupted_sigma_family(dim: int = 1) -> GradedFamily:

@@ -406,15 +406,6 @@ def _degree_tuples(num_vars: int, degree: int):
         yield tuple(map(sub, bars + (degree,), (0,) + bars))
 
 
-def max_ideal_power(num_vars: int, n: int) -> MonomialIdeal:
-    """The n-th power of the maximal ideal (x_1, ..., x_d): the monomials of
-    degree n, which are minimal and come lex-sorted."""
-    num_vars, n = _integer(num_vars, "num_vars", 1), _integer(n, "power n")
-    if n <= 0:
-        return unit_ideal(num_vars)
-    return MonomialIdeal._of(num_vars, tuple(_degree_tuples(num_vars, n)))
-
-
 def colon_monomial_infinity(ideal: MonomialIdeal, u) -> MonomialIdeal:
     """I : u^infty for a monomial u: zero out the exponents supported on u.
 
@@ -536,8 +527,8 @@ class NilPairIdeal:
     """The ideal m^base + y*m^socle of k[x_1..x_d, y]/(y^2), m = (x_1..x_d).
 
     Both parts of the pair (A, yB) are powers of m, so it is two exponents;
-    ``max_ideal_power`` gives their generators.  yA must lie in yB for the
-    pair to be an ideal: 0 <= socle <= base.
+    their generators are the monomials of degree base and socle.  yA must
+    lie in yB for the pair to be an ideal: 0 <= socle <= base.
     """
 
     num_vars: int

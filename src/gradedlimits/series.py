@@ -95,11 +95,14 @@ class MonomialLinearSeries:
 
     def blocks(self, n: int) -> list[Block]:
         """The provider's blocks of level n, each checked for integrality, sign,
-        degree and at least one monomial, and all checked to be disjoint."""
+        degree and at least one monomial, and all checked to be disjoint.
+        Level 0 is the unit point, L_0 = k, and asks the provider nothing."""
         n = _integer(n, "level", 0)
         if n > self.horizon:
             raise ValueError(f"level {n} beyond series horizon {self.horizon}")
         weights = self.ambient.weights
+        if n == 0:
+            return [Block((0,) * len(weights), False)]
         out = []
         for shift, nil, free, degree in self._provider(n):
             try:
@@ -167,10 +170,10 @@ class SeriesInvariants:
     horizon_dependent: bool
 
 
-def _horizon(requested: int | None, default: int, series: MonomialLinearSeries) -> int:
-    """``requested`` (an integer of at least 1), or ``default`` for None,
-    capped at the series horizon."""
-    return min(default if requested is None else _integer(requested, "horizon", 1),
+def _horizon(requested: int | None, series: MonomialLinearSeries) -> int:
+    """``requested`` (an integer of at least 1) capped at the series horizon,
+    or the series horizon for None."""
+    return min(series.horizon if requested is None else _integer(requested, "horizon", 1),
                series.horizon)
 
 
@@ -189,7 +192,7 @@ def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
     """
     from .lattice import hermite_basis
 
-    horizon = _horizon(horizon, series.horizon, series)
+    horizon = _horizon(horizon, series)
     basis: tuple = ()
     weights = series.ambient.weights
     width = len(weights) + 1
@@ -219,7 +222,7 @@ def kodaira_iitaka(series: MonomialLinearSeries, horizon: int | None = None):
 def index_estimate(series: MonomialLinearSeries, n_max: int | None = None) -> int:
     """gcd of the levels with a nonzero space; monotone nonincreasing in the
     horizon, so an upper estimate of the true index."""
-    n_max = _horizon(n_max, series.horizon, series)
+    n_max = _horizon(n_max, series)
     g = 0
     for n in range(1, n_max + 1):
         if series.dim(n):
@@ -231,11 +234,10 @@ def index_estimate(series: MonomialLinearSeries, n_max: int | None = None) -> in
     return g
 
 
-def series_invariants(series: MonomialLinearSeries,
-                      horizon: int | None = None) -> SeriesInvariants:
-    # kappa scans whole level sets; a modest default horizon keeps the scan
-    # cheap, and the horizon-dependence flag reports when it was too small
-    horizon = _horizon(horizon, 64, series)
+def series_invariants(series: MonomialLinearSeries) -> SeriesInvariants:
+    # kappa scans whole level sets; a modest horizon keeps the scan cheap,
+    # and the horizon-dependence flag reports when it was too small
+    horizon = min(64, series.horizon)
     kappa, dependent = kodaira_iitaka(series, horizon)
     try:
         idx = index_estimate(series, horizon)
@@ -429,8 +431,6 @@ def nil_hyperplane_series(tset, dim: int = 2, horizon: int = 200) -> MonomialLin
     ambient = WeightedAmbient((1,) * dim, nil_degree=1)
 
     def provider(n: int):
-        if n == 0:
-            return [Block((0,) * dim, False)]
         if not member(n):
             return []
         return [Block((n - 1,) + (0,) * (dim - 1), True, dim, n)]
@@ -479,8 +479,6 @@ def log_nil_series(tset, horizon: int = 200) -> MonomialLinearSeries:
     ambient = WeightedAmbient((1, 1), nil_degree=1)
 
     def provider(n: int):
-        if n == 0:
-            return [Block((0, 0), False)]
         lam = ceil_log(n) if member(n) else ceil_log(n, 2)
         return [Block((n - k, k - 1), True) for k in range(1, lam + 1)]
 
@@ -517,8 +515,6 @@ def sigma_growth_series(s, r: int, schedule: BlockSchedule | None = None,
     zeros = (0,) * (len(ws) - 1)
 
     def provider(n: int):
-        if n == 0:
-            return [Block((0,) + zeros, False)]
         sig = schedule.sigma_capped(n)
         nil_part = Block(((n - sig) * f - e,) + zeros, True, r + 1, (n + sig) * f)
         if nil_only:
@@ -543,8 +539,6 @@ def tau_pulse_series(schedule: BlockSchedule | None = None, e: int = 1,
     deg = e * g
 
     def provider(n: int):
-        if n == 0:
-            return [Block((0,), False)]
         out = [Block((n * deg,), False)]
         if schedule.tau(n) == 1:
             out.append(Block((n * deg - e,), True))
@@ -567,8 +561,6 @@ def artin_tau_series(t: int, schedule: BlockSchedule | None = None,
     ambient = WeightedAmbient((1,), nil_degree=1, nil_annihilates_base=True)
 
     def provider(n: int):
-        if n == 0:
-            return [Block((0,), False)]
         out = []
         if with_unit:
             out.append(Block((n,), False))

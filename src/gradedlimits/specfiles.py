@@ -45,7 +45,7 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
             raise SpecError(f"line {lineno}: expected {width} exponents")
         gens.append(exps)
     if width is None:
-        raise SpecError("ideal file has no generators")
+        raise SpecError("ideal has no generators")
     return MonomialIdeal(width, tuple(gens))
 
 
@@ -100,6 +100,15 @@ def _int(spec: dict, key: str, default=None):
     return default if v is None else _int_value(v, f"spec key '{key}'")
 
 
+def _choice(spec: dict, key: str, choices: tuple[str, ...]) -> str | None:
+    """The key's value, or None when absent; any value not in ``choices`` is
+    refused."""
+    v = _single(spec, key)
+    if v is not None and v not in choices:
+        raise SpecError(f"spec key '{key}': {v!r} is not {' or '.join(choices)}")
+    return v
+
+
 def rational(text: str) -> Fraction:
     """Parse an exact rational such as ``3/2`` or ``0.02``."""
     try:
@@ -118,23 +127,14 @@ def _int_list(value: str, source: str) -> list[int]:
     return [_int_value(tok, source) for tok in value.replace(",", " ").split()]
 
 
-def _parse_inline_ideal(value: str, source: str) -> MonomialIdeal:
-    from .monomial import MonomialIdeal
-
-    rows = [tuple(_int_value(t, source) for t in part.split())
-            for part in value.split(";") if part.strip()]
-    if not rows:
-        raise SpecError("empty inline ideal")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise SpecError("inline ideal generators have mixed widths")
-    return MonomialIdeal(width, tuple(rows))
-
-
 def _ideal_from_spec(spec: dict, key: str, base_dir: Path | None) -> MonomialIdeal | None:
     inline = _single(spec, key)
     if inline is not None:
-        return _parse_inline_ideal(inline, f"spec key '{key}'")
+        # the ';'-separated generators are the lines of an ideal file
+        try:
+            return parse_ideal_text(inline.replace(";", "\n"))
+        except SpecError as exc:
+            raise SpecError(f"spec key '{key}': {exc}") from None
     ref = _single(spec, key + "_file")
     if ref is not None:
         path = Path(ref)
@@ -267,5 +267,5 @@ def build_series(spec: dict, horizon: int = 210) -> MonomialLinearSeries:
     if kind == "artin_tau":
         schedule = _schedule_from_spec(spec, horizon)
         return artin_tau_series(_int(spec, "t", 1), schedule, horizon,
-                                with_unit=_single(spec, "with_unit", "no") == "yes")
+                                with_unit=_choice(spec, "with_unit", ("yes", "no")) == "yes")
     raise SpecError(f"unknown series kind '{kind}'")

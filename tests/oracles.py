@@ -23,7 +23,9 @@ product, the reference for the check that builds only escaping ones.
 ``symbolic_core`` is I^n : J^infty through the library's colon by J^infty,
 which ``symbolic_core_fixpoint`` checks; ``power`` is I^n by repeated
 squaring, a route to the powers apart from the library's streamed
-``power_family``.
+``power_family``.  ``max_ideal_power`` is m^n by its stars-and-bars
+monomials, the generator form that ``NilPairIdeal``'s closed forms are
+checked against.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from gradedlimits.monomial import (
     MonomialIdeal,
     colength,
     colon_ideal_infinity,
-    max_ideal_power,
     unit_ideal,
 )
 from gradedlimits.semigroup import GradedSemigroup, invariants
@@ -211,6 +212,15 @@ def multiplicity_limit_sequence(ideal: MonomialIdeal, k_max: int) -> list[Fracti
         power = power * ideal
         out.append(Fraction(colength(power) * math.factorial(d), k ** d))
     return out
+
+
+def max_ideal_power(num_vars: int, n: int) -> MonomialIdeal:
+    """m^n, m = (x_1, ..., x_d), for n >= 0, through the public constructor:
+    a non-decreasing choice b_1 <= ... <= b_{d-1} from 0..n is the degree-n
+    monomial of gaps (b_1, b_2 - b_1, ..., n - b_{d-1})."""
+    bars = itertools.combinations_with_replacement(range(n + 1), num_vars - 1)
+    return MonomialIdeal(num_vars, tuple(
+        tuple(hi - lo for lo, hi in zip((0, *b), (*b, n))) for b in bars))
 
 
 def saturate_by_colon_fixpoint(ideal: MonomialIdeal) -> MonomialIdeal:

@@ -31,7 +31,6 @@ from gradedlimits.lattice import hermite_basis, standard_lattice
 from gradedlimits.monomial import (
     MonomialIdeal,
     colength,
-    max_ideal_power,
     saturation_quotient_colength,
     unit_ideal,
 )
@@ -47,7 +46,7 @@ from gradedlimits.series import (
     tau_pulse_series,
     artin_tau_series,
 )
-from oracles import colength_bruteforce, empirical_limit
+from oracles import colength_bruteforce, empirical_limit, max_ideal_power
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEDULE = BlockSchedule((2, 6, 26, 210))

@@ -185,6 +185,18 @@ class TestArgumentEdges:
         ("volmult", "family: valuation\nlambda: 1 2\npset: ,\n", "spec key 'pset'"),
         ("semigroup", "kind: semigroup\ngenerator: 0 1\ngenerator: 1 1\ntruncate: ,\n",
          "spec key 'truncate'"),
+        ("family", "family: valuation\nlambda: 1 2\nhorizon: 2.5\n",
+         "spec key 'horizon': '2.5' is not an integer"),
+        ("family", "family: valuation\nlambda: 1 2\nmoduli: 2.5\n",
+         "spec key 'moduli': '2.5' is not an integer"),
+        ("family", "family: valuation\nlambda: 1 2\nexpect: convrges\n",
+         "spec key 'expect': 'convrges' is not converges or oscillates"),
+        ("series", "series: artin_tau\nt: 1\nwith_unit: ye\n",
+         "spec key 'with_unit': 'ye' is not yes or no"),
+        ("family", "family: power\nideal: 2 0; 1 x\n", "spec key 'ideal': line 2"),
+        ("family", "family: power\nideal: 2 0; 1 1 1\n",
+         "spec key 'ideal': line 2: expected 2 exponents"),
+        ("family", "family: power\nideal: ;\n", "spec key 'ideal': ideal has no generators"),
     ], ids=["pset-line", "nilpair-dim0", "perturbed-dim0", "corrupted-dim0",
             "lambda-1/0", "tol-1/0", "tset-mod-0", "tset-mod-missing",
             "moduli-0", "moduli-negative", "family-horizon-0", "series-horizon-0",
@@ -192,7 +204,9 @@ class TestArgumentEdges:
             "dim-not-int", "schedule-not-int", "weights-not-int", "weight-0",
             "nil-hyperplane-dim1",
             "nilpair-dim3000-too-deep", "nilpair-dim600-too-deep", "ideal-1500-vars-too-deep",
-            "pset-empty", "truncate-empty"])
+            "pset-empty", "truncate-empty", "horizon-not-int", "moduli-not-int",
+            "expect-misspelt", "with-unit-misspelt", "inline-ideal-not-int",
+            "inline-ideal-ragged", "inline-ideal-empty"])
     def test_bad_spec_value(self, capsys, tmp_path, cmd, text, match):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)

@@ -23,7 +23,7 @@ from gradedlimits.families import (
     power_family,
     valuation_family,
 )
-from gradedlimits.monomial import MonomialIdeal, madic_order, max_ideal_power
+from gradedlimits.monomial import MonomialIdeal, madic_order
 from gradedlimits import semigroup
 from gradedlimits.semigroup import GradedSemigroup
 from gradedlimits.series import (
@@ -31,7 +31,7 @@ from gradedlimits.series import (
     WeightedAmbient,
     sigma_growth_series,
 )
-from oracles import semigroup_limit_suite, smallest_converging_modulus
+from oracles import max_ideal_power, semigroup_limit_suite, smallest_converging_modulus
 
 SCHEDULE = BlockSchedule.default(210)
 
@@ -122,17 +122,7 @@ class TestLengthSequences:
 
     def test_no_indices_refused(self):
         with pytest.raises(ValueError, match="no entries"):
-            length_sequence(valuation_family((1, 2)), ns=[])
-        with pytest.raises(ValueError, match="no entries"):
             synthetic([])
-
-    def test_neither_horizon_nor_indices_refused(self):
-        with pytest.raises(ValueError, match="n_max or indices ns"):
-            length_sequence(valuation_family((1, 2)))
-
-    def test_non_integer_index_refused(self):
-        with pytest.raises(ValueError, match="index is not an integer: 2.5"):
-            length_sequence(valuation_family((1, 2)), ns=[2.5])
 
     def test_integral_horizon_accepted(self):
         f = valuation_family((1, 2))
@@ -143,9 +133,8 @@ class TestLengthSequences:
             length_sequence(f, 0)
 
     def test_sparse_ns(self):
-        f = valuation_family((1, 2))
-        seq = length_sequence(f, ns=[2000])
-        assert seq.entries == ((2000, 1001000, Fraction(1001000, 2000 ** 2)),)
+        # one far level, read alone
+        assert valuation_family((1, 2)).length(2000) == 1001000
 
     def test_boundedness_by_containment(self):
         # m^{cn} inside I_n bounds the scaled lengths by the m-power count

@@ -28,13 +28,13 @@ from gradedlimits.monomial import (
     NilPairIdeal,
     colon_ideal_infinity,
     madic_order,
-    max_ideal_power,
     minimal_generators,
     unit_ideal,
 )
 from oracles import (
     check_graded_by_products,
     check_level_containments,
+    max_ideal_power,
     power,
     symbolic_core_fixpoint,
 )

@@ -265,7 +265,16 @@ def test_oracle_walk_follows_helpers():
     assert called_oracles("lattice_contains") == {"lattice_contains"}
     assert called_oracles("saturation_quotient_bruteforce") == {
         "saturation_quotient_bruteforce", "saturate_by_colon_fixpoint", "colon",
-        "monomial_colon"}
+        "monomial_colon", "max_ideal_power"}
+
+
+def test_no_oracle_is_exported():
+    # an oracle lives in the tests; one defined in the package as well
+    # could drift back into the public surface and check itself
+    tree = ast.parse(ORACLES.read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & set(gradedlimits.__all__) == set()
 
 
 def test_nilpair_is_its_exponents():

@@ -288,6 +288,17 @@ class TestBlocks:
             for n in range(21):
                 check_level_degrees(v, n, v.level(n))
 
+    def test_level_zero_is_the_unit(self):
+        # L_0 = k for every builder, answered without asking the provider
+        def refuse(n):
+            raise AssertionError(f"provider asked for level {n}")
+
+        for s in all_builders(50):
+            unit = [Block((0,) * len(s.ambient.weights), False)]
+            silent = MonomialLinearSeries(s.name, s.ambient, s.twist, refuse, s.horizon)
+            assert s.blocks(0) == silent.blocks(0) == unit, s.name
+            assert s.dim(0) == 1 and s.level(0) == {(unit[0].shift, False)}
+
     @given(st.data(), st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
     def test_overlap_rule_matches_enumeration(self, data, d):
@@ -534,23 +545,24 @@ class TestIndex:
     def test_explicit_horizon_below_one_rejected(self, horizon):
         # only None means the default horizon; an explicit 0 is not swapped for it
         s = full_weighted_series((1, 1), 50)
-        for scan in (kodaira_iitaka, index_estimate, series_invariants):
+        for scan in (kodaira_iitaka, index_estimate):
             with pytest.raises(ValueError, match="horizon must be at least 1"):
                 scan(s, horizon)
+        # series_invariants scans to 64, capped at the series horizon
         assert series_invariants(s).horizon == 50
-        assert series_invariants(s, 1).horizon == 1
+        assert series_invariants(full_weighted_series((1, 1), 100)).horizon == 64
 
     @pytest.mark.parametrize("horizon", [2.5, "3"])
     def test_non_integer_horizon_rejected(self, horizon):
         s = full_weighted_series((1, 1), 50)
-        for scan in (kodaira_iitaka, index_estimate, series_invariants):
+        for scan in (kodaira_iitaka, index_estimate):
             with pytest.raises(ValueError, match=re.escape(
                     f"horizon is not an integer: {horizon!r}")):
                 scan(s, horizon)
 
     def test_integral_horizon_accepted(self):
         s = full_weighted_series((1, 1), 50)
-        for scan in (kodaira_iitaka, index_estimate, series_invariants):
+        for scan in (kodaira_iitaka, index_estimate):
             assert scan(s, 3.0) == scan(s, Fraction(3)) == scan(s, 3)
 
 
@@ -699,6 +711,21 @@ class TestClosure:
         want = [(1, 1, f"{witness} escapes level 2")]
         assert closure_violations(series, 2) == want
         assert closure_violations_by_tuples(series, 2) == want
+
+    def test_a_block_holds_no_wider_product(self):
+        # the nil product eps * (z_0, z_1) spans two free variables; level 2's
+        # nil block eps * z_0 spans one and matches its shift past that one,
+        # so it must not settle the product, which escapes at eps * z_1
+        ambient = WeightedAmbient((1, 1, 1), nil_degree=1)
+
+        def provider(n):
+            return [Block((0, 0, 0), False, 2, n), Block((0, 0, 0), True, 1, n - 1)]
+
+        series = MonomialLinearSeries("narrow", ambient, 1, provider, 2)
+        levels = {n: series.blocks(n) for n in (1, 2)}
+        assert series_module._lane_columns(ambient, levels) is not None
+        want = closure_violations_by_tuples(series, 2)
+        assert want and closure_violations(series, 2) == want
 
     def test_builders_expand_no_span(self):
         # every span product of a shipped builder is settled by one block

@@ -118,5 +118,8 @@ class TestBuilders:
             build_series(parse_spec("series: nonsense\n"))
 
     def test_schedule_override(self):
-        f = build_family(parse_spec("family: artin_tau\nt: 1\nschedule: 2 6 26 210\n"))
-        assert f.schedule.breakpoints == (2, 6, 26, 210)
+        # n = 6 lies in an even block of the default 2 6 26 210, where tau is
+        # 0, and in an odd block of 2 8 34, where tau is 1
+        spec = "family: artin_tau\nt: 1\n"
+        assert build_family(parse_spec(spec)).length(6) == 1
+        assert build_family(parse_spec(spec + "schedule: 2 8 34\n")).length(6) == 2
