@@ -7,8 +7,8 @@ expected, 1 verdict or golden mismatch, 2 usage error, bad input, an
 exceeded point budget or an input too deep for Python's recursion limit
 (one ``error:`` line on stderr).  Horizon, moduli and tol come from the
 flag, else the spec key, else the default, and are range-checked whichever
-source gave them; an explicit value such as ``--tol 0`` is used as given,
-never replaced by the spec default.  The pset and truncate lists come from
+source gave them before any level is built; an explicit value such as
+``--tol 0`` is used as given, never replaced by the spec default.  The pset and truncate lists come from
 the flag, else the spec key, else ``1 2 4 8``; an empty list is a usage
 error.  A subcommand imports the modules it runs when it runs: ``series``
 here, and the rest inside the ``build_*`` functions of ``specfiles`` and the
@@ -50,6 +50,7 @@ from .specfiles import (
 FIELDS = ("record", "n", "residue_class", "raw", "scaled", "scaled_float",
           "verdict", "liminf", "limsup", "limit", "detail")
 VERDICTS = ("converges", "oscillates")
+_BLANK = dict.fromkeys(FIELDS, "")
 
 
 def _ff(x) -> str:
@@ -60,13 +61,12 @@ def _fl(x) -> str:
     return "" if x is None else f"{float(x):.6f}"
 
 
-def _row(**kw) -> dict:
-    row = {f: "" for f in FIELDS}
-    row.update(kw)
-    return row
+def _row(**kw) -> tuple:
+    """One CSV row in ``FIELDS`` order; a field not given is empty."""
+    return tuple({**_BLANK, **kw}.values())
 
 
-def _convergence_rows(expect, seq, report) -> tuple[list[dict], bool]:
+def _convergence_rows(expect, seq, report) -> tuple[list[tuple], bool]:
     """Value, verdict and summary rows of a scaled sequence and its report,
     and whether every verdict matches the expectation."""
     rows = [_row(record="meta", detail=f"scaled={seq.normalization}")]
@@ -87,11 +87,11 @@ def _convergence_rows(expect, seq, report) -> tuple[list[dict], bool]:
     return rows, ok
 
 
-def _emit(rows: list[dict], ok: bool, args, golden_name: str) -> int:
+def _emit(rows: list[tuple], ok: bool, args, golden_name: str) -> int:
     """Write the CSV, compare or refresh the golden; return the exit code."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, FIELDS, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(FIELDS)
     writer.writerows(rows)
     text = buf.getvalue()
     if args.out:
@@ -156,6 +156,7 @@ def _cmd_semigroup(args) -> int:
     s = build_semigroup(spec)
     horizon = _resolve(args, spec, "horizon", 200)
     tol = _resolve(args, spec, "tol", DEFAULT_TOL)
+    expect_limit = _fraction(spec, "expect_limit")
     report = semigroup_limit_report(s, horizon, _levels(args, spec, "truncate"), tol)
     inv = report.invariants
     rows = [_row(record="invariant", detail=(f"m={inv.m};q={inv.q};ind={inv.ind};"
@@ -171,7 +172,6 @@ def _cmd_semigroup(args) -> int:
                          verdict="q_drop" if t.dimension_drop else "q_kept",
                          detail=f"q={t.q_truncated};gap={t.gap}"))
     ok = report.within_tol
-    expect_limit = _fraction(spec, "expect_limit")
     if expect_limit is not None and inv.predicted_limit != expect_limit:
         ok = False
     rows.append(_row(record="summary", verdict="ok" if ok else "mismatch",
@@ -184,10 +184,11 @@ def _cmd_family(args) -> int:
     spec = load_spec(args.spec)
     expect = args.expect or _choice(spec, "expect", VERDICTS)
     horizon = _resolve(args, spec, "horizon", 210)
-    family = build_family(spec, Path(args.spec).parent, horizon)
     moduli = _resolve(args, spec, "moduli", 4)
+    tol = _resolve(args, spec, "tol", DEFAULT_TOL)
+    family = build_family(spec, Path(args.spec).parent, horizon)
     seq = length_sequence(family, horizon)
-    report = convergence_report(seq, moduli, _resolve(args, spec, "tol", DEFAULT_TOL))
+    report = convergence_report(seq, moduli, tol)
     rows, ok = _convergence_rows(expect, seq, report)
     return _emit(rows, ok, args, f"{Path(args.spec).stem}__family.csv")
 
@@ -198,11 +199,12 @@ def _cmd_series(args) -> int:
     spec = load_spec(args.spec)
     expect = args.expect or _choice(spec, "expect", VERDICTS)
     horizon = _resolve(args, spec, "horizon", 210)
-    series = build_series(spec, horizon)
     moduli = _resolve(args, spec, "moduli", 4)
+    tol = _resolve(args, spec, "tol", DEFAULT_TOL)
+    series = build_series(spec, horizon)
     exponent = _int(spec, "exponent", series.natural_exponent)
     seq = dim_sequence(series, horizon, exponent)
-    report = convergence_report(seq, moduli, _resolve(args, spec, "tol", DEFAULT_TOL))
+    report = convergence_report(seq, moduli, tol)
     inv = series_invariants(series)
     kappa = "-inf" if inv.kappa == float("-inf") else str(inv.kappa)
     rows = [_row(record="invariant",
@@ -218,6 +220,7 @@ def _cmd_volmult(args) -> int:
     family = build_family(spec, Path(args.spec).parent, horizon)
     pset = _levels(args, spec, "pset")
     tol = _resolve(args, spec, "tol", DEFAULT_TOL)
+    expect_value = _fraction(spec, "expect_value")
     report = volume_equals_multiplicity(family, pset, horizon)
     rows = [_row(record="meta",
                  detail=f"rhs=multiplicity(I_p)/p^d;lhs=d!*length/n^d at n={report.lhs_at}")]
@@ -226,7 +229,6 @@ def _cmd_volmult(args) -> int:
     for p, rhs, gap in report.rows:
         rows.append(_row(record="rhs", n=p, scaled=_ff(rhs), scaled_float=_fl(rhs),
                          detail=f"gap={gap}"))
-    expect_value = _fraction(spec, "expect_value")
     ok = True
     if expect_value is not None:
         ok = all(rhs == expect_value for _, rhs, _ in report.rows) and \

@@ -9,11 +9,10 @@ input order, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from . import _integer
+from . import _Value, _integer
 
 if TYPE_CHECKING:
     from .families import GradedFamily
@@ -28,21 +27,20 @@ DEFAULT_TOL = Fraction(1, 50)
 # scaled sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScaledSequence:
-    """Exact sequence n -> raw/n^exponent.
+class ScaledSequence(_Value):
+    """Exact sequence n -> raw/n^exponent: ``entries`` are the triples
+    (n, raw, scaled).
 
     ``normalization`` is the human-readable formula used in report headers.
     """
 
-    label: str
-    exponent: int
-    normalization: str
-    entries: tuple[tuple[int, Fraction, Fraction], ...]  # (n, raw, scaled)
+    _fields = ("label", "exponent", "normalization", "entries")
 
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError(f"{self.label} has no entries: give at least one index")
+    def __init__(self, label: str, exponent: int, normalization: str,
+                 entries: tuple[tuple[int, Fraction, Fraction], ...]):
+        if not entries:
+            raise ValueError(f"{label} has no entries: give at least one index")
+        super().__init__(label, exponent, normalization, entries)
 
     @property
     def n_max(self) -> int:
@@ -105,8 +103,7 @@ OSCILLATES = "oscillates"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ClassVerdict:
+class ClassVerdict(NamedTuple):
     modulus: int
     residue: int
     verdict: str
@@ -116,8 +113,7 @@ class ClassVerdict:
     points: int
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Per-residue-class verdicts from the last two dyadic windows.
 
     A class converges when both windows have spread below tol and their
@@ -194,8 +190,7 @@ def convergence_report(seq: ScaledSequence, max_modulus: int = 4,
 # semigroup limit experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncationRow:
+class TruncationRow(NamedTuple):
     p: int
     q_truncated: int
     rescaled_limit: Fraction
@@ -203,8 +198,7 @@ class TruncationRow:
     gap: Fraction
 
 
-@dataclass(frozen=True)
-class SemigroupLimitReport:
+class SemigroupLimitReport(NamedTuple):
     invariants: SemigroupInvariants
     entries: tuple[tuple[int, int, Fraction], ...]  # (k, count, scaled)
     relative_gap: Fraction
@@ -249,8 +243,7 @@ def semigroup_limit_report(s: GradedSemigroup, horizon: int,
 # volume = multiplicity experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VolMultReport:
+class VolMultReport(NamedTuple):
     """Scaled multiplicities e(I_p)/p^d against the scaled length tail.
 
     The right side is exact per p; the left side is d! * len(R/I_n)/n^d at

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from . import _integer
+from . import BlockSchedule, _integer
 from .monomial import (
     MonomialIdeal,
     NilPairIdeal,
@@ -38,68 +36,10 @@ from .monomial import (
 
 
 # ---------------------------------------------------------------------------
-# block schedules
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlockSchedule:
-    """Breakpoints 2 = i_1 < i_2 < ... with i_{j+1} even and > 2^j * i_j.
-
-    sigma(n) is i_j / 2 on the block [i_j, i_{j+1}) (and 1 at n = 1); tau(n)
-    alternates 0/1 between blocks.  Block lengths at least double each time,
-    which is what makes sigma(n)/n visit both ~1/2 and ~0 in every residue
-    class; all non-convergence fixtures are driven by this.
-    """
-
-    breakpoints: tuple[int, ...]
-
-    def __post_init__(self):
-        bp = self.breakpoints
-        if not bp or bp[0] != 2:
-            raise ValueError("first breakpoint must be 2")
-        for j in range(1, len(bp)):
-            if bp[j] % 2 or bp[j] <= (2 ** j) * bp[j - 1]:
-                raise ValueError("breakpoint growth condition violated")
-
-    @classmethod
-    def default(cls, horizon: int = 210) -> "BlockSchedule":
-        horizon = _integer(horizon, "horizon", 0)
-        bp = [2]
-        while (2 ** len(bp)) * bp[-1] < horizon:
-            bp.append((2 ** len(bp)) * bp[-1] + 2)
-        return cls(tuple(bp))
-
-    @property
-    def limit(self) -> int:
-        """Largest n on which sigma/tau are determined by the breakpoints."""
-        j = len(self.breakpoints)
-        return (2 ** j) * self.breakpoints[-1]
-
-    def _block(self, n: int) -> int:
-        if n < 1 or n > self.limit:
-            raise ValueError(f"schedule only covers 1..{self.limit}")
-        return bisect_right(self.breakpoints, n)
-
-    def sigma(self, n: int) -> int:
-        if n == 1:
-            return 1
-        # the first breakpoint is 2, so every n >= 2 lies in a block j >= 1
-        return self.breakpoints[self._block(n) - 1] // 2
-
-    def sigma_capped(self, n: int) -> int:
-        # capped at n - 1 so exponent bookkeeping stays nonnegative at n = 1
-        return min(self.sigma(n), n - 1)
-
-    def tau(self, n: int) -> int:
-        return self._block(n) % 2
-
-
-# ---------------------------------------------------------------------------
 # the family abstraction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GradedFamily:
+class GradedFamily(NamedTuple):
     """A graded family of ideals, given by its levels n -> I_n.
 
     provider(n) returns I_n as a MonomialIdeal over polynomial(d) or a
@@ -296,8 +236,7 @@ def corrupted_sigma_family(dim: int = 1) -> GradedFamily:
 # the graded axiom checker
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GradedCheckReport:
+class GradedCheckReport(NamedTuple):
     checked_pairs: int
     violations: list[tuple[int, int, str]]
 
@@ -340,8 +279,7 @@ def check_graded(family: GradedFamily, horizon: int) -> GradedCheckReport:
 # counting identity
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CountingIdentityReport:
+class CountingIdentityReport(NamedTuple):
     beta: int
     rows: list[tuple[int, int, int, int, bool]]  # n, colength, box, members, ok
 

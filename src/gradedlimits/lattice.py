@@ -13,9 +13,10 @@ Intended for small dimensions (hulls are practical up to ambient dimension
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+from . import _Value
 
 Vector = tuple  # integer entries
 Point = tuple   # Fraction entries
@@ -44,18 +45,17 @@ def _integral(row: Sequence) -> tuple[tuple[int, ...], int]:
 # integer lattices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(_Value):
     """Sublattice of Z^n spanned by independent integer row vectors."""
 
-    ambient_dim: int
-    basis: tuple[Vector, ...]
+    _fields = ("ambient_dim", "basis")
 
-    def __post_init__(self):
-        if any(len(v) != self.ambient_dim for v in self.basis):
+    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
+        if any(len(v) != ambient_dim for v in basis):
             raise ValueError("basis vector has wrong dimension")
-        if hermite_basis(self.basis, self.ambient_dim).rank != len(self.basis):
+        if hermite_basis(basis, ambient_dim).rank != len(basis):
             raise ValueError("basis vectors are linearly dependent")
+        super().__init__(ambient_dim, basis)
 
     @classmethod
     def _echelon(cls, ambient_dim: int, basis: tuple[Vector, ...]) -> "IntegerLattice":
@@ -185,8 +185,7 @@ def saturate_lattice(lat: IntegerLattice) -> tuple[IntegerLattice, int]:
 # rational polytopes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalPolytope:
+class RationalPolytope(NamedTuple):
     """V-polytope with exact rational vertices (the extreme points only).
 
     affine_dim is -1 for the empty polytope and 0 for a single point.

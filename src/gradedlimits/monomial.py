@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations_with_replacement, repeat
 from operator import le, sub
 
-from . import _integer
+from . import _Value, _integer
 
 Exponent = tuple  # ints, one per variable
 
@@ -93,23 +92,22 @@ def _slice_sweep(gens):
         yield t, below
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Value):
     """A monomial ideal, canonicalized on construction.
 
     The unit ideal is generated by the zero vector; the zero ideal has no
     generators.  Membership is divisibility by some generator.  The
     constructor checks every generator; arithmetic on checked ideals builds
-    its result through ``_canonical``, which only minimalizes.
+    its result through ``_canonical``, which only minimalizes.  The lazy
+    indexes (``_slices``, ``_floor``, ``_pieces``) are kept in the instance
+    dict, outside the fields.
     """
 
-    num_vars: int
-    gens: tuple[Exponent, ...] = ()
+    _fields = ("num_vars", "gens")
 
-    def __post_init__(self):
-        object.__setattr__(self, "num_vars", _integer(self.num_vars, "num_vars", 1))
-        canon = [_exponent(self.num_vars, g) for g in self.gens]
-        object.__setattr__(self, "gens", minimal_generators(canon))
+    def __init__(self, num_vars: int, gens=()):
+        num_vars = _integer(num_vars, "num_vars", 1)
+        super().__init__(num_vars, minimal_generators([_exponent(num_vars, g) for g in gens]))
 
     @classmethod
     def _canonical(cls, num_vars: int, candidates) -> "MonomialIdeal":
@@ -522,8 +520,7 @@ def saturation_quotient_colength(ideal: MonomialIdeal) -> int:
 # square-zero nilpotent pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NilPairIdeal:
+class NilPairIdeal(_Value):
     """The ideal m^base + y*m^socle of k[x_1..x_d, y]/(y^2), m = (x_1..x_d).
 
     Both parts of the pair (A, yB) are powers of m, so it is two exponents;
@@ -531,15 +528,14 @@ class NilPairIdeal:
     lie in yB for the pair to be an ideal: 0 <= socle <= base.
     """
 
-    num_vars: int
-    base: int
-    socle: int
+    _fields = ("num_vars", "base", "socle")
 
-    def __post_init__(self):
-        for field, low in (("num_vars", 1), ("base", None), ("socle", None)):
-            object.__setattr__(self, field, _integer(getattr(self, field), field, low))
-        if not 0 <= self.socle <= self.base:
+    def __init__(self, num_vars: int, base: int, socle: int):
+        num_vars = _integer(num_vars, "num_vars", 1)
+        base, socle = _integer(base, "base"), _integer(socle, "socle")
+        if not 0 <= socle <= base:
             raise ValueError("base must be contained in socle: need 0 <= socle <= base")
+        super().__init__(num_vars, base, socle)
 
     def length(self) -> int:
         """Colength in the square-zero extension ring; m^n misses C(n+d-1, d)."""

@@ -6,10 +6,9 @@ A semigroup is given by finitely many generators (vector, degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import _integer
 from .lattice import (
@@ -24,8 +23,7 @@ from .lattice import (
 DEFAULT_POINT_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class OkounkovBody:
+class OkounkovBody(NamedTuple):
     """Newton-Okounkov body of a graded semigroup.
 
     The polytope is the cone slice at height ``slice_height`` (the degree
@@ -39,8 +37,7 @@ class OkounkovBody:
     volume: Fraction
 
 
-@dataclass(frozen=True)
-class SemigroupInvariants:
+class SemigroupInvariants(NamedTuple):
     m: int
     q: int
     ind: int

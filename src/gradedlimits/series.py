@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import add
 from typing import Callable, Collection, Iterable, NamedTuple
 
-from . import _integer
-from .families import BlockSchedule
+from . import BlockSchedule, _Value, _integer
 
 NEG_INF = float("-inf")
 
@@ -45,8 +43,7 @@ class Block(NamedTuple):
     degree: int = 0
 
 
-@dataclass(frozen=True)
-class WeightedAmbient:
+class WeightedAmbient(_Value):
     """Weighted variables z_0..z_r (deg z_0 = 1) with an optional square-zero
     generator of degree ``nil_degree``.
 
@@ -55,18 +52,16 @@ class WeightedAmbient:
     the pulse construction); products with a nil factor then always vanish.
     """
 
-    weights: tuple[int, ...]
-    nil_degree: int | None = None
-    nil_annihilates_base: bool = False
+    _fields = ("weights", "nil_degree", "nil_annihilates_base")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights",
-                           tuple(_integer(w, "weight", 1) for w in self.weights))
-        if not self.weights or self.weights[0] != 1:
+    def __init__(self, weights: tuple[int, ...], nil_degree: int | None = None,
+                 nil_annihilates_base: bool = False):
+        weights = tuple(_integer(w, "weight", 1) for w in weights)
+        if not weights or weights[0] != 1:
             raise ValueError("first weight must be 1")
-        if self.nil_degree is not None:
-            object.__setattr__(self, "nil_degree",
-                               _integer(self.nil_degree, "nilpotent degree", 1))
+        if nil_degree is not None:
+            nil_degree = _integer(nil_degree, "nilpotent degree", 1)
+        super().__init__(weights, nil_degree, nil_annihilates_base)
 
     def product_vanishes(self, nil_a: bool, nil_b: bool) -> bool:
         if nil_a and nil_b:
@@ -162,8 +157,7 @@ def _check_disjoint(n: int, blocks: list[Block], weights: tuple[int, ...]) -> No
                 raise ValueError(f"level {n} blocks {other} and {span} overlap")
 
 
-@dataclass(frozen=True)
-class SeriesInvariants:
+class SeriesInvariants(NamedTuple):
     kappa: float | int
     index_estimate: int | None
     horizon: int

@@ -11,8 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import BlockSchedule
+
 if TYPE_CHECKING:
-    from .families import BlockSchedule, GradedFamily
+    from .families import GradedFamily
     from .monomial import MonomialIdeal
     from .semigroup import GradedSemigroup
     from .series import MonomialLinearSeries
@@ -109,17 +111,19 @@ def _choice(spec: dict, key: str, choices: tuple[str, ...]) -> str | None:
     return v
 
 
-def rational(text: str) -> Fraction:
-    """Parse an exact rational such as ``3/2`` or ``0.02``."""
+def rational(text: str, source: str | None = None) -> Fraction:
+    """Parse an exact rational such as ``3/2`` or ``0.02``; a malformed
+    value names its ``source`` key when one is given."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"bad rational {text!r}: {exc}") from None
+        where = f"{source}: " if source else ""
+        raise SpecError(f"{where}bad rational {text!r}: {exc}") from None
 
 
 def _fraction(spec: dict, key: str, default=None):
     v = _single(spec, key)
-    return default if v is None else rational(v)
+    return default if v is None else rational(v, f"spec key '{key}'")
 
 
 def _int_list(value: str, source: str) -> list[int]:
@@ -145,8 +149,6 @@ def _ideal_from_spec(spec: dict, key: str, base_dir: Path | None) -> MonomialIde
 
 
 def _schedule_from_spec(spec: dict, horizon: int) -> BlockSchedule:
-    from .families import BlockSchedule
-
     raw = _single(spec, "schedule")
     if raw is None:
         return BlockSchedule.default(max(horizon, 210))
@@ -220,7 +222,7 @@ def build_family(spec: dict, base_dir: Path | None = None,
         raw = _single(spec, "lambda")
         if raw is None:
             raise SpecError("valuation family needs 'lambda'")
-        return valuation_family([rational(tok) for tok in raw.split()])
+        return valuation_family([rational(tok, "spec key 'lambda'") for tok in raw.split()])
     schedule = _schedule_from_spec(spec, horizon)
     if kind == "nilpair_sigma":
         return nilpair_sigma_family(_int(spec, "dim", 1), schedule)

@@ -197,6 +197,16 @@ class TestArgumentEdges:
         ("family", "family: power\nideal: 2 0; 1 1 1\n",
          "spec key 'ideal': line 2: expected 2 exponents"),
         ("family", "family: power\nideal: ;\n", "spec key 'ideal': ideal has no generators"),
+        ("family", "family: valuation\nlambda: 1 2\ntol: x\n",
+         "spec key 'tol': bad rational 'x'"),
+        ("series", "series: log_nil\ntset: mod 2 0\ntol: 1/x\n",
+         "spec key 'tol': bad rational '1/x'"),
+        ("series", "series: log_nil\ntset: mod 2 0\ntol: -1/10\n", "spec key 'tol'"),
+        ("family", "family: valuation\nlambda: 1 x\n", "spec key 'lambda': bad rational 'x'"),
+        ("semigroup", "generator: 0 1\ngenerator: 1 2\nexpect_limit: x\n",
+         "spec key 'expect_limit': bad rational 'x'"),
+        ("volmult", "family: valuation\nlambda: 1 2\nexpect_value: 1/0\n",
+         "spec key 'expect_value': bad rational '1/0'"),
     ], ids=["pset-line", "nilpair-dim0", "perturbed-dim0", "corrupted-dim0",
             "lambda-1/0", "tol-1/0", "tset-mod-0", "tset-mod-missing",
             "moduli-0", "moduli-negative", "family-horizon-0", "series-horizon-0",
@@ -206,7 +216,9 @@ class TestArgumentEdges:
             "nilpair-dim3000-too-deep", "nilpair-dim600-too-deep", "ideal-1500-vars-too-deep",
             "pset-empty", "truncate-empty", "horizon-not-int", "moduli-not-int",
             "expect-misspelt", "with-unit-misspelt", "inline-ideal-not-int",
-            "inline-ideal-ragged", "inline-ideal-empty"])
+            "inline-ideal-ragged", "inline-ideal-empty", "tol-not-rational",
+            "series-tol-not-rational", "series-tol-negative", "lambda-not-rational",
+            "expect-limit-not-rational", "expect-value-1/0"])
     def test_bad_spec_value(self, capsys, tmp_path, cmd, text, match):
         spec = tmp_path / "bad.spec"
         spec.write_text(text)
@@ -214,6 +226,29 @@ class TestArgumentEdges:
         flags = [] if "horizon:" in text else ["--horizon", 10]
         self.assert_usage_error(capsys, cmd, spec, *flags,
                                 "--out", tmp_path / "o.csv", match=match)
+
+    @pytest.mark.parametrize("cmd, text", [
+        ("family", "family: valuation\nlambda: 1 2\ntol: -1\n"),
+        ("family", "family: valuation\nlambda: 1 2\ntol: x\n"),
+        ("series", "series: full\nweights: 1 2\ntol: -1\n"),
+        ("series", "series: full\nweights: 1 2\ntol: x\n"),
+    ], ids=["family-negative", "family-not-rational", "series-negative",
+            "series-not-rational"])
+    def test_bad_tol_refused_before_any_level(self, capsys, monkeypatch, tmp_path,
+                                              cmd, text):
+        # tol is read with horizon and moduli, so a bad one is refused before
+        # the family or the series builds its first level
+        from gradedlimits.families import GradedFamily
+
+        def no_level(*args):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(GradedFamily, "ideal", no_level)
+        monkeypatch.setattr(MonomialLinearSeries, "blocks", no_level)
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        self.assert_usage_error(capsys, cmd, spec, "--horizon", 2000,
+                                "--out", tmp_path / "o.csv", match="spec key 'tol'")
 
     def test_volmult_rejects_artin_model(self, capsys, tmp_path):
         spec = tmp_path / "artin.spec"

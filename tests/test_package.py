@@ -21,7 +21,7 @@ COMMAND_MODULES = {
     "family": {"families", "monomial"},
     "eps": {"families", "monomial"},
     "volmult": {"families", "lattice", "monomial"},
-    "series": {"families", "lattice", "monomial", "series"},
+    "series": {"lattice", "series"},
 }
 GOLDEN_JOBS = [
     ("semigroup", "specs/semigroup_halfstep.spec"),
@@ -36,14 +36,19 @@ GOLDEN_JOBS = [
 ]
 
 
-def loaded_submodules(code: str) -> set[str]:
-    """The gradedlimits submodules a fresh interpreter holds after ``code``."""
-    probe = (f"{code}\nimport sys\n"
-             "print(*(m for m in sys.modules if m.startswith('gradedlimits.')))")
+def loaded_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after ``code``."""
+    probe = f"{code}\nimport sys\nprint(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", probe], cwd=REPO, env=env,
                          capture_output=True, text=True, check=True).stdout
-    return {name.removeprefix("gradedlimits.") for name in out.split()}
+    return set(out.split())
+
+
+def loaded_submodules(code: str) -> set[str]:
+    """The gradedlimits submodules a fresh interpreter holds after ``code``."""
+    return {name.removeprefix("gradedlimits.") for name in loaded_modules(code)
+            if name.startswith("gradedlimits.")}
 
 
 def test_bare_import_loads_no_submodule():
@@ -64,7 +69,7 @@ def test_series_loads_no_lattice():
     assert "lattice" not in loaded_submodules("import gradedlimits.series")
     code = ("from gradedlimits.series import closure_violations, sigma_growth_series\n"
             "assert closure_violations(sigma_growth_series(1, 2, horizon=20), 20) == []")
-    assert loaded_submodules(code) == {"families", "monomial", "series"}
+    assert loaded_submodules(code) == {"series"}
 
 
 def tracer_targets() -> tuple:
@@ -132,6 +137,95 @@ def test_no_module_imports_threads():
     found = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
              for name in imported_modules(path) if name in banned]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass builds its methods with exec at import, and dataclasses
+    # loads inspect: records are NamedTuples and values subclass _Value
+    found = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in imported_modules(path) if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_golden_job_loads_no_dataclasses(tmp_path):
+    argv = ["family", "specs/family_valuation12.spec", "--out", str(tmp_path / "o.csv"),
+            "--golden", "golden"]
+    code = f"from gradedlimits.cli import main\nassert main({argv!r}) == 0"
+    assert loaded_modules(code) & {"dataclasses", "inspect"} == set()
+
+
+def value_cases() -> dict:
+    """Per value class and two records: builders of two equal values (by the
+    checked constructor, then by the unchecked one where there is one, or
+    from reordered input) and of a third that differs in one field."""
+    from fractions import Fraction
+
+    from gradedlimits import BlockSchedule
+    from gradedlimits.experiments import ClassVerdict, ScaledSequence
+    from gradedlimits.lattice import IntegerLattice, RationalPolytope
+    from gradedlimits.monomial import MonomialIdeal, NilPairIdeal
+    from gradedlimits.series import WeightedAmbient
+
+    entries = ((1, Fraction(1), Fraction(1)), (2, Fraction(3), Fraction(3, 4)))
+    return {
+        "MonomialIdeal": (
+            lambda: MonomialIdeal(2, ((2, 0), (1, 1), (0, 2), (2, 2))),
+            lambda: MonomialIdeal._of(2, ((0, 2), (1, 1), (2, 0))),
+            lambda: MonomialIdeal(2, ((2, 0), (0, 2)))),
+        "NilPairIdeal": (
+            lambda: NilPairIdeal(2, 3, 1),
+            lambda: NilPairIdeal(2, 1, 0) * NilPairIdeal(2, 2, 0),
+            lambda: NilPairIdeal(2, 3, 2)),
+        "IntegerLattice": (
+            lambda: IntegerLattice(2, ((1, 1), (0, 2))),
+            lambda: IntegerLattice._echelon(2, ((1, 1), (0, 2))),
+            lambda: IntegerLattice(2, ((1, 0), (0, 2)))),
+        "BlockSchedule": (
+            lambda: BlockSchedule((2, 6, 26)),
+            lambda: BlockSchedule.default(200),
+            lambda: BlockSchedule((2, 6, 28))),
+        "WeightedAmbient": (
+            lambda: WeightedAmbient((1, 2), nil_degree=1),
+            lambda: WeightedAmbient([1, 2.0], 1, False),
+            lambda: WeightedAmbient((1, 2), nil_degree=1, nil_annihilates_base=True)),
+        "ScaledSequence": (
+            lambda: ScaledSequence("s", 2, "len/n^2", entries),
+            lambda: ScaledSequence(label="s", exponent=2, normalization="len/n^2",
+                                   entries=entries),
+            lambda: ScaledSequence("s", 1, "len/n^2", entries)),
+        "ClassVerdict": (
+            lambda: ClassVerdict(2, 1, "converges", Fraction(1), Fraction(2), None, 5),
+            lambda: ClassVerdict(modulus=2, residue=1, verdict="converges",
+                                 liminf_est=Fraction(1), limsup_est=Fraction(2),
+                                 limit_estimate=None, points=5),
+            lambda: ClassVerdict(2, 1, "converges", Fraction(1), Fraction(2), None, 6)),
+        "RationalPolytope": (
+            lambda: RationalPolytope(1, ((Fraction(0),), (Fraction(1),)), 1),
+            lambda: RationalPolytope(ambient_dim=1, affine_dim=1,
+                                     vertices=((Fraction(0),), (Fraction(1),))),
+            lambda: RationalPolytope(1, ((Fraction(0),), (Fraction(2),)), 1)),
+    }
+
+
+@pytest.mark.parametrize("name", list(value_cases()))
+def test_value_contract(name):
+    # equality and hashing go by the fields, whichever constructor built the
+    # value, and a built value takes no assignment
+    build, same, other = value_cases()[name]
+    value, twin, different = build(), same(), other()
+    assert type(value).__name__ == type(twin).__name__ == name
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert value != different and not value == different
+    assert repr(value) == repr(twin)
+    fields = tuple(getattr(value, name) for name in type(value)._fields)
+    # a record is a tuple; a value, unlike it, equals no tuple of its fields
+    assert (value == fields) == isinstance(value, tuple)
+    field = type(value)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(different, field))
+    with pytest.raises(AttributeError):
+        value.not_a_field = 1
+    assert value == twin and value != different
 
 
 def raised_strings(path: Path) -> list[str]:
