@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import sys
 from pathlib import Path
@@ -58,7 +59,8 @@ def _ff(x) -> str:
 
 
 def _fl(x) -> str:
-    return "" if x is None else f"{float(x):.6f}"
+    # the int true division that float(Fraction) does, without its properties
+    return f"{x.numerator / x.denominator:.6f}"
 
 
 def _row(**kw) -> tuple:
@@ -66,13 +68,16 @@ def _row(**kw) -> tuple:
     return tuple({**_BLANK, **kw}.values())
 
 
+def _value_row(n: int, raw, scaled) -> tuple:
+    """The ``value`` row of index n, built directly in ``FIELDS`` order."""
+    return ("value", n, "", str(raw), str(scaled), _fl(scaled), "", "", "", "", "")
+
+
 def _convergence_rows(expect, seq, report) -> tuple[list[tuple], bool]:
     """Value, verdict and summary rows of a scaled sequence and its report,
     and whether every verdict matches the expectation."""
     rows = [_row(record="meta", detail=f"scaled={seq.normalization}")]
-    for n, raw, scaled in seq.entries:
-        rows.append(_row(record="value", n=n, raw=_ff(raw), scaled=_ff(scaled),
-                         scaled_float=_fl(scaled)))
+    rows += [_value_row(n, raw, scaled) for n, raw, scaled in seq.entries]
     for c in report.classes:
         rows.append(_row(record="verdict",
                          residue_class=f"{c.residue} mod {c.modulus}",
@@ -163,9 +168,7 @@ def _cmd_semigroup(args) -> int:
                                              f"volume={inv.body.volume}"),
                  limit=_ff(inv.predicted_limit))]
     rows.append(_row(record="meta", detail=f"scaled=count/k^{inv.q}"))
-    for k, count, scaled in report.entries:
-        rows.append(_row(record="value", n=k, raw=count, scaled=_ff(scaled),
-                         scaled_float=_fl(scaled)))
+    rows += [_value_row(k, count, scaled) for k, count, scaled in report.entries]
     for t in report.truncations:
         rows.append(_row(record="truncate", n=t.p, scaled=_ff(t.rescaled_limit),
                          scaled_float=_fl(t.rescaled_limit),
@@ -318,5 +321,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry point: exit with the code of ``main`` on ``sys.argv``.
+
+    Before the exit every object still alive is frozen (``gc.freeze``), so
+    the interpreter's last full collection has nothing to walk; module
+    teardown, ``atexit`` handlers and the flush of stdio still run.  Only
+    a process that is about to end may freeze, so ``main``, the in-process
+    entry, never does.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -158,31 +158,33 @@ def convergence_report(seq: ScaledSequence, max_modulus: int = 4,
     n_hi = seq.n_max
     n_mid = n_hi // 2
     n_lo = -(-n_hi // 4)
-    by_n = {n: v for n, _, v in seq.entries}
+    # (n, value) in order of n, and in each window
+    by_n = sorted({n: v for n, _, v in seq.entries}.items())
+    lower = [(n, v) for n, v in by_n if n_lo <= n < n_mid]
+    upper = [(n, v) for n, v in by_n if n_mid <= n <= n_hi]
     classes = []
     for r in range(1, max_modulus + 1):
         for a in range(r):
-            w1 = [by_n[n] for n in sorted(by_n) if n % r == a and n_lo <= n < n_mid]
-            w2 = [by_n[n] for n in sorted(by_n) if n % r == a and n_mid <= n <= n_hi]
-            union = w1 + w2
+            w1 = [v for n, v in lower if n % r == a]
+            w2 = [v for n, v in upper if n % r == a]
             if len(w1) < 2 or len(w2) < 2:
+                union = w1 + w2
                 classes.append(ClassVerdict(r, a, INCONCLUSIVE,
                                             min(union, default=None),
                                             max(union, default=None),
                                             None, len(union)))
                 continue
-            lim_inf, lim_sup = min(union), max(union)
-            spread1 = max(w1) - min(w1)
-            spread2 = max(w2) - min(w2)
-            jump = abs(_mean(w1) - _mean(w2))
-            if spread1 < tol and spread2 < tol and jump < tol:
-                verdict, est = CONVERGES, _mean(w2)
-            elif spread2 > 2 * tol or jump > 2 * tol:
+            lo1, hi1, lo2, hi2 = min(w1), max(w1), min(w2), max(w2)
+            mean2 = _mean(w2)
+            jump = abs(_mean(w1) - mean2)
+            if hi1 - lo1 < tol and hi2 - lo2 < tol and jump < tol:
+                verdict, est = CONVERGES, mean2
+            elif hi2 - lo2 > 2 * tol or jump > 2 * tol:
                 verdict, est = OSCILLATES, None
             else:
                 verdict, est = INCONCLUSIVE, None
-            classes.append(ClassVerdict(r, a, verdict, lim_inf, lim_sup,
-                                        est, len(union)))
+            classes.append(ClassVerdict(r, a, verdict, min(lo1, lo2), max(hi1, hi2),
+                                        est, len(w1) + len(w2)))
     return ConvergenceReport(tol, n_lo, n_mid, n_hi, tuple(classes))
 
 

@@ -105,19 +105,21 @@ class GradedSemigroup:
         self._basis = tuple(row[1:] for row in self._group.basis if row[0] == 0)
         # a generator's coordinates in the group basis, by a triangular
         # solve on the echelon pivots; past (m, w) they are its move
-        # (first, rest) in B, with first = 0 when rank(L) = 0
+        # (first, offset) in B, with first = 0 when rank(L) = 0 and
+        # offset = () when the move shifts no key
         group = self._group.basis
         pivots = [next(i for i, x in enumerate(row) if x) for row in group]
-        by_degree: dict[int, list[tuple]] = {}
+        moves = []
         for v, deg in self.generators:
             vec, coords = (deg,) + v, []
             for row, p in zip(group, pivots):
                 coords.append(vec[p] // row[p])
                 vec = tuple(a - coords[-1] * b for a, b in zip(vec, row))
-            first, *rest = coords[len(group) - len(self._basis):] or [0]
-            by_degree.setdefault(deg, []).append((first, tuple(rest)))
-        self._by_degree = sorted(by_degree.items())
-        self._span = max([1, *by_degree])
+            first, *offset = coords[len(group) - len(self._basis):] or [0]
+            moves.append((deg, first, tuple(offset) if any(offset) else ()))
+        # by degree, each degree's moves in generator order
+        self._moves = tuple(sorted(moves, key=lambda move: move[0]))
+        self._span = max([1, *(deg for deg, _, _ in moves)])
         self._restart_fill()
 
     # -- basic structure ----------------------------------------------------
@@ -151,16 +153,52 @@ class GradedSemigroup:
         self._top = 0
 
     def _fill(self, n: int) -> _Level:
-        """Level n >= 1, filled through the window."""
+        """Level n >= 1, filled through the window: level k is the union of
+        the shifted source levels S_{k-deg} + v, one loop per level."""
         if n <= self._top - self._span:
             self._restart_fill()
-        if self._by_degree and self._by_degree[0][0] == 0:
+        moves = self._moves
+        if moves and moves[0][0] == 0:
             raise ValueError("level enumeration needs strictly positive degrees")
         window, span = self._window, self._span
+        limit = 64 * self.point_budget
         while self._top < n:
             k = self._top + 1
+            # (first coordinate of bit 0, key offset, source level) of each
+            # translate, with the sums of the cheap width bound
+            parts = []
+            low = None
+            starts = keys = positions = 0
+            for deg, first, offset in moves:
+                prev = window[(k - deg) % span]
+                if prev.count:
+                    start = prev.low + first
+                    if low is None or start < low:
+                        low = start
+                    parts.append((start, offset, prev))
+                    starts += start * len(prev.rows)
+                    keys += len(prev.rows)
+                    positions += prev.positions
+            if parts:
+                # each shifted row spans its shift plus its length; rows
+                # meeting under one key only overlap, so the sum bounds
+                # the new level from above
+                if self._window_positions + starts - low * keys + positions > limit:
+                    self._check_width(parts, low)
+                rows: dict[tuple, int] = {}
+                for start, offset, prev in parts:
+                    shift = start - low
+                    for key, mask in prev.rows.items():
+                        if offset:
+                            key = tuple(map(add, key, offset))
+                        rows[key] = rows.get(key, 0) | (mask << shift)
+                masks = rows.values()
+                new = _Level(low, rows, sum(map(int.bit_count, masks)),
+                             sum(map(int.bit_length, masks)))
+            else:
+                new = _EMPTY
             old = window[k % span]
-            new = window[k % span] = self._next_level(k)
+            window[k % span] = new
             self._window_points += new.count - old.count
             self._window_positions += new.positions - old.positions
             self._top = k
@@ -168,48 +206,15 @@ class GradedSemigroup:
                 raise MemoryError("semigroup points exceed the point budget")
         return window[n % span]
 
-    def _next_level(self, k: int) -> _Level:
-        """S_k as the union of the shifted source levels S_{k-deg} + v."""
-        window, span = self._window, self._span
-        # (first coordinate, offset of the other coordinates, source level)
-        # of each translate's bit 0
-        parts = []
-        for deg, moves in self._by_degree:
-            prev = window[(k - deg) % span]
-            if prev.count:
-                parts += [(prev.low + first, rest, prev) for first, rest in moves]
-        if not parts:
-            return _EMPTY
-        low = min(start for start, _, _ in parts)
-        parts = [(start - low, rest, prev) for start, rest, prev in parts]
-        self._check_width(parts)
-        rows: dict[tuple, int] = {}
-        for shift, offset, prev in parts:
-            moved = any(offset)
-            for key, mask in prev.rows.items():
-                if moved:
-                    key = tuple(map(add, key, offset))
-                rows[key] = rows.get(key, 0) | (mask << shift)
-        masks = rows.values()
-        return _Level(low, rows, sum(map(int.bit_count, masks)),
-                      sum(map(int.bit_length, masks)))
-
-    def _check_width(self, parts: list) -> None:
+    def _check_width(self, parts: list, low: int) -> None:
         """Raise ``MemoryError`` before a fill that would leave the window
         spanning more than 64 positions (one word) per budgeted point."""
-        limit = 64 * self.point_budget
-        held = self._window_positions
-        # each shifted row spans shift + its length; rows meeting under one
-        # key only overlap, so the sum bounds the new level from above
-        if held + sum(shift * len(prev.rows) + prev.positions
-                      for shift, _, prev in parts) <= limit:
-            return
         ends: dict[tuple, int] = {}
-        for shift, offset, prev in parts:
+        for start, offset, prev in parts:
             for key, mask in prev.rows.items():
-                key = tuple(map(add, key, offset))
-                ends[key] = max(ends.get(key, 0), shift + mask.bit_length())
-        if held + sum(ends.values()) > limit:
+                key = tuple(map(add, key, offset)) if offset else key
+                ends[key] = max(ends.get(key, 0), start - low + mask.bit_length())
+        if self._window_positions + sum(ends.values()) > 64 * self.point_budget:
             raise MemoryError("semigroup points exceed the point budget")
 
     def _points(self, n: int, lvl: _Level) -> frozenset:

@@ -1,5 +1,10 @@
+import gc
 import hashlib
 import io
+import os
+import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -387,6 +392,52 @@ class TestGolden:
                    "--horizon", 4000, "--out", out) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             "efdf40db5082dec797c2ceeec73ad7847a081be090ec8b57ab961f82cf1151e5"
+
+
+class TestProcessEntry:
+    """``cli.run`` is the process entry and freezes before the exit;
+    ``main`` is the in-process entry and leaves the collector alone."""
+
+    @staticmethod
+    def python(*argv):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        return subprocess.run([sys.executable, *map(str, argv)], cwd=REPO, env=env,
+                              capture_output=True, text=True)
+
+    def test_main_does_not_freeze(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert run("semigroup", SPECS / "semigroup_halfstep.spec",
+                   "--out", tmp_path / "o.csv") == 0
+        assert run("family") == 2
+        assert gc.get_freeze_count() == frozen
+
+    def test_module_job_matches_golden(self):
+        # the CSV goes to stdout: it is flushed whole after the freeze
+        proc = self.python("-m", "gradedlimits.cli", "semigroup",
+                           SPECS / "semigroup_halfstep.spec", "--golden", REPO / "golden")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (REPO / "golden" / "semigroup_halfstep__semigroup.csv").read_text()
+
+    def test_module_usage_error(self):
+        proc = self.python("-m", "gradedlimits.cli", "family")
+        assert proc.returncode == 2
+        assert "required: spec" in proc.stderr
+
+    def test_run_keeps_atexit(self):
+        code = ("import atexit, sys\n"
+                "atexit.register(sys.stderr.write, 'atexit ran\\n')\n"
+                "sys.argv = ['gradedlimits', 'family']\n"
+                "from gradedlimits.cli import run\n"
+                "run()\n")
+        proc = self.python("-c", code)
+        assert proc.returncode == 2
+        assert proc.stderr.endswith("atexit ran\n")
+
+    def test_script_entry_is_run(self):
+        # a regex, not tomllib: Python 3.10 has no tomllib
+        text = (REPO / "pyproject.toml").read_text()
+        assert re.findall(r'^gradedlimits\s*=\s*"([^"]*)"', text, re.M) == \
+            ["gradedlimits.cli:run"]
 
 
 class TestDeterminism:

@@ -649,7 +649,10 @@ class TestNilPair:
         p, q = draw_pair(), draw_pair()
         checked = NilPairIdeal(d, p.base + q.base, min(p.base + q.socle, q.base + p.socle))
         assert p * q == checked
-        assert [type(v) for v in vars(p * q).values()] == [int] * 3
+        product = p * q
+        fields = (product.num_vars, product.base, product.socle)
+        assert [type(v) for v in fields] == [int] * 3
+        assert fields == (checked.num_vars, checked.base, checked.socle)
 
     def test_associative(self):
         rng = random.Random(47)

@@ -125,6 +125,27 @@ class TestLevels:
                             point_budget=250)
         assert list(s.level_sizes(1)) == [(1, 200)]
 
+    @pytest.mark.parametrize("gens, budget, sizes", [
+        # L has basis (1, 1), (0, 3); the degree-2 move is first -1, key + 1,
+        # and the window holds two levels: 90 + 100 points, then 100 + 110
+        ([((0, 0), 1), ((1, 1), 1), ((-1, 2), 2)], 200, [(17, 90), (18, 100)]),
+        # L = Z^2 with rows along (1, 0): the moves (10^6, 1) and (10^6, 2)
+        # start rows 10^6 long on new keys, so level 2 would leave the window
+        # spanning about 9 * 10^6 positions on five keys, past 64 * 120000
+        ([((0, 0), 1), ((1, 0), 1), ((10**6, 1), 1), ((10**6, 2), 1)], 120_000,
+         [(1, 4)]),
+    ], ids=["points", "width"])
+    def test_budget_with_moved_keys(self, gens, budget, sizes):
+        # rank(L) = 2: some move carries a key offset; the fill stops at
+        # the same level whether it is asked for by level or by level_sizes
+        last, count = sizes[-1]
+        assert list(GradedSemigroup(2, gens, budget).level_sizes(last))[-2:] == sizes
+        assert len(GradedSemigroup(2, gens, budget).level(last)) == count
+        with pytest.raises(MemoryError, match="point budget"):
+            list(GradedSemigroup(2, gens, budget).level_sizes(last + 1))
+        with pytest.raises(MemoryError, match="point budget"):
+            GradedSemigroup(2, gens, budget).level(last + 1)
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_coordinates_past_two_to_63(self, sign):
         # level k is k * w with w = (0, ±2^62): past 2^63 from k = 2 on
