@@ -119,6 +119,8 @@ def _weight_vector(weights: Sequence) -> tuple[Fraction, ...]:
             raise ValueError("irrational or float weights are not supported; "
                              "use rational approximation explicitly")
         out.append(Fraction(w))
+    if not out:
+        raise ValueError("valuation weights: need at least one weight")
     if any(w < 1 for w in out):
         raise ValueError("valuation weights must be at least 1")
     return tuple(out)

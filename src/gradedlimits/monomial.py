@@ -92,6 +92,16 @@ def _slice_sweep(gens):
         yield t, below
 
 
+def _check_operand(value, other) -> None:
+    """Refuse ``other`` as an operand of ``value``: a value of another type,
+    or in another number of variables, raises one ValueError."""
+    if other.__class__ is not value.__class__:
+        raise ValueError(f"cannot combine a {type(value).__name__} "
+                         f"with a {type(other).__name__}")
+    if value.num_vars != other.num_vars:
+        raise ValueError("number of variables mismatch")
+
+
 class MonomialIdeal(_Value):
     """A monomial ideal, canonicalized on construction.
 
@@ -172,15 +182,18 @@ class MonomialIdeal(_Value):
         The distinct progressions of all the pairs are tested once each: the
         points up to the floor's last x are compared with it entry by entry;
         past it y only falls, so the last point alone is compared with the
-        floor's last entry.  Any other ideal answers False.
+        floor's last entry.  Any other ideal answers False, as does any
+        pair of another value type or number of variables.
         """
         if self.num_vars == 1 and self.gens:
             (t,), = self.gens
-            return all(i.num_vars == j.num_vars == 1
+            return all(i.__class__ is j.__class__ is MonomialIdeal
+                       and i.num_vars == j.num_vars == 1
                        and (not i.gens or not j.gens or i.gens[0][0] + j.gens[0][0] >= t)
                        for i, j in pairs)
         floor = self._floor if self.num_vars == 2 else None
-        if floor is None or any(i.num_vars != 2 or j.num_vars != 2 for i, j in pairs):
+        if floor is None or not all(i.__class__ is j.__class__ is MonomialIdeal
+                                    and i.num_vars == j.num_vars == 2 for i, j in pairs):
             return False
         x0, last, y_last = self.gens[0][0], len(floor) - 1, floor[-1]
         for x, y, dx, dy, n in {s for f, g in pairs for s in _piece_sums(f, g)}:
@@ -242,9 +255,7 @@ class MonomialIdeal(_Value):
             return max(self.gens[-1][0], self.gens[0][-1])
         return max((e for g in self.gens for e in g), default=0)
 
-    def _check(self, other: "MonomialIdeal"):
-        if self.num_vars != other.num_vars:
-            raise ValueError("number of variables mismatch")
+    _check = _check_operand
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -537,6 +548,8 @@ class NilPairIdeal(_Value):
             raise ValueError("base must be contained in socle: need 0 <= socle <= base")
         super().__init__(num_vars, base, socle)
 
+    _check = _check_operand
+
     def length(self) -> int:
         """Colength in the square-zero extension ring; m^n misses C(n+d-1, d)."""
         d = self.num_vars
@@ -551,8 +564,7 @@ class NilPairIdeal(_Value):
         described as ``"base monomial g"`` or ``"socle monomial g"``, or None
         when self is inside ``target``.  m^e is inside m^f iff e >= f, and
         the lex-first generator of m^e is (0, ..., 0, e)."""
-        if self.num_vars != target.num_vars:
-            raise ValueError("number of variables mismatch")
+        self._check(target)
         for part, mine, theirs in (("base", self.base, target.base),
                                    ("socle", self.socle, target.socle)):
             if mine < theirs:
@@ -562,17 +574,17 @@ class NilPairIdeal(_Value):
     def holds_products(self, pairs) -> bool:
         """True when P * Q lies in self for every pair (P, Q) of ``pairs``, by
         the exponents of ``__mul__``: a + a' >= base and min(a + b', a' + b)
-        >= socle.  False also when the numbers of variables differ, which
-        the product refuses."""
-        return all(p.num_vars == q.num_vars == self.num_vars
+        >= socle.  False also for a pair of another value type or number of
+        variables, which the product refuses."""
+        return all(p.__class__ is q.__class__ is NilPairIdeal
+                   and p.num_vars == q.num_vars == self.num_vars
                    and p.base + q.base >= self.base
                    and min(p.base + q.socle, q.base + p.socle) >= self.socle
                    for p, q in pairs)
 
     def __mul__(self, other: "NilPairIdeal") -> "NilPairIdeal":
         """(m^a + y m^b)(m^a' + y m^b') = m^{a+a'} + y m^{min(a+b', a'+b)}."""
-        if self.num_vars != other.num_vars:
-            raise ValueError("number of variables mismatch")
+        self._check(other)
         # the factors are valid, so a + a' >= min(a + b', a' + b) >= 0: the
         # product is built unchecked
         pair = object.__new__(NilPairIdeal)

@@ -160,7 +160,6 @@ def _check_disjoint(n: int, blocks: list[Block], weights: tuple[int, ...]) -> No
 class SeriesInvariants(NamedTuple):
     kappa: float | int
     index_estimate: int | None
-    horizon: int
     horizon_dependent: bool
 
 
@@ -237,7 +236,7 @@ def series_invariants(series: MonomialLinearSeries) -> SeriesInvariants:
         idx = index_estimate(series, horizon)
     except ValueError:
         idx = None
-    return SeriesInvariants(kappa, idx, horizon, dependent)
+    return SeriesInvariants(kappa, idx, dependent)
 
 
 def closure_violations(series: MonomialLinearSeries,
@@ -386,6 +385,8 @@ def make_tset(spec) -> Callable[[int], bool]:
     if callable(spec):
         return spec
     if isinstance(spec, tuple) and spec and spec[0] == "mod":
+        if len(spec) != 3:
+            raise ValueError(f"a level-set modulus is ('mod', r, residues), got {spec!r}")
         _, r, residues = spec
         r = _integer(r, "level-set modulus", 1)
         rs = frozenset(_integer(x, "level-set residue") % r for x in residues)

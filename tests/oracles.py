@@ -15,6 +15,8 @@ point sets, and
 ``empirical_limit`` lists the scaled level counts of a semigroup.
 ``monomial_colon`` and ``colon`` are the colons by a monomial and by an
 ideal that the fixpoint oracles iterate.
+``first_generator_outside`` decides containment by testing every pair of
+generators, the reference for ``first_escape``.
 ``closure_violations_by_tuples`` is the series closure check on (exponents,
 nil) tuples, the reference for the block-pair check; ``block_monomials`` and
 ``weighted_monomials`` list the block expansion for the tests.
@@ -74,6 +76,15 @@ def colength_bruteforce(ideal: MonomialIdeal) -> int:
         if not any(all(ge <= pe for ge, pe in zip(g, point)) for g in ideal.gens):
             count += 1
     return count
+
+
+def first_generator_outside(ideal: MonomialIdeal, target: MonomialIdeal):
+    """The first generator of ``ideal`` that no generator of ``target``
+    divides, or None when ``ideal`` lies inside ``target``."""
+    for g in ideal.gens:
+        if not any(all(a <= b for a, b in zip(h, g)) for h in target.gens):
+            return g
+    return None
 
 
 def colon_bruteforce(ideal: MonomialIdeal, u: Sequence[int]) -> MonomialIdeal:

@@ -32,7 +32,6 @@ from gradedlimits.monomial import (
     unit_ideal,
 )
 from oracles import (
-    check_graded_by_products,
     check_level_containments,
     max_ideal_power,
     power,
@@ -164,6 +163,8 @@ class TestBuilders:
             valuation_family((1.5, 2))
         with pytest.raises(ValueError, match="at least 1"):
             valuation_family((Fraction(1, 2), 1))
+        with pytest.raises(ValueError, match="valuation weights: need at least one weight"):
+            valuation_family([])
 
     def test_valuation_rational_weights(self):
         f = valuation_family(("3/2", 2))
@@ -287,76 +288,7 @@ class TestBuilders:
         assert all(p[2:4] == (1, -1) for p in lone)
 
 
-@st.composite
-def perturbed_families(draw):
-    """d = 2 families of powers, (1, w) valuation ideals, saturations or
-    symbolic powers with some levels edited, so that most pairs hold and
-    some escape: a corner raised or moved right, a corner dropped, or the
-    whole level moved right or up."""
-    base = draw(st.sampled_from([
-        power_family(MonomialIdeal(2, ((2, 0), (0, 3)))),
-        power_family(MonomialIdeal(2, ((3, 0), (1, 1), (0, 2)))),
-        power_family(MonomialIdeal(2, ((4, 0), (2, 1), (0, 3)))),
-        valuation_family((1, 2)),
-        valuation_family((2, 3)),
-        saturation_family(MonomialIdeal(2, ((2, 0), (1, 1)))),
-        symbolic_family(MonomialIdeal(2, ((2, 0), (1, 1))), MonomialIdeal(2, ((1, 0), (0, 1)))),
-    ]))
-    edits = draw(st.dictionaries(
-        st.integers(1, 14),
-        st.tuples(st.sampled_from(["raise", "right", "drop", "level-right", "level-up"]),
-                  st.integers(0, 100)),
-        max_size=5))
-
-    def provider(n):
-        gens = list(base.ideal(n).gens)
-        if n in edits:
-            kind, k = edits[n]
-            k %= len(gens)
-            if kind == "raise":
-                gens[k] = (gens[k][0], gens[k][1] + 1)
-            elif kind == "right":
-                gens[k] = (gens[k][0] + 1, gens[k][1])
-            elif kind == "drop" and len(gens) > 1:
-                del gens[k]
-            elif kind == "level-right":
-                gens = [(x + 1, y) for x, y in gens]
-            elif kind == "level-up":
-                gens = [(x, y + 1) for x, y in gens]
-        return MonomialIdeal(2, tuple(gens))
-
-    return GradedFamily("perturbed", 2, provider)
-
-
-@st.composite
-def raised_nilpair_families(draw):
-    """Nilpotent-pair families in 1 to 3 variables with one level's base or
-    socle exponent raised (the socle at most to the base), so that the
-    pairs of some totals escape."""
-    dim = draw(st.integers(1, 3))
-    base = draw(st.sampled_from([nilpair_sigma_family(dim, SCHEDULE),
-                                 perturbed_power_family(dim, SCHEDULE),
-                                 corrupted_sigma_family(dim)]))
-    level, part, by = draw(st.integers(1, 14)), draw(st.sampled_from(["base", "socle"])), \
-        draw(st.integers(1, 3))
-
-    def provider(n):
-        pair = base.ideal(n)
-        if n != level:
-            return pair
-        if part == "base":
-            return NilPairIdeal(dim, pair.base + by, pair.socle)
-        return NilPairIdeal(dim, pair.base, min(pair.socle + by, pair.base))
-
-    return GradedFamily("raised_nilpair", dim, provider)
-
-
 class TestCheckGraded:
-    @given(perturbed_families() | raised_nilpair_families())
-    @settings(max_examples=100, deadline=None)
-    def test_matches_building_every_product(self, family):
-        assert check_graded(family, 14) == check_graded_by_products(family, 14)
-
     def test_graded_totals_settle_without_a_pair(self, monkeypatch):
         # each total of the c11 polynomial, nilpotent-pair and Artin
         # families is settled by holds_products, so no pair's product is

@@ -35,6 +35,7 @@ from oracles import (
     symbolic_core,
     symbolic_core_fixpoint,
 )
+from test_values import exponent_sets, oracle_minimal, run_staircases, staircases
 
 
 def ideal(*gens):
@@ -135,101 +136,6 @@ def divides(g, m):
     return all(a <= b for a, b in zip(g, m))
 
 
-def oracle_minimal(candidates):
-    """All-pairs filter: keep a candidate no other candidate divides."""
-    uniq = set(candidates)
-    return tuple(sorted(g for g in uniq
-                        if not any(h != g and divides(h, g) for h in uniq)))
-
-
-def exponent_sets(d, max_size=12):
-    return st.lists(st.tuples(*[st.integers(0, 8)] * d), max_size=max_size)
-
-
-def staircases(d):
-    """Ideals in d <= 2 variables: zero, unit, small, and tall ones whose
-    last exponents dwarf the others."""
-    tall = st.lists(st.tuples(*[st.integers(0, 3)] * (d - 1), st.integers(0, 10**12)),
-                    max_size=8)
-    gens = st.one_of(st.just([]), st.just([(0,) * d]), exponent_sets(d), tall)
-    return gens.map(lambda g: MonomialIdeal(d, tuple(g)))
-
-
-@st.composite
-def run_staircases(draw):
-    """d = 2 staircases made of arithmetic runs: runs of a few shared steps
-    (so two draws often have equal steps), a lone corner before a run, a
-    trailing lone pair, a single corner (on the x-axis, so K = 1 when both
-    factors are one), and the zero and unit ideals."""
-    kind = draw(st.sampled_from(["runs", "single", "axis", "zero", "unit"]))
-    if kind == "zero":
-        return MonomialIdeal(2, ())
-    if kind == "unit":
-        return unit_ideal(2)
-    if kind == "axis":
-        return MonomialIdeal(2, ((draw(st.integers(0, 5)), 0),))
-    if kind == "single":
-        return MonomialIdeal(2, (draw(st.tuples(st.integers(0, 5), st.integers(0, 5))),))
-    x, y = draw(st.integers(0, 3)), draw(st.integers(0, 40))
-    gens = [(x, y)]
-    steps = st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 3), (3, 1), (1, 4)])
-    for dx, dy in draw(st.lists(steps, min_size=1, max_size=4)):
-        for _ in range(draw(st.integers(1, 6))):
-            if y < dy:
-                break
-            x, y = x + dx, y - dy
-            gens.append((x, y))
-    return MonomialIdeal(2, tuple(gens))
-
-
-def escape_targets(data, prod):
-    """Targets for ``holds_products`` around the d = 2 product ``prod``: the
-    product itself and near misses (a corner raised, a corner dropped), the
-    product moved off the axes (x_0 > 0 or y_last > 0), cut short so sums
-    land past its last x, the zero and unit ideals, another run staircase,
-    and a sparse target whose floor is never built."""
-    gens = list(prod.gens)
-    kind = data.draw(st.sampled_from(
-        ["self", "raise", "drop", "moved", "cut", "zero", "unit", "other", "sparse"]))
-    if kind == "zero":
-        return MonomialIdeal(2, ())
-    if kind == "unit" or not gens:
-        return unit_ideal(2)
-    if kind == "other":
-        return data.draw(run_staircases())
-    if kind == "sparse":
-        # one corner per 8 x-steps or fewer: no floor
-        target = MonomialIdeal(2, ((0, gens[0][1] + 1), (8 * len(gens) + gens[-1][0] + 9, 0)))
-        assert target._floor is None
-        return target
-    k = data.draw(st.integers(0, len(gens) - 1))
-    if kind == "raise":
-        dx, dy = data.draw(st.sampled_from([(0, 1), (1, 0)]))
-        gens[k] = (gens[k][0] + dx, gens[k][1] + dy)
-    elif kind == "drop":
-        del gens[k]
-    elif kind == "moved":
-        dx, dy = data.draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
-        gens = [(max(0, x + dx), max(0, y + dy)) for x, y in gens]
-    elif kind == "cut":
-        gens = gens[:k + 1]
-    return MonomialIdeal(2, tuple(gens)) if gens else MonomialIdeal(2, ())
-
-
-def assert_holds_products_sound(target, i, j):
-    """``target.holds_products`` on the one pair (i, j) against the built
-    product: in d = 1 with a non-zero target and in d = 2 with a ``_floor``
-    True exactly when the product lies inside, and False in any other case,
-    so True always implies inside."""
-    held = target.holds_products(((i, j),))
-    inside = (i * j).first_escape(target) is None
-    if (target.num_vars == 1 and target.gens
-            or target.num_vars == 2 and target._floor is not None):
-        assert held == inside
-    else:
-        assert not held
-
-
 class TestKernelOracles:
     """Staircase (d <= 2) and last-variable slice sweep (d >= 3) kernels against
     brute force."""
@@ -254,22 +160,6 @@ class TestKernelOracles:
         u = data.draw(st.tuples(*[st.integers(0, 10)] * d))
         assert monomial_colon(i, u) == colon_bruteforce(i, u)
 
-    @given(st.data(), st.integers(1, 3))
-    @settings(max_examples=150, deadline=None)
-    def test_product(self, data, d):
-        i = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
-        j = MonomialIdeal(d, tuple(data.draw(exponent_sets(d))))
-        sums = [tuple(a + b for a, b in zip(g, h)) for g in i.gens for h in j.gens]
-        assert (i * j).gens == oracle_minimal(sums)
-
-    @given(st.data(), st.integers(1, 2))
-    @settings(max_examples=200, deadline=None)
-    def test_staircase_product(self, data, d):
-        # the packed d <= 2 product, zero, unit and tall staircases included
-        i, j = data.draw(staircases(d)), data.draw(staircases(d))
-        sums = [tuple(a + b for a, b in zip(g, h)) for g in i.gens for h in j.gens]
-        assert (i * j).gens == minimal_generators(sums)
-
     @given(run_staircases(), run_staircases())
     @settings(max_examples=300, deadline=None)
     def test_run_product(self, i, j):
@@ -282,23 +172,6 @@ class TestKernelOracles:
             assert corners == list(ideal_.gens)
         sums = [(g[0] + h[0], g[1] + h[1]) for g in i.gens for h in j.gens]
         assert (i * j).gens == oracle_minimal(sums)
-
-    @given(run_staircases(), run_staircases(), st.data())
-    @settings(max_examples=400, deadline=None)
-    def test_holds_products(self, i, j, data):
-        # a pair decided on the target's floor is inside exactly when its
-        # product is; a target with no floor settles nothing
-        prod = i * j
-        target = escape_targets(data, prod)
-        assert_holds_products_sound(target, i, j)
-
-    @given(st.data(), st.sampled_from([1, 2, 3]))
-    @settings(max_examples=100, deadline=None)
-    def test_holds_products_off_the_staircase(self, data, d):
-        i, j, t = (MonomialIdeal(d, tuple(data.draw(exponent_sets(d, max_size=5))))
-                   for _ in range(3))
-        for target in (t, i * j, MonomialIdeal(d, ()), unit_ideal(d)):
-            assert_holds_products_sound(target, i, j)
 
     def test_floor(self):
         # (0, 3), (2, 1), (3, 0) shifted to start at x = 1
@@ -578,27 +451,7 @@ class TestSaturationQuotient:
         assert saturation_quotient_colength(i) == saturation_quotient_bruteforce(i)
 
 
-@st.composite
-def nilpairs(draw, d):
-    base = draw(st.integers(0, 12))
-    return NilPairIdeal(d, base, draw(st.integers(0, base)))
-
-
 class TestNilPair:
-    @given(st.data(), st.integers(1, 4))
-    @settings(max_examples=200, deadline=None)
-    def test_holds_products(self, data, d):
-        # the whole-total test against the first escape of each pair's product
-        target = data.draw(nilpairs(d))
-        pairs = data.draw(st.lists(st.tuples(nilpairs(d), nilpairs(d)), max_size=6))
-        assert target.holds_products(pairs) == \
-            all((p * q).first_escape(target) is None for p, q in pairs)
-        # a unit factor in another number of variables would hold, were the
-        # numbers of variables equal: a mismatch alone answers False
-        unit, wide = NilPairIdeal(d, 0, 0), NilPairIdeal(d + 1, 0, 0)
-        for mismatched in ((wide, wide), (unit, wide), (wide, unit)):
-            assert not target.holds_products([*pairs, mismatched])
-
     def test_lengths(self):
         pair = NilPairIdeal(1, 2, 1)
         assert pair.length() == 3
@@ -638,52 +491,6 @@ class TestNilPair:
         assert NilPairIdeal(3, 4, 2).first_escape(NilPairIdeal(3, 4, 3)) == \
             "socle monomial (0, 0, 2)"
         assert NilPairIdeal(2, 0, 0).is_unit() and not pair(1, 0).is_unit()
-
-    @given(st.integers(1, 4), st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_product_matches_checked_constructor(self, d, data):
-        def draw_pair():
-            a = data.draw(st.integers(0, 8))
-            return NilPairIdeal(d, a, data.draw(st.integers(0, a)))
-
-        p, q = draw_pair(), draw_pair()
-        checked = NilPairIdeal(d, p.base + q.base, min(p.base + q.socle, q.base + p.socle))
-        assert p * q == checked
-        product = p * q
-        fields = (product.num_vars, product.base, product.socle)
-        assert [type(v) for v in fields] == [int] * 3
-        assert fields == (checked.num_vars, checked.base, checked.socle)
-
-    def test_associative(self):
-        rng = random.Random(47)
-        for _ in range(25):
-            pairs = []
-            for _ in range(3):
-                a = rng.randint(1, 5)
-                pairs.append(NilPairIdeal(1, a, rng.randint(0, a)))
-            x, y, z = pairs
-            assert (x * y) * z == x * (y * z)
-
-    @given(st.integers(1, 4), st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_matches_generator_arithmetic(self, d, data):
-        # each pair (m^a, y m^b) against its generator form on max_ideal_power
-        def draw_pair():
-            a = data.draw(st.integers(0, 8))
-            return NilPairIdeal(d, a, data.draw(st.integers(0, a)))
-
-        def gens(pair):
-            return max_ideal_power(d, pair.base), max_ideal_power(d, pair.socle)
-
-        p, q = draw_pair(), draw_pair()
-        (pa, pb), (qa, qb) = gens(p), gens(q)
-        assert p.length() == colength(pa) + colength(pb)
-        assert p.is_unit() == pa.is_unit()
-        assert gens(p * q) == (pa * qa, pa * qb + qa * pb)
-        base, socle = pa.first_escape(qa), pb.first_escape(qb)
-        expected = (f"base {base}" if base is not None
-                    else f"socle {socle}" if socle is not None else None)
-        assert p.first_escape(q) == expected
 
 
 class TestMultiplicity:

@@ -324,6 +324,15 @@ def test_saturation_quotient_oracle_is_independent_of_the_kernel():
                           "saturation_quotient_colength", "colon_monomial"}) == []
 
 
+def test_containment_oracle_is_independent_of_the_kernel():
+    # first_generator_outside checks first_escape, so it must not reach the
+    # membership kernels: no membership query, no escape, no minimalization,
+    # no private monomial helper
+    assert reached_names("gradedlimits.monomial", "first_generator_outside",
+                         {"contains", "first_escape", "_covers", "_slices",
+                          "minimal_generators"}) == []
+
+
 def test_m_primary_oracle_is_independent_of_the_kernel():
     # is_m_primary_by_support checks the slice test of is_m_primary, so it
     # must not reach it: no m-primary test, no membership query, no private
@@ -357,6 +366,7 @@ def test_oracle_walk_follows_helpers():
         "invariants_by_degree_kernel", "degree_zero_rows", "delaunay_volume",
         "maximal_minors", "leibniz_det"}
     assert called_oracles("lattice_contains") == {"lattice_contains"}
+    assert called_oracles("first_generator_outside") == {"first_generator_outside"}
     assert called_oracles("saturation_quotient_bruteforce") == {
         "saturation_quotient_bruteforce", "saturate_by_colon_fixpoint", "colon",
         "monomial_colon", "max_ideal_power"}

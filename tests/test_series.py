@@ -391,6 +391,9 @@ class TestIntegerInput:
         assert [n for n in range(5) if member(n)] == [0, 2, 4]
         with pytest.raises(ValueError, match="modulus is not an integer"):
             make_tset(("mod", 2.5, (0,)))
+        for short in (("mod",), ("mod", 2)):
+            with pytest.raises(ValueError, match=re.escape("is ('mod', r, residues)")):
+                make_tset(short)
         with pytest.raises(ValueError, match="level-set modulus must be at least 1, got 0"):
             nil_hyperplane_series(("mod", 0, (0,)))
 
@@ -449,6 +452,14 @@ class TestIntegerInput:
             s.dim(-1)
 
 
+def late_series(onset: int, horizon: int) -> MonomialLinearSeries:
+    """z_0^n alone below level ``onset``; z_0^(n-1) z_1 joins from there on."""
+    def provider(n):
+        return [Block((n, 0), False)] + ([Block((n - 1, 1), False)] if n >= onset else [])
+
+    return MonomialLinearSeries("late", WeightedAmbient((1, 1)), 1, provider, horizon)
+
+
 class TestKappa:
     def test_fixtures(self):
         assert kodaira_iitaka(full_weighted_series((1, 1, 1), 40))[0] == 2
@@ -501,11 +512,7 @@ class TestKappa:
         assert hermite_basis(fed[0], d + 1) == hermite_basis(monomials, d + 1)
 
     def test_late_rank_growth_flags_horizon(self):
-        # z_0^n alone up to level 29; z_0^(n-1) z_1 joins from level 30 on
-        def provider(n):
-            return [Block((n, 0), False)] + ([Block((n - 1, 1), False)] if n >= 30 else [])
-
-        late = MonomialLinearSeries("late", WeightedAmbient((1, 1)), 1, provider, 40)
+        late = late_series(30, 40)
         assert kodaira_iitaka(late, 32) == (1, True)
         assert kodaira_iitaka(late, 40) == (1, False)
         assert kodaira_iitaka(late, 29) == (0, False)
@@ -548,9 +555,11 @@ class TestIndex:
         for scan in (kodaira_iitaka, index_estimate):
             with pytest.raises(ValueError, match="horizon must be at least 1"):
                 scan(s, horizon)
-        # series_invariants scans to 64, capped at the series horizon
-        assert series_invariants(s).horizon == 50
-        assert series_invariants(full_weighted_series((1, 1), 100)).horizon == 64
+        # series_invariants scans to 64, capped at the series horizon: it
+        # sees rank growth at level 64 but not at 65
+        assert series_invariants(s).kappa == 1
+        assert series_invariants(late_series(64, 100)).kappa == 1
+        assert series_invariants(late_series(65, 100)).kappa == 0
 
     @pytest.mark.parametrize("horizon", [2.5, "3"])
     def test_non_integer_horizon_rejected(self, horizon):
