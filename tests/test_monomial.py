@@ -492,6 +492,28 @@ class TestNilPair:
             "socle monomial (0, 0, 2)"
         assert NilPairIdeal(2, 0, 0).is_unit() and not pair(1, 0).is_unit()
 
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_product_matches_checked_constructor(self, d, data):
+        def draw_pair():
+            a = data.draw(st.integers(0, 8))
+            return NilPairIdeal(d, a, data.draw(st.integers(0, a)))
+
+        p, q = draw_pair(), draw_pair()
+        checked = NilPairIdeal(d, p.base + q.base, min(p.base + q.socle, q.base + p.socle))
+        assert p * q == checked
+        assert [type(v) for v in vars(p * q).values()] == [int] * 3
+
+    def test_associative(self):
+        rng = random.Random(47)
+        for _ in range(25):
+            pairs = []
+            for _ in range(3):
+                a = rng.randint(1, 5)
+                pairs.append(NilPairIdeal(1, a, rng.randint(0, a)))
+            x, y, z = pairs
+            assert (x * y) * z == x * (y * z)
+
 
 class TestMultiplicity:
     def test_staircase_fixture(self):
